@@ -1,12 +1,14 @@
-"""Accelerometer fusion: deflate the Grammian model and jointly recover
+"""Accelerometer fusion: deflate the distance model and jointly recover
 velocity plus the fixed sensor-frame rotation.
 
 Accelerometers pin down the quadratic trajectory coefficients up to one
-common rotation.  Because a Grammian only sees rotation-invariant inner
-products, those coefficients can be subtracted from the distance-derived
-Grammian series, lowering the polynomial degree of the fit; the unknown
-rotation is then solved jointly with the velocity through the same
-coupled-equation machinery as the distance-only path.
+common rotation.  Because squared distances only see rotation-invariant
+inner products, the quartic term those coefficients predict can be
+subtracted from every pair's squared-distance series, lowering the
+polynomial degree of the fit to 3; the coefficient blocks are then
+double-centered into Grammian blocks, as on the distance-only path.  The
+unknown rotation is solved jointly with the velocity through the same
+coupled-equation machinery.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .distance_estimator import (
     GrammianCoefficients,
     KinematicEstimate,
     _fallback_velocity,
-    _grammian_series,
+    _fit_edm_coeffs,
     _poly_lstsq,
     _solve_rotation_velocity,
     _stage,
@@ -74,7 +76,7 @@ def fit_accel_coeffs(accels, timestamps, order: int = 2) -> AccelCoefficients:
     kk, d, n = accels.shape
     coeffs, residual = _poly_lstsq(timestamps, accels.reshape(kk, d * n), order - 2)
     blocks = [factorial(j) * coeffs[j].reshape(d, n) for j in range(order - 1)]
-    return AccelCoefficients(blocks=blocks, residual=residual)
+    return AccelCoefficients(blocks=blocks, residual=float(np.linalg.norm(residual)))
 
 
 def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
@@ -111,13 +113,14 @@ def fit_deflated_coeffs(deflated_vecs, timestamps) -> GrammianCoefficients:
 def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     """Recover relative kinematics from EDMs fused with accelerometer data.
 
-    Steps: fit sensor-frame acceleration coefficients, deflate the
-    Grammian series and fit it at degree 3, recover the position factor by
-    MDS, then jointly solve for the velocity and the sensor-frame rotation
-    with the acceleration coefficients taking the role of the acceleration
-    factor.  Outputs of order >= 2 are the sensor-frame coefficients
-    mapped through the recovered rotation, so all blocks share the
-    position factor's frame.
+    Steps: fit sensor-frame acceleration coefficients, deflate every
+    pair's squared-distance series by its quartic term and fit it at
+    degree 3, double-center the coefficient blocks, recover the position
+    factor by MDS, then jointly solve for the velocity and the sensor-frame
+    rotation with the acceleration coefficients taking the role of the
+    acceleration factor.  Outputs of order >= 2 are the sensor-frame
+    coefficients mapped through the recovered rotation, so all blocks
+    share the position factor's frame.
     """
     if d != 2:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
@@ -126,21 +129,13 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     warnings_: list[str] = []
 
     with _stage("accelerometer-fit"):
-        acc_raw = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
+        acc = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
-    c = centering_matrix(meas.n_nodes)
-    acc = AccelCoefficients(
-        blocks=[b @ c for b in acc_raw.blocks], residual=acc_raw.residual
-    )
-    sensor_accel = acc.blocks[0]
+    sensor_accel = acc.blocks[0] @ centering_matrix(meas.n_nodes)
 
-    with _stage("grammian"):
-        grams = _grammian_series(meas)
-    with _stage("deflation"):
-        deflated = deflate_grams(grams, meas.timestamps, acc)
     with _stage("coefficient-fit"):
-        coeffs = fit_deflated_coeffs(deflated, meas.timestamps)
+        coeffs = _fit_edm_coeffs(meas, degree=3, accel=sensor_accel)
     with _stage("mds"):
         mds0 = classical_mds(coeffs.blocks[0], d)
     warnings_ += [f"position factor: {w}" for w in mds0.warnings]

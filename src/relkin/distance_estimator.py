@@ -1,10 +1,12 @@
 """Relative kinematics from noisy squared-distance sequences alone.
 
-Pipeline: double-center each EDM into a Grammian, fit the Grammian time
-series with a degree-4 matrix polynomial, recover position and
-acceleration factors by classical MDS, then solve the two coupled
-Lyapunov-like coefficient equations for the relative velocity and the
-rotation tying the acceleration factor to the position frame.
+Pipeline: fit the pairwise squared distances of the whole record with a
+degree-4 polynomial, double-center the five coefficient blocks into the
+blocks of the Grammian polynomial (centering is linear, so it commutes
+with the fit), recover position and acceleration factors by classical
+MDS, then solve the two coupled Lyapunov-like coefficient equations for
+the relative velocity and the rotation tying the acceleration factor to
+the position frame.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import (
     RelkinError,
     SingularDesignError,
 )
-from .linalg import MdsResult, classical_mds, gram_from_edm, unvech, vech
+from .linalg import MdsResult, classical_mds, triu_indices, unvech
+from .linalg import vech  # noqa: F401  (perfbench's tracer test rebinds this copy)
 from .trajectory import MeasurementSet
 
 __all__ = [
@@ -45,6 +48,9 @@ __all__ = [
 _FLIP = np.diag([-1.0, 1.0])
 # 90-degree generator: h1*I + h2*_J spans the planar rotations
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# the acceleration factor counts as absent when its Grammian, at the record's
+# largest |t|, stays below this fraction of the largest position eigenvalue
+_NEGLIGIBLE_ACCEL = 1e-10
 
 
 @dataclass
@@ -129,13 +135,14 @@ class KinematicEstimate:
     coeffs: Optional[GrammianCoefficients] = None
 
 
-def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, float]:
+def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares polynomial fit shared by all columns of ``values``.
 
     One QR factorization of the (degree+1)-column Vandermonde matrix
     serves every column.  The time axis is rescaled to [-1, 1] before
     factorization and the coefficients unscaled afterwards, which leaves
     the minimizer unchanged but keeps the factor well conditioned.
+    Returns the coefficients and the (K+1, m) residual of the fit.
     """
     t = np.asarray(timestamps, dtype=float).ravel()
     vals = np.asarray(values, dtype=float)
@@ -152,7 +159,8 @@ def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, float]:
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularDesignError("rank-deficient Vandermonde design (repeated timestamps?)")
     coeffs = np.linalg.solve(r, q.T @ vals)
-    residual = float(np.linalg.norm(a @ coeffs - vals))
+    residual = a @ coeffs
+    residual -= vals
     powers = scale ** np.arange(degree + 1)
     return coeffs / powers[:, None], residual
 
@@ -169,7 +177,73 @@ def fit_gram_coeffs(gram_vecs, timestamps, degree: int) -> GrammianCoefficients:
     gram_vecs = np.asarray(gram_vecs, dtype=float)
     coeffs, residual = _poly_lstsq(timestamps, gram_vecs, degree)
     blocks = [unvech(row) for row in coeffs]
-    return GrammianCoefficients(degree=degree, blocks=blocks, residual=residual)
+    return GrammianCoefficients(degree, blocks, residual=float(np.linalg.norm(residual)))
+
+
+def _double_center(pairs, n: int) -> np.ndarray:
+    """-C D C / 2 of the EDM D with upper-triangle entries ``pairs``.
+
+    Centers by row and column means: the block stays exactly symmetric,
+    and the cost is O(n^2) rather than two n-by-n matrix products.
+    """
+    iu, ju = triu_indices(n, 1)
+    d = np.zeros((n, n))
+    d[iu, ju] = pairs
+    d = d + d.T
+    r = d.mean(axis=1)
+    g = d - (r[:, None] + r[None, :])
+    g += r.mean()
+    g *= -0.5
+    return g
+
+
+def _gram_residual(res, r, n: int) -> float:
+    """Norm of the half-vectorized Grammian-space residual, in O(K m).
+
+    Row k of ``res`` holds the upper-triangle entries of a symmetric,
+    zero-diagonal residual EDM R, and row k of ``r`` its row means.  With
+    rbar their mean, ||C R C||_F^2 = ||R||_F^2 - 2n ||r||^2 + n^2 rbar^2
+    and diag(-C R C / 2) = r - rbar / 2; vech keeps each diagonal entry
+    and each off-diagonal pair once, so
+    ||vech G||^2 = (||G||_F^2 + ||diag G||^2) / 2.
+    """
+    rbar = r.mean(axis=1)
+    r_sq = 2.0 * float(np.vdot(res, res))  # each pair appears twice in R
+    crc_sq = r_sq - 2.0 * n * float(np.vdot(r, r)) + n**2 * float(rbar @ rbar)
+    diag = r - 0.5 * rbar[:, None]
+    total = 0.5 * (0.25 * crc_sq + float(np.vdot(diag, diag)))
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCoefficients:
+    """Grammian coefficient blocks from one polynomial fit of the EDM record.
+
+    Double centering is linear and acts on each sample alone, so it
+    commutes with the fit: fitting the upper-triangle entries of every
+    (validated symmetric, zero-diagonal) EDM with one shared Vandermonde
+    projection and centering only the coefficient blocks gives
+    :func:`fit_gram_coeffs` of the Grammian series, up to round-off.
+    ``accel``, a centered (d, n) acceleration block, deflates each pair
+    by t^4 |a_i - a_j|^2 / 4 first; that double-centers to the
+    vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.
+    """
+    n = meas.n_nodes
+    iu, ju = triu_indices(n, 1)
+    t = meas.timestamps
+    pairs = meas.edms[:, iu, ju]
+    # row means are linear too: their series' fit residual is the row
+    # means of the residual EDMs, which the Grammian residual needs
+    row_means = meas.edms.mean(axis=2)
+    if accel is not None:
+        diff = accel[:, iu] - accel[:, ju]
+        quartic = 0.25 * np.einsum("dm,dm->m", diff, diff)
+        pairs -= np.outer(t**4, quartic)
+        node_quartic = np.bincount(iu, quartic, n) + np.bincount(ju, quartic, n)
+        row_means -= np.outer(t**4, node_quartic / n)
+    coeffs, res = _poly_lstsq(t, pairs, degree)
+    _, row_res = _poly_lstsq(t, row_means, degree)
+    blocks = [_double_center(row, n) for row in coeffs]
+    return GrammianCoefficients(degree, blocks, residual=_gram_residual(res, row_res, n))
 
 
 def recover_position_acceleration(
@@ -415,35 +489,30 @@ def _fallback_velocity(f0: ChuFactors) -> tuple[np.ndarray, np.ndarray]:
 
 @contextmanager
 def _stage(label: str):
-    """Re-raise pipeline errors with the failing stage prepended."""
+    """Re-raise pipeline errors, numpy's LinAlgError included, with the stage prepended."""
     try:
         yield
-    except RelkinError as exc:
+    except (RelkinError, np.linalg.LinAlgError) as exc:
         raise EstimationError(f"stage '{label}': {exc}") from exc
-
-
-def _grammian_series(meas: MeasurementSet) -> np.ndarray:
-    return np.stack([vech(gram_from_edm(edm)) for edm in meas.edms])
 
 
 def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     """Recover relative position, velocity and acceleration from EDMs only.
 
-    Steps: Grammians by double centering, degree-4 coefficient fit, MDS of
-    the constant and quartic blocks, then the coupled Lyapunov-like solve
-    for velocity and the acceleration-frame rotation.  If the acceleration
-    factor is rank deficient (e.g. a static network) the velocity falls
-    back to its minimum-norm completion and warnings are recorded instead
-    of failing.
+    Steps: degree-4 fit of the EDM record, double centering of its
+    coefficient blocks, MDS of the constant and quartic blocks, then the
+    coupled Lyapunov-like solve for velocity and the acceleration-frame
+    rotation.  If the acceleration factor is rank deficient, or negligible
+    next to the positions over the record (e.g. a static network, whose
+    quartic block is round-off), the velocity falls back to its
+    minimum-norm completion and warnings are recorded instead of failing.
     """
     if d != 2:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     warnings_: list[str] = []
 
-    with _stage("grammian"):
-        grams = _grammian_series(meas)
     with _stage("coefficient-fit"):
-        coeffs = fit_gram_coeffs(grams, meas.timestamps, degree=4)
+        coeffs = _fit_edm_coeffs(meas, degree=4)
     with _stage("mds"):
         mds0, mds2 = recover_position_acceleration(coeffs, d)
     warnings_ += [f"position factor: {w}" for w in mds0.warnings]
@@ -455,14 +524,23 @@ def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstima
     warnings_ += [f"velocity split: {w}" for w in f0.warnings]
     residuals["velocity_split"] = f0.residual
 
+    t_max = float(np.abs(meas.timestamps).max())
+    accel_negligible = (
+        mds2.eigenvalues[-1] * t_max**4 <= _NEGLIGIBLE_ACCEL * mds0.eigenvalues[0]
+    )
     with _stage("basis-solve"):
-        try:
-            sol = _solve_rotation_velocity(f0, 2.0 * coeffs.blocks[3], mds2.points)
+        sol = None
+        if not accel_negligible:
+            try:
+                sol = _solve_rotation_velocity(f0, 2.0 * coeffs.blocks[3], mds2.points)
+            except DegenerateGeometryError:
+                pass
+        if sol is not None:
             y1, rotation = sol.y1, sol.rotation
             residuals["acceleration_split"] = sol.f2.residual
             residuals["basis"] = sol.basis.residual
             warnings_ += sol.warnings
-        except DegenerateGeometryError:
+        else:
             y1, rotation = _fallback_velocity(f0)
             residuals["acceleration_split"] = float("nan")
             residuals["basis"] = float("nan")

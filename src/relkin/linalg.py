@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "edm_from_points",
     "gram_from_edm",
     "orthogonal_procrustes",
+    "triu_indices",
     "unvech",
     "vech",
 ]
@@ -46,6 +48,19 @@ def centering_matrix(n: int) -> np.ndarray:
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
+@lru_cache(maxsize=64)
+def triu_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only ``np.triu_indices(n, k)``.
+
+    The estimators and ``vech``/``unvech`` index the same few triangles
+    over and over; building them once per (n, k) keeps that off every call.
+    """
+    iu, ju = np.triu_indices(n, k)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju
+
+
 def vech(m) -> np.ndarray:
     """Half-vectorize a symmetric matrix: lower triangle, column-major.
 
@@ -57,7 +72,7 @@ def vech(m) -> np.ndarray:
     if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
         raise ValueError("vech expects a (numerically) symmetric matrix")
     sym = 0.5 * (m + m.T)
-    iu, ju = np.triu_indices(m.shape[0])
+    iu, ju = triu_indices(m.shape[0])
     # (ju, iu) walks the lower triangle column by column
     return sym[ju, iu]
 
@@ -70,7 +85,7 @@ def unvech(v) -> np.ndarray:
     if t == 0 or n * (n + 1) // 2 != t:
         raise InvalidDimensionError(f"length {t} is not a triangular number")
     out = np.zeros((n, n))
-    iu, ju = np.triu_indices(n)
+    iu, ju = triu_indices(n)
     out[ju, iu] = v
     out[iu, ju] = v
     return out

@@ -157,13 +157,19 @@ class MeasurementSet:
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=float).ravel()
         self.edms = np.asarray(self.edms, dtype=float)
+        if not np.all(np.isfinite(self.timestamps)):
+            raise InvalidDimensionError("timestamps must be finite")
         if np.any(np.diff(self.timestamps) <= 0):
             raise InvalidDimensionError("timestamps must be strictly increasing")
         if self.edms.ndim != 3 or self.edms.shape[0] != self.timestamps.size:
             raise InvalidDimensionError("edms must be (K+1, n, n) matching timestamps")
         if self.edms.shape[1] != self.edms.shape[2]:
             raise InvalidDimensionError("each EDM must be square")
-        scale = max(1.0, float(np.abs(self.edms).max()))
+        # max() propagates NaN and inf, so one reduction checks finiteness too
+        largest = float(np.abs(self.edms).max())
+        if not np.isfinite(largest):
+            raise InvalidDimensionError("EDM entries must be finite")
+        scale = max(1.0, largest)
         if float(np.abs(self.edms - self.edms.transpose(0, 2, 1)).max()) > 1e-8 * scale:
             raise InvalidDimensionError("each EDM must be symmetric")
         diags = self.edms[:, range(self.edms.shape[1]), range(self.edms.shape[1])]
@@ -173,6 +179,8 @@ class MeasurementSet:
             self.accels = np.asarray(self.accels, dtype=float)
             if self.accels.ndim != 3 or self.accels.shape[0] != self.timestamps.size:
                 raise InvalidDimensionError("accels must be (K+1, dim, n)")
+            if not np.all(np.isfinite(self.accels)):
+                raise InvalidDimensionError("accelerometer readings must be finite")
 
     @property
     def n_nodes(self) -> int:

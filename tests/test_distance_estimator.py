@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from relkin import (
     DegenerateGeometryError,
+    MeasurementSet,
     PolynomialTrajectory,
     SimConfig,
     SingularDesignError,
@@ -305,6 +306,43 @@ class TestEstimateFromDistances:
         assert np.linalg.norm(est.y1) <= 1e-6 * scale
         assert np.linalg.norm(est.y2) <= 1e-6 * scale
         assert est.warnings
+
+    @pytest.mark.parametrize("scale,draws", [(1.0, 20), (1000.0, 1)])
+    def test_static_network_fallback_is_robust_to_round_off(self, scale, draws):
+        # a static network's quartic block is pure round-off: a 1e-15
+        # relative perturbation of the EDMs, or a larger scene, must still
+        # take the minimum-norm fallback rather than fail the basis solve
+        y0 = scale * np.array(
+            [[0.0, 10.0, -3.0, 7.0, -8.0, 2.0], [1.0, -2.0, 9.0, -7.0, 4.0, -5.0]]
+        )
+        traj = PolynomialTrajectory((y0,))
+        meas = simulate_measurements(
+            SimConfig(n_nodes=6, k_samples=10, sigma_d=0.0, sigma_a=0.0), traj
+        )
+        mds_ref = classical_mds(gram_poly_blocks(traj, 4)[0], 2).points
+        rng = np.random.default_rng(11)
+        for draw in range(draws):
+            noise = rng.standard_normal(meas.edms.shape) * (1e-15 if draws > 1 else 0.0)
+            noise = noise + np.swapaxes(noise, 1, 2)
+            perturbed = MeasurementSet(meas.timestamps, meas.edms * (1.0 + noise))
+            est = estimate_from_distances(perturbed)
+            assert rel_err(est.y0, mds_ref) <= 1e-8
+            size = np.linalg.norm(est.y0)
+            assert np.linalg.norm(est.y1) <= 1e-6 * size
+            assert np.linalg.norm(est.y2) <= 1e-6 * size
+            assert np.isnan(est.residuals["basis"])
+            assert any("minimum-norm" in w for w in est.warnings)
+
+    def test_linalg_failure_is_stage_labelled(self, monkeypatch):
+        from relkin import EstimationError, distance_estimator
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(distance_estimator, "classical_mds", no_convergence)
+        meas = simulate_measurements(SimConfig(k_samples=10), benchmark_trajectory())
+        with pytest.raises(EstimationError, match="stage 'mds': Eigenvalues did not converge"):
+            estimate_from_distances(meas)
 
     def test_scale_invariance_of_basis_solve(self):
         # scaling every distance by s scales the coefficient blocks by s^2,

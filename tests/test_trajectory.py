@@ -204,3 +204,20 @@ class TestMeasurementSetInvariants:
         edms[0, 1, 1] = 5.0
         with pytest.raises(InvalidDimensionError):
             MeasurementSet(timestamps=[0.0], edms=edms)
+
+    @pytest.mark.parametrize("field", ["timestamps", "edms", "accels"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, field, bad):
+        from relkin import InvalidDimensionError, MeasurementSet, RelkinError
+
+        meas = simulate_measurements(SimConfig(k_samples=6), benchmark_trajectory())
+        arrays = {"timestamps": meas.timestamps, "edms": meas.edms, "accels": meas.accels}
+        arrays = {k: v.copy() for k, v in arrays.items()}
+        target = arrays[field]
+        if field == "edms":
+            target[3, 0, 2] = target[3, 2, 0] = bad
+        else:
+            target.flat[target.size - 1] = bad
+        with pytest.raises(InvalidDimensionError, match="finite") as info:
+            MeasurementSet(**arrays)
+        assert isinstance(info.value, RelkinError)
