@@ -14,9 +14,6 @@ from .accel_estimator import (
     fit_deflated_coeffs,
 )
 from .distance_estimator import (
-    BasisSystem,
-    ChuFactors,
-    GrammianCoefficients,
     KinematicEstimate,
     build_and_solve_basis,
     chu_decompose,
@@ -29,16 +26,13 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     DegenerateGeometryWarning,
-    DegenerateRotationError,
     EstimationError,
     InvalidDimensionError,
-    NonUniqueSolutionError,
     RelkinError,
     SingularDesignError,
     UnsupportedOrderError,
 )
 from .harness import (
-    MonteCarloResult,
     RmseEntry,
     RmseTable,
     TimeSweepEntry,
@@ -48,7 +42,6 @@ from .harness import (
     run_monte_carlo,
 )
 from .linalg import (
-    MdsResult,
     centering_matrix,
     classical_mds,
     edm_from_points,
@@ -72,20 +65,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccelCoefficients",
-    "BasisSystem",
-    "ChuFactors",
     "ConfigError",
     "DegenerateGeometryError",
     "DegenerateGeometryWarning",
-    "DegenerateRotationError",
     "EstimationError",
-    "GrammianCoefficients",
     "InvalidDimensionError",
     "KinematicEstimate",
-    "MdsResult",
     "MeasurementSet",
-    "MonteCarloResult",
-    "NonUniqueSolutionError",
     "PolynomialTrajectory",
     "RelkinError",
     "RmseEntry",

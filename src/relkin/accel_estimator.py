@@ -7,8 +7,12 @@ inner products, the quartic term those coefficients predict can be
 subtracted from every pair's squared-distance series, lowering the
 polynomial degree of the fit to 3; the coefficient blocks are then
 double-centered into Grammian blocks, as on the distance-only path.  The
-unknown rotation is solved jointly with the velocity through the same
-coupled-equation machinery.
+unknown rotation is solved jointly with the velocity by the solve the
+distance-only path uses, with the same fallback rule: a sensor
+acceleration that is negligible over the record (a static network),
+rank deficient, or admits no solvable basis system leaves the velocity
+at its minimum-norm completion and the rotation at identity, with a
+warning.
 """
 
 from __future__ import annotations
@@ -21,15 +25,14 @@ import numpy as np
 from .distance_estimator import (
     GrammianCoefficients,
     KinematicEstimate,
-    _fallback_velocity,
     _fit_edm_coeffs,
     _poly_lstsq,
-    _solve_rotation_velocity,
+    _solve,
     _stage,
-    chu_decompose,
     fit_gram_coeffs,
 )
-from .errors import ConfigError, DegenerateGeometryError, InvalidDimensionError
+from .distance_estimator import chu_decompose  # noqa: F401  (perfbench's tracer rebinds this copy)
+from .errors import ConfigError, InvalidDimensionError
 from .linalg import centering_matrix, classical_mds, vech
 from .trajectory import MeasurementSet
 
@@ -53,11 +56,6 @@ class AccelCoefficients:
 
     blocks: list[np.ndarray]
     residual: float = 0.0
-
-    @property
-    def order(self) -> int:
-        """Highest trajectory derivative order covered by the fit."""
-        return 1 + len(self.blocks)
 
 
 def fit_accel_coeffs(accels, timestamps, order: int = 2) -> AccelCoefficients:
@@ -117,16 +115,15 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     pair's squared-distance series by its quartic term and fit it at
     degree 3, double-center the coefficient blocks, recover the position
     factor by MDS, then jointly solve for the velocity and the sensor-frame
-    rotation with the acceleration coefficients taking the role of the
-    acceleration factor.  Outputs of order >= 2 are the sensor-frame
-    coefficients mapped through the recovered rotation, so all blocks
-    share the position factor's frame.
+    rotation (the shared ``distance_estimator._solve``) with the centered
+    acceleration coefficients as the acceleration factor.  Outputs of
+    order >= 2 are the sensor-frame coefficients mapped through the
+    recovered rotation, so all blocks share the position factor's frame.
     """
     if d != 2:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     if meas.accels is None:
         raise ConfigError("accelerometer fusion needs accelerometer data in the bundle")
-    warnings_: list[str] = []
 
     with _stage("accelerometer-fit"):
         acc = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
@@ -138,36 +135,6 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
         coeffs = _fit_edm_coeffs(meas, degree=3, accel=sensor_accel)
     with _stage("mds"):
         mds0 = classical_mds(coeffs.blocks[0], d)
-    warnings_ += [f"position factor: {w}" for w in mds0.warnings]
-
+    warnings_ = [f"position factor: {w}" for w in mds0.warnings]
     residuals = {"accel_fit": acc.residual, "gram_fit": coeffs.residual}
-    with _stage("velocity-split"):
-        f0 = chu_decompose(coeffs.blocks[1], mds0.points)
-    warnings_ += [f"velocity split: {w}" for w in f0.warnings]
-    residuals["velocity_split"] = f0.residual
-
-    with _stage("basis-solve"):
-        try:
-            sol = _solve_rotation_velocity(f0, 2.0 * coeffs.blocks[3], sensor_accel)
-            y1, rotation = sol.y1, sol.rotation
-            residuals["acceleration_split"] = sol.f2.residual
-            residuals["basis"] = sol.basis.residual
-            warnings_ += sol.warnings
-        except DegenerateGeometryError:
-            y1, rotation = _fallback_velocity(f0)
-            residuals["acceleration_split"] = float("nan")
-            residuals["basis"] = float("nan")
-            warnings_.append(
-                "sensor acceleration rank deficient; velocity set to its "
-                "minimum-norm completion and the rotation fixed to identity"
-            )
-
-    return KinematicEstimate(
-        y0=mds0.points,
-        y1=y1,
-        y2=rotation @ sensor_accel,
-        rotation=rotation,
-        residuals=residuals,
-        warnings=warnings_,
-        coeffs=coeffs,
-    )
+    return _solve(meas, coeffs, mds0, sensor_accel, warnings_, residuals)

@@ -87,39 +87,88 @@ def write_measurement_bundle(meas: MeasurementSet, outdir) -> list[Path]:
     return written
 
 
-def _read_rows(path: Path, expected_header: str) -> list[list[str]]:
+def _read_columns(path: Path, header: str) -> list[np.ndarray]:
+    """Columns of a CSV table: integer index columns, then the float last one."""
     text = path.read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != expected_header:
-        raise ConfigError(f"{path}: expected header '{expected_header}'")
-    return [line.split(",") for line in lines[1:]]
+    if not lines or lines[0] != header:
+        raise ConfigError(f"{path}: expected header '{header}'")
+    width = header.count(",") + 1
+    rows = [line.split(",") for line in lines[1:]]
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if np.any(widths != width):
+        raise ConfigError(f"{path}: every row needs {width} comma-separated fields")
+    cols = list(zip(*rows)) if rows else [()] * width
+    try:
+        return [np.array(c, dtype=np.int64) for c in cols[:-1]] + [np.array(cols[-1], dtype=float)]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_each_once(path: Path, rows: int, count: int, what: str) -> None:
+    """Raise unless the file has one row per cell: ``count`` rows of ``what``."""
+    if rows != count:
+        raise ConfigError(
+            f"{path}: every {what} must occur exactly once ({count} rows expected, got {rows})"
+        )
+
+
+def _check_distinct(path: Path, cells: np.ndarray, what: str) -> None:
+    """Raise if two rows name the same cell.
+
+    With in-range indices and one row per cell, as :func:`_check_each_once`
+    checks, this leaves every cell filled exactly once.
+    """
+    if np.bincount(cells).max() > 1:
+        raise ConfigError(f"{path}: every {what} must occur exactly once (found a repeat)")
 
 
 def read_measurement_bundle(indir) -> MeasurementSet:
-    """Read a CSV bundle written by :func:`write_measurement_bundle`."""
-    indir = Path(indir)
-    ts_rows = _read_rows(indir / TIMESTAMPS_FILE, "k,t")
-    timestamps = np.empty(len(ts_rows))
-    for k_str, t_str in ts_rows:
-        timestamps[int(k_str)] = float(t_str)
+    """Read a CSV bundle written by :func:`write_measurement_bundle`.
 
-    edm_rows = _read_rows(indir / EDM_FILE, "k,i,j,value")
-    if not edm_rows:
-        raise ConfigError(f"{indir / EDM_FILE}: no pairwise entries (need >= 2 nodes)")
-    n = 1 + max(int(r[2]) for r in edm_rows)
-    edms = np.zeros((timestamps.size, n, n))
-    for k_str, i_str, j_str, v_str in edm_rows:
-        k, i, j = int(k_str), int(i_str), int(j_str)
-        edms[k, i, j] = edms[k, j, i] = float(v_str)
+    Rejects with ConfigError any bundle whose ``k`` values are not 0..K
+    once each in ``timestamps.csv``, or which lacks, repeats or adds an
+    EDM pair (k, i < j) or an accelerometer reading (k, node, axis).
+    """
+    indir = Path(indir)
+    path = indir / TIMESTAMPS_FILE
+    k, t = _read_columns(path, "k,t")
+    kk = k.size
+    if not np.array_equal(np.sort(k), np.arange(kk)):
+        raise ConfigError(f"{path}: k must take each value 0..K exactly once")
+    timestamps = np.empty(kk)
+    timestamps[k] = t
+
+    path = indir / EDM_FILE
+    k, i, j, values = _read_columns(path, "k,i,j,value")
+    if not values.size:
+        raise ConfigError(f"{path}: no pairwise entries (need >= 2 nodes)")
+    if k.min() < 0 or k.max() >= kk or i.min() < 0 or np.any(i >= j):
+        raise ConfigError(f"{path}: entries need 0 <= k < {kk} ({TIMESTAMPS_FILE}) and 0 <= i < j")
+    n = 1 + int(j.max())
+    m = n * (n - 1) // 2
+    _check_each_once(path, values.size, kk * m, "(k, i, j)")
+    _check_distinct(path, k * m + i * n - i * (i + 1) // 2 + j - i - 1, "(k, i, j)")
+    edms = np.zeros((kk, n, n))
+    edms[k, i, j] = values
+    edms[k, j, i] = values
 
     accels = None
-    accel_path = indir / ACCEL_FILE
-    if accel_path.exists():
-        accel_rows = _read_rows(accel_path, "k,node,axis,value")
-        d = 1 + max(int(r[2]) for r in accel_rows)
-        accels = np.zeros((timestamps.size, d, n))
-        for k_str, node_str, axis_str, v_str in accel_rows:
-            accels[int(k_str), int(axis_str), int(node_str)] = float(v_str)
+    path = indir / ACCEL_FILE
+    if path.exists():
+        k, node, axis, values = _read_columns(path, "k,node,axis,value")
+        if not values.size:
+            raise ConfigError(f"{path}: no accelerometer readings")
+        if k.min() < 0 or k.max() >= kk or node.min() < 0 or node.max() >= n or axis.min() < 0:
+            raise ConfigError(
+                f"{path}: readings need 0 <= k < {kk} ({TIMESTAMPS_FILE}), "
+                f"0 <= node < {n} ({EDM_FILE}) and axis >= 0"
+            )
+        d = 1 + int(axis.max())
+        _check_each_once(path, values.size, kk * d * n, "(k, node, axis)")
+        _check_distinct(path, (k * d + axis) * n + node, "(k, node, axis)")
+        accels = np.zeros((kk, d, n))
+        accels[k, axis, node] = values
 
     return MeasurementSet(timestamps=timestamps, edms=edms, accels=accels)
 

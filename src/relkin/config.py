@@ -9,10 +9,10 @@ explicit overrides (e.g. from CLI flags) override the file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_type_hints
 
 import numpy as np
 
@@ -21,31 +21,14 @@ from .trajectory import PolynomialTrajectory, SimConfig
 
 __all__ = ["ScenarioSettings", "default_config_text", "load_scenario", "parse_config_text"]
 
-_SCALAR_TYPES = {
-    "dim": int,
-    "k_samples": int,
-    "seed": int,
-    "n_trials": int,
-    "t_start": float,
-    "t_end": float,
-    "sigma_d": float,
-    "sigma_a": float,
-    "accel_rotation_angle": float,
-}
+# every SimConfig field is a scenario key except n_nodes, which the
+# trajectory's Y0 entries fix
+_SIM_FIELDS = [f for f in fields(SimConfig) if f.name != "n_nodes"]
+_SCALAR_TYPES = {f.name: get_type_hints(SimConfig)[f.name] for f in _SIM_FIELDS}
 _MATRIX_KEY = re.compile(r"^Y([0-9])\.(\d+)\.(\d+)$")
 
-DEFAULTS: dict[str, object] = {
-    "dim": 2,
-    "k_samples": 40,
-    "t_start": -5.0,
-    "t_end": 5.0,
-    "sigma_d": 0.01,
-    "sigma_a": 0.001,
-    "seed": 0,
-    "accel_rotation_angle": 0.0,
-    "n_trials": 100,
-    "k_sweep": (10, 20, 30, 40, 50),
-}
+DEFAULTS: dict[str, object] = {f.name: f.default for f in _SIM_FIELDS}
+DEFAULTS["k_sweep"] = (10, 20, 30, 40, 50)
 
 
 @dataclass
@@ -145,18 +128,7 @@ def load_scenario(
             typed[key] = converted
 
     trajectory = _build_trajectory(matrix_entries, int(typed["dim"]))
-    sim = SimConfig(
-        n_nodes=trajectory.n_nodes,
-        dim=int(typed["dim"]),
-        k_samples=int(typed["k_samples"]),
-        t_start=float(typed["t_start"]),
-        t_end=float(typed["t_end"]),
-        sigma_d=float(typed["sigma_d"]),
-        sigma_a=float(typed["sigma_a"]),
-        seed=int(typed["seed"]),
-        accel_rotation_angle=float(typed["accel_rotation_angle"]),
-        n_trials=int(typed["n_trials"]),
-    )
+    sim = SimConfig(n_nodes=trajectory.n_nodes, **{key: typed[key] for key in _SCALAR_TYPES})
     return ScenarioSettings(sim=sim, trajectory=trajectory, k_sweep=tuple(typed["k_sweep"]))
 
 

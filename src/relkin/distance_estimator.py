@@ -7,6 +7,12 @@ with the fit), recover position and acceleration factors by classical
 MDS, then solve the two coupled Lyapunov-like coefficient equations for
 the relative velocity and the rotation tying the acceleration factor to
 the position frame.
+
+That last solve is one core shared with the accelerometer-fused method,
+with one fallback rule for both: when the acceleration factor is
+negligible over the record, rank deficient, or admits no solvable basis
+system, the velocity takes its minimum-norm completion, the rotation is
+fixed to identity and a warning says so.
 """
 
 from __future__ import annotations
@@ -48,8 +54,9 @@ __all__ = [
 _FLIP = np.diag([-1.0, 1.0])
 # 90-degree generator: h1*I + h2*_J spans the planar rotations
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-# the acceleration factor counts as absent when its Grammian, at the record's
-# largest |t|, stays below this fraction of the largest position eigenvalue
+# the acceleration factor F counts as negligible when s_min(F)^2 t_max^4, its
+# weakest direction at the record's largest |t|, stays below this fraction of
+# the largest position eigenvalue
 _NEGLIGIBLE_ACCEL = 1e-10
 
 
@@ -60,8 +67,6 @@ class GrammianCoefficients:
     degree: int
     blocks: list[np.ndarray]
     residual: float = 0.0
-    #: the fit ignores the correlations that centering/squaring induce
-    unweighted: bool = True
 
 
 @dataclass
@@ -102,13 +107,11 @@ class BasisSystem:
 
     ``phi`` solves rows @ phi ~ rhs in least squares for the basis vector
     (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2); ``h`` is the normalized rotation
-    pair and ``u`` the recovered free entries.  ``row_labels`` records
-    where each equation came from.
+    pair and ``u`` the recovered free entries.
     """
 
     w: np.ndarray
     rhs: np.ndarray
-    row_labels: list[str]
     phi: np.ndarray
     h: np.ndarray
     u: np.ndarray
@@ -358,29 +361,23 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    labels: list[str] = []
     for i in range(2):
         rows.append(np.array([m[i, i] for m in mats]))
         rhs.append(float(f2.z1_diag[i]))
-        labels.append(f"zbar[{i},{i}]")
     for i in range(2):
         for j in range(2, n):
             rows.append(np.array([m[i, j] for m in mats]))
             rhs.append(float(f2.z2[i, j - 2]))
-            labels.append(f"zbar[{i},{j}]")
     ci, cj, c2 = f2.offdiag_constraints[0]
     rows.append(
         np.array([f2.lam[ci] * m[ci, cj] + f2.lam[cj] * m[cj, ci] for m in mats])
     )
     rhs.append(c2)
-    labels.append("offdiag-constraint[f2]")
     ci, cj, c0 = f0.offdiag_constraints[0]
     rows.append(np.array([-c0, 0.0, f0.lam[ci], f0.lam[cj], 0.0, 0.0]))
     rhs.append(0.0)
-    labels.append("offdiag-constraint[f0]*h1")
     rows.append(np.array([0.0, -c0, 0.0, 0.0, f0.lam[ci], f0.lam[cj]]))
     rhs.append(0.0)
-    labels.append("offdiag-constraint[f0]*h2")
 
     w = np.vstack(rows)
     b = np.asarray(rhs)
@@ -396,9 +393,7 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
         raise DegenerateRotationError("rotation components of the basis solution vanish")
     h = phi[:2] / norm_h
     u = np.array([h[0] * phi[2] + h[1] * phi[4], h[0] * phi[3] + h[1] * phi[5]])
-    return BasisSystem(
-        w=w, rhs=b, row_labels=labels, phi=phi, h=h, u=u, residual=residual, rank=int(rank)
-    )
+    return BasisSystem(w=w, rhs=b, phi=phi, h=h, u=u, residual=residual, rank=int(rank))
 
 
 def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
@@ -414,79 +409,6 @@ def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
     return f0.u @ z @ f0.v.T
 
 
-@dataclass
-class _RotationVelocity:
-    y1: np.ndarray
-    rotation: np.ndarray  # maps the original acceleration factor into y0's frame
-    basis: BasisSystem
-    f2: ChuFactors
-    flipped: bool
-    warnings: list[str]
-
-
-def _solve_rotation_velocity(f0: ChuFactors, two_b3, accel_factor) -> _RotationVelocity:
-    """Joint velocity/rotation solve with reflection disambiguation.
-
-    MDS (and an uncalibrated sensor frame) leaves the acceleration factor
-    determined only up to an orthogonal transform, while the basis
-    parameterization covers rotations only.  Both the factor and its
-    first-row-negated reflection are tried; the original is kept unless
-    its residual exceeds ten times the reflected retry's.
-    """
-    candidates = []
-    errors: list[RelkinError] = []
-    for flipped in (False, True):
-        factor = _FLIP @ accel_factor if flipped else np.asarray(accel_factor, dtype=float)
-        f2 = chu_decompose(two_b3, factor)
-        try:
-            basis = build_and_solve_basis(f0, f2)
-        except (NonUniqueSolutionError, DegenerateRotationError) as exc:
-            errors.append(exc)
-            continue
-        candidates.append((flipped, f2, basis))
-    if not candidates:
-        raise errors[0]
-
-    notes: list[str] = []
-    if len(candidates) == 1:
-        flipped, f2, basis = candidates[0]
-        if flipped:
-            notes.append("only the reflected acceleration factor admitted a solution")
-    else:
-        (_, f2_orig, basis_orig), (_, f2_flip, basis_flip) = candidates
-        if basis_orig.residual > 10.0 * basis_flip.residual:
-            flipped, f2, basis = True, f2_flip, basis_flip
-            notes.append(
-                "MDS reflection ambiguity detected; the reflected acceleration "
-                "factor fit the coupled equations"
-            )
-        else:
-            flipped, f2, basis = False, f2_orig, basis_orig
-
-    h1, h2 = basis.h
-    rotation = np.array([[h1, -h2], [h2, h1]])
-    if flipped:
-        rotation = rotation @ _FLIP
-    y1 = recover_velocity(f0, basis.u)
-    notes.extend(f2.warnings)
-    return _RotationVelocity(
-        y1=y1, rotation=rotation, basis=basis, f2=f2, flipped=flipped, warnings=notes
-    )
-
-
-def _fallback_velocity(f0: ChuFactors) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm completion when the acceleration factor is degenerate.
-
-    With only the first Lyapunov-like split available, the off-diagonal
-    unknowns are pinned by a single linear constraint; the minimum-norm
-    solution is taken and the rotation fixed to identity.
-    """
-    i, j, c0 = f0.offdiag_constraints[0]
-    lam = f0.lam
-    u = (c0 / (lam[i] ** 2 + lam[j] ** 2)) * np.array([lam[i], lam[j]])
-    return recover_velocity(f0, u), np.eye(2)
-
-
 @contextmanager
 def _stage(label: str):
     """Re-raise pipeline errors, numpy's LinAlgError included, with the stage prepended."""
@@ -496,16 +418,107 @@ def _stage(label: str):
         raise EstimationError(f"stage '{label}': {exc}") from exc
 
 
+def _solve(
+    meas: MeasurementSet,
+    coeffs: GrammianCoefficients,
+    mds0: MdsResult,
+    accel_factor: np.ndarray,
+    warnings_: list[str],
+    residuals: dict[str, float],
+) -> KinematicEstimate:
+    """Joint velocity/rotation solve shared by both data models.
+
+    The methods differ only in where ``coeffs`` and the acceleration
+    factor F (MDS factor of the quartic block, or centered sensor
+    coefficients) come from.  MDS and an uncalibrated sensor frame fix F
+    only up to an orthogonal transform, while the basis parameterization
+    covers rotations only: F and its first-row-negated reflection are
+    both tried, and the original is kept unless its residual exceeds ten
+    times the reflected one's.
+
+    One fallback rule: if F is negligible next to the positions over the
+    record (s_min(F)^2 t_max^4 <= _NEGLIGIBLE_ACCEL lambda_max(B0), e.g. a
+    static network), rank deficient, or neither candidate gives a
+    solvable basis system, the velocity is set to the minimum-norm
+    completion of the first split and the rotation to identity, with a
+    warning.
+    """
+    n = meas.n_nodes
+    with _stage("basis-solve"):
+        if n < 4:
+            raise NonUniqueSolutionError(
+                f"{n} nodes give fewer equations than the 6 basis unknowns; need n >= 4"
+            )
+    with _stage("velocity-split"):
+        f0 = chu_decompose(coeffs.blocks[1], mds0.points)
+    warnings_ += [f"velocity split: {w}" for w in f0.warnings]
+    residuals["velocity_split"] = f0.residual
+
+    candidates = []
+    reason = "negligible next to the positions over the record"
+    with _stage("basis-solve"):
+        t_max = float(np.abs(meas.timestamps).max())
+        two_b3 = 2.0 * coeffs.blocks[3]
+        for flipped in (False, True):
+            try:
+                f2 = chu_decompose(two_b3, _FLIP @ accel_factor if flipped else accel_factor)
+                # the split's singular values are F's, the same for both candidates
+                if f2.lam[-1] ** 2 * t_max**4 <= _NEGLIGIBLE_ACCEL * mds0.eigenvalues[0]:
+                    break
+                candidates.append((flipped, f2, build_and_solve_basis(f0, f2)))
+            except (DegenerateGeometryError, NonUniqueSolutionError,
+                    DegenerateRotationError) as exc:
+                reason = f"unusable ({exc})"
+
+    if not candidates:
+        i, j, c0 = f0.offdiag_constraints[0]
+        lam = f0.lam
+        u = (c0 / (lam[i] ** 2 + lam[j] ** 2)) * np.array([lam[i], lam[j]])
+        y1, rotation = recover_velocity(f0, u), np.eye(2)
+        residuals["acceleration_split"] = float("nan")
+        residuals["basis"] = float("nan")
+        warnings_.append(
+            f"acceleration factor {reason}; velocity set to its minimum-norm "
+            "completion and the rotation fixed to identity"
+        )
+    else:
+        flipped, f2, basis = candidates[0]
+        if flipped:
+            warnings_.append("only the reflected acceleration factor admitted a solution")
+        elif len(candidates) == 2 and basis.residual > 10.0 * candidates[1][2].residual:
+            flipped, f2, basis = candidates[1]
+            warnings_.append(
+                "MDS reflection ambiguity detected; the reflected acceleration "
+                "factor fit the coupled equations"
+            )
+        h1, h2 = basis.h
+        rotation = np.array([[h1, -h2], [h2, h1]])
+        if flipped:
+            rotation = rotation @ _FLIP
+        y1 = recover_velocity(f0, basis.u)
+        residuals["acceleration_split"] = f2.residual
+        residuals["basis"] = basis.residual
+        warnings_ += f2.warnings
+
+    return KinematicEstimate(
+        y0=mds0.points,
+        y1=y1,
+        y2=rotation @ accel_factor,
+        rotation=rotation,
+        residuals=residuals,
+        warnings=warnings_,
+        coeffs=coeffs,
+    )
+
+
 def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     """Recover relative position, velocity and acceleration from EDMs only.
 
     Steps: degree-4 fit of the EDM record, double centering of its
     coefficient blocks, MDS of the constant and quartic blocks, then the
-    coupled Lyapunov-like solve for velocity and the acceleration-frame
-    rotation.  If the acceleration factor is rank deficient, or negligible
-    next to the positions over the record (e.g. a static network, whose
-    quartic block is round-off), the velocity falls back to its
-    minimum-norm completion and warnings are recorded instead of failing.
+    shared velocity/rotation solve (:func:`_solve`) with the quartic
+    block's factor as the acceleration factor.  A static network, whose
+    quartic block is round-off, takes the solve's minimum-norm fallback.
     """
     if d != 2:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
@@ -517,44 +530,4 @@ def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstima
         mds0, mds2 = recover_position_acceleration(coeffs, d)
     warnings_ += [f"position factor: {w}" for w in mds0.warnings]
     warnings_ += [f"acceleration factor: {w}" for w in mds2.warnings]
-
-    residuals = {"gram_fit": coeffs.residual}
-    with _stage("velocity-split"):
-        f0 = chu_decompose(coeffs.blocks[1], mds0.points)
-    warnings_ += [f"velocity split: {w}" for w in f0.warnings]
-    residuals["velocity_split"] = f0.residual
-
-    t_max = float(np.abs(meas.timestamps).max())
-    accel_negligible = (
-        mds2.eigenvalues[-1] * t_max**4 <= _NEGLIGIBLE_ACCEL * mds0.eigenvalues[0]
-    )
-    with _stage("basis-solve"):
-        sol = None
-        if not accel_negligible:
-            try:
-                sol = _solve_rotation_velocity(f0, 2.0 * coeffs.blocks[3], mds2.points)
-            except DegenerateGeometryError:
-                pass
-        if sol is not None:
-            y1, rotation = sol.y1, sol.rotation
-            residuals["acceleration_split"] = sol.f2.residual
-            residuals["basis"] = sol.basis.residual
-            warnings_ += sol.warnings
-        else:
-            y1, rotation = _fallback_velocity(f0)
-            residuals["acceleration_split"] = float("nan")
-            residuals["basis"] = float("nan")
-            warnings_.append(
-                "acceleration factor rank deficient; velocity set to its "
-                "minimum-norm completion and the rotation fixed to identity"
-            )
-
-    return KinematicEstimate(
-        y0=mds0.points,
-        y1=y1,
-        y2=rotation @ mds2.points,
-        rotation=rotation,
-        residuals=residuals,
-        warnings=warnings_,
-        coeffs=coeffs,
-    )
+    return _solve(meas, coeffs, mds0, mds2.points, warnings_, {"gram_fit": coeffs.residual})

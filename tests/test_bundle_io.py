@@ -62,6 +62,51 @@ class TestBundleRoundTrip:
             read_measurement_bundle(tmp_path)
 
 
+def _edit_rows(path, edit):
+    """Rewrite a bundle file with ``edit`` applied to its data rows."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(rows)) + "\n")
+
+
+class TestMalformedBundle:
+    """Each case is a bundle written by write_measurement_bundle, then damaged."""
+
+    @pytest.fixture
+    def bundle(self, meas, tmp_path):
+        write_measurement_bundle(meas, tmp_path)
+        return tmp_path
+
+    def test_deleted_edm_row_rejected(self, bundle):
+        _edit_rows(bundle / EDM_FILE, lambda rows: rows[:7] + rows[8:])
+        with pytest.raises(ConfigError, match=r"\(k, i, j\) must occur exactly once"):
+            read_measurement_bundle(bundle)
+
+    def test_duplicated_edm_row_rejected(self, bundle):
+        _edit_rows(bundle / EDM_FILE, lambda rows: rows + rows[3:4])
+        with pytest.raises(ConfigError, match=r"\(k, i, j\) must occur exactly once"):
+            read_measurement_bundle(bundle)
+
+    def test_deleted_accel_row_rejected(self, bundle):
+        _edit_rows(bundle / ACCEL_FILE, lambda rows: rows[:5] + rows[6:])
+        with pytest.raises(ConfigError, match=r"\(k, node, axis\) must occur exactly once"):
+            read_measurement_bundle(bundle)
+
+    def test_k_out_of_range_rejected(self, bundle):
+        _edit_rows(bundle / EDM_FILE, lambda rows: ["99" + rows[0][1:]] + rows[1:])
+        with pytest.raises(ConfigError, match="0 <= k < 7"):
+            read_measurement_bundle(bundle)
+
+    def test_short_row_rejected(self, bundle):
+        _edit_rows(bundle / EDM_FILE, lambda rows: [rows[0].rsplit(",", 1)[0]] + rows[1:])
+        with pytest.raises(ConfigError, match="4 comma-separated fields"):
+            read_measurement_bundle(bundle)
+
+    def test_deleted_timestamp_row_rejected(self, bundle):
+        _edit_rows(bundle / TIMESTAMPS_FILE, lambda rows: rows[:-1])
+        with pytest.raises(ConfigError, match="0 <= k < 6"):
+            read_measurement_bundle(bundle)
+
+
 class TestEstimateOutput:
     def test_blocks_and_diagnostics_written(self, meas, tmp_path):
         est = estimate_from_distances(meas)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from relkin import (
     DegenerateGeometryError,
+    EstimationError,
     MeasurementSet,
     PolynomialTrajectory,
     SimConfig,
@@ -16,6 +17,7 @@ from relkin import (
     chu_decompose,
     classical_mds,
     estimate_from_distances,
+    estimate_with_accel,
     fit_gram_coeffs,
     gram_from_edm,
     orthogonal_procrustes,
@@ -291,22 +293,6 @@ class TestEstimateFromDistances:
         est = estimate_from_distances(meas)
         assert_allclose(est.rotation.T @ est.rotation, np.eye(2), atol=1e-8)
 
-    def test_static_network_degenerates_gracefully(self):
-        y0 = np.array(
-            [[0.0, 10.0, -3.0, 7.0, -8.0, 2.0], [1.0, -2.0, 9.0, -7.0, 4.0, -5.0]]
-        )
-        traj = PolynomialTrajectory((y0,))
-        meas = simulate_measurements(
-            SimConfig(n_nodes=6, k_samples=10, sigma_d=0.0, sigma_a=0.0), traj
-        )
-        est = estimate_from_distances(meas)
-        mds_ref = classical_mds(gram_poly_blocks(traj, 4)[0], 2).points
-        assert rel_err(est.y0, mds_ref) <= 1e-8
-        scale = np.linalg.norm(est.y0)
-        assert np.linalg.norm(est.y1) <= 1e-6 * scale
-        assert np.linalg.norm(est.y2) <= 1e-6 * scale
-        assert est.warnings
-
     @pytest.mark.parametrize("scale,draws", [(1.0, 20), (1000.0, 1)])
     def test_static_network_fallback_is_robust_to_round_off(self, scale, draws):
         # a static network's quartic block is pure round-off: a 1e-15
@@ -411,3 +397,46 @@ class TestEstimateFromDistances:
         meas.accels = meas.accels[:4]
         with pytest.raises(EstimationError, match="coefficient-fit"):
             estimate_from_distances(meas)
+
+
+class TestSharedSolve:
+    """The velocity/rotation solve and fallback rule both estimators share."""
+
+    @pytest.mark.parametrize(
+        "estimate,sigma_a,y0_tol,y2_tol",
+        [
+            pytest.param(estimate_from_distances, 0.0, 1e-8, 1e-6, id="distance"),
+            pytest.param(estimate_with_accel, 0.0, 1e-8, 1e-6, id="accel"),
+            # y2 is the sensor noise itself (rotation fixed to identity), and
+            # the deflation's quartic term of that noise leaks into y0
+            pytest.param(estimate_with_accel, 0.001, 1e-6, 1e-4, id="accel-noisy-sensor"),
+        ],
+    )
+    def test_static_network_degenerates_gracefully(self, estimate, sigma_a, y0_tol, y2_tol):
+        y0 = np.array(
+            [[0.0, 10.0, -3.0, 7.0, -8.0, 2.0], [1.0, -2.0, 9.0, -7.0, 4.0, -5.0]]
+        )
+        traj = PolynomialTrajectory((y0,))
+        meas = simulate_measurements(
+            SimConfig(n_nodes=6, k_samples=10, sigma_d=0.0, sigma_a=sigma_a), traj
+        )
+        est = estimate(meas)
+        mds_ref = classical_mds(gram_poly_blocks(traj, 4)[0], 2).points
+        assert rel_err(est.y0, mds_ref) <= y0_tol
+        scale = np.linalg.norm(est.y0)
+        assert np.linalg.norm(est.y1) <= 1e-6 * scale
+        assert np.linalg.norm(est.y2) <= y2_tol * scale
+        assert np.array_equal(est.rotation, np.eye(2))
+        assert np.isnan(est.residuals["basis"])
+        assert any("minimum-norm" in w for w in est.warnings)
+
+    @pytest.mark.parametrize(
+        "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+    )
+    def test_three_nodes_rejected_with_stage_label(self, estimate, rng):
+        traj = random_constant_accel_trajectory(rng, n=3)
+        meas = simulate_measurements(
+            SimConfig(n_nodes=3, k_samples=10, sigma_d=0.0, sigma_a=0.0), traj
+        )
+        with pytest.raises(EstimationError, match=r"stage 'basis-solve': .*n >= 4"):
+            estimate(meas)
