@@ -124,6 +124,10 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     if meas.accels is None:
         raise ConfigError("accelerometer fusion needs accelerometer data in the bundle")
+    if meas.accels.shape[1] != d:
+        raise InvalidDimensionError(
+            f"accelerometer data has {meas.accels.shape[1]} axes, but dim = {d}"
+        )
 
     with _stage("accelerometer-fit"):
         acc = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)

@@ -2,19 +2,23 @@
 
 All files are UTF-8 with '.' as the decimal separator and '\n' line
 endings; floats are written with shortest round-trip precision so a
-written bundle reads back bit for bit.
+written bundle reads back bit for bit.  Every CSV file is written by one
+table writer from whole columns (index grids broadcast against the value
+arrays), not entry by entry.
 """
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .distance_estimator import KinematicEstimate
 from .errors import ConfigError
 from .harness import RmseTable, TimeSweepEntry
+from .linalg import triu_indices
 from .trajectory import MeasurementSet
 
 __all__ = [
@@ -22,11 +26,13 @@ __all__ = [
     "DIAGNOSTICS_FILE",
     "EDM_FILE",
     "ESTIMATE_FILE",
+    "FAILURES_FILE",
     "RMSE_FILE",
     "TIMESTAMPS_FILE",
     "TIME_SWEEP_FILE",
     "read_measurement_bundle",
     "write_estimate",
+    "write_failure_counts",
     "write_measurement_bundle",
     "write_rmse_table",
     "write_time_sweep",
@@ -39,14 +45,21 @@ ESTIMATE_FILE = "estimate.csv"
 DIAGNOSTICS_FILE = "diagnostics.txt"
 RMSE_FILE = "rmse.csv"
 TIME_SWEEP_FILE = "time_sweep.csv"
+FAILURES_FILE = "failures.csv"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_table(path, header: str, *columns) -> Path:
+    """Write a CSV table with one row per entry of the broadcast ``columns``.
 
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    Each column is raveled in C order after broadcasting; ``str`` of a
+    Python float is its shortest round-trip repr, so values read back bit
+    for bit.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    cells = [map(str, np.ravel(c).tolist()) for c in np.broadcast_arrays(*columns)]
+    path.write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n", encoding="utf-8")
+    return path
 
 
 def write_measurement_bundle(meas: MeasurementSet, outdir) -> list[Path]:
@@ -57,32 +70,15 @@ def write_measurement_bundle(meas: MeasurementSet, outdir) -> list[Path]:
     accelerometer data is present, ``accels.csv`` (k,node,axis,value).
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = outdir / TIMESTAMPS_FILE
-    _write_lines(path, ["k,t"] + [f"{k},{_fmt(t)}" for k, t in enumerate(meas.timestamps)])
-    written.append(path)
-
-    n = meas.n_nodes
-    lines = ["k,i,j,value"]
-    for k in range(meas.timestamps.size):
-        for i in range(n):
-            for j in range(i + 1, n):
-                lines.append(f"{k},{i},{j},{_fmt(meas.edms[k, i, j])}")
-    path = outdir / EDM_FILE
-    _write_lines(path, lines)
-    written.append(path)
-
+    k = np.arange(meas.timestamps.size)
+    iu, ju = triu_indices(meas.n_nodes, 1)
+    written = [
+        _write_table(outdir / TIMESTAMPS_FILE, "k,t", k, meas.timestamps),
+        _write_table(outdir / EDM_FILE, "k,i,j,value", k[:, None], iu, ju, meas.edms[:, iu, ju]),
+    ]
     if meas.accels is not None:
-        d = meas.accels.shape[1]
-        lines = ["k,node,axis,value"]
-        for k in range(meas.timestamps.size):
-            for node in range(n):
-                for axis in range(d):
-                    lines.append(f"{k},{node},{axis},{_fmt(meas.accels[k, axis, node])}")
-        path = outdir / ACCEL_FILE
-        _write_lines(path, lines)
+        acc = meas.accels.transpose(0, 2, 1)  # rows run k, node, axis
+        path = _write_table(outdir / ACCEL_FILE, "k,node,axis,value", *np.indices(acc.shape), acc)
         written.append(path)
     return written
 
@@ -176,36 +172,33 @@ def read_measurement_bundle(indir) -> MeasurementSet:
 def write_estimate(est: KinematicEstimate, outdir) -> list[Path]:
     """Write an estimate as (block,row,col,value) CSV plus diagnostics text."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    lines = ["block,row,col,value"]
-    blocks = [("Y0", est.y0), ("Y1", est.y1), ("Y2", est.y2), ("rotation", est.rotation)]
-    for name, mat in blocks:
-        for r in range(mat.shape[0]):
-            for c in range(mat.shape[1]):
-                lines.append(f"{name},{r},{c},{_fmt(mat[r, c])}")
-    est_path = outdir / ESTIMATE_FILE
-    _write_lines(est_path, lines)
-
-    diag = [f"residual {name} = {_fmt(value)}" for name, value in est.residuals.items()]
-    diag += [f"warning: {w}" for w in est.warnings]
+    blocks = {"Y0": est.y0, "Y1": est.y1, "Y2": est.y2, "rotation": est.rotation}
+    mats = list(blocks.values())
+    est_path = _write_table(
+        outdir / ESTIMATE_FILE,
+        "block,row,col,value",
+        np.repeat(list(blocks), [m.size for m in mats]),
+        *np.hstack([np.indices(m.shape).reshape(2, -1) for m in mats]),
+        np.concatenate([m.ravel() for m in mats]),
+    )
+    diag = [f"residual {name} = {float(value)}\n" for name, value in est.residuals.items()]
+    diag += [f"warning: {w}\n" for w in est.warnings]
     diag_path = outdir / DIAGNOSTICS_FILE
-    _write_lines(diag_path, diag)
+    diag_path.write_text("".join(diag), encoding="utf-8")
     return [est_path, diag_path]
 
 
 def write_rmse_table(table: RmseTable, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["method,k,block,rmse"]
-    lines += [f"{r.method},{r.k},{r.block},{_fmt(r.rmse)}" for r in table.rows]
-    _write_lines(path, lines)
-    return path
+    """Write an RMSE table as (method,k,block,rmse) CSV."""
+    return _write_table(path, "method,k,block,rmse", *zip(*map(astuple, table.rows)))
 
 
 def write_time_sweep(entries: Sequence[TimeSweepEntry], path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["method,k,t,rmse"]
-    lines += [f"{e.method},{e.k},{_fmt(e.t)},{_fmt(e.rmse)}" for e in entries]
-    _write_lines(path, lines)
-    return path
+    """Write a positional time sweep as (method,k,t,rmse) CSV."""
+    return _write_table(path, "method,k,t,rmse", *zip(*map(astuple, entries)))
+
+
+def write_failure_counts(failure_counts: Mapping[int, int], n_trials: int, path) -> Path:
+    """Write the failed trials per sample count K as (k,failures,n_trials) CSV."""
+    counts = (list(failure_counts), list(failure_counts.values()), n_trials)
+    return _write_table(path, "k,failures,n_trials", *counts)

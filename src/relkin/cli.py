@@ -5,8 +5,8 @@ Subcommands:
 - ``simulate``: write a measurement-set CSV bundle from a scenario config.
 - ``estimate``: run the distance-only or accelerometer-fused estimator on
   a bundle and write the estimate CSV plus diagnostics.
-- ``benchmark``: run the paired Monte-Carlo sweep and write the RMSE and
-  time-sweep tables.
+- ``benchmark``: run the paired Monte-Carlo sweep and write the RMSE,
+  time-sweep and per-K failure-count tables.
 
 Output directory resolution: ``--output`` flag, else the
 ``RELKIN_OUTPUT_DIR`` environment variable, else ``./relkin_out``.
@@ -89,6 +89,9 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     written = [
         bundle_io.write_rmse_table(result.rmse_table, outdir / bundle_io.RMSE_FILE),
         bundle_io.write_time_sweep(result.time_sweep, outdir / bundle_io.TIME_SWEEP_FILE),
+        bundle_io.write_failure_counts(
+            result.failure_counts, result.n_trials, outdir / bundle_io.FAILURES_FILE
+        ),
     ]
     for path in written:
         print(path)

@@ -164,8 +164,10 @@ def _truth_coeff_vecs(truth: PolynomialTrajectory) -> list[np.ndarray]:
     return out
 
 
-def _positions(blocks: Iterable[np.ndarray], t: float) -> np.ndarray:
+def _positions(blocks: Iterable[np.ndarray], times: np.ndarray) -> np.ndarray:
+    """Positions at each of the T ``times``, as a (T, d, n) stack."""
     y0, y1, y2 = blocks
+    t = times[:, None, None]
     return y0 + y1 * t + 0.5 * y2 * t * t
 
 
@@ -196,7 +198,7 @@ def run_monte_carlo(
 
     truth_blocks = _centered_blocks(truth)
     truth_vecs = _truth_coeff_vecs(truth)
-    truth_positions = [_positions(truth_blocks, t) for t in time_grid]
+    truth_positions = _positions(truth_blocks, time_grid)
     n, d = truth.n_nodes, truth.dim
 
     trials: list[TrialResult] = []
@@ -238,11 +240,8 @@ def run_monte_carlo(
                         warnings=list(est.warnings),
                     )
                 )
-                est_blocks = (aligned.y0, aligned.y1, aligned.y2)
-                sweep_acc[(method, k)] += [
-                    float(np.linalg.norm(_positions(est_blocks, t) - xt) ** 2)
-                    for t, xt in zip(time_grid, truth_positions)
-                ]
+                est_positions = _positions((aligned.y0, aligned.y1, aligned.y2), time_grid)
+                sweep_acc[(method, k)] += ((est_positions - truth_positions) ** 2).sum(axis=(1, 2))
                 sweep_counts[(method, k)] += 1
         failure_counts[k] = failures
         if failures > 0.01 * config.n_trials:

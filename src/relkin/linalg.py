@@ -94,14 +94,16 @@ def unvech(v) -> np.ndarray:
 def edm_from_points(x) -> np.ndarray:
     """Matrix of squared pairwise distances between the columns of ``x``.
 
-    Computed from explicit coordinate differences so the result is exactly
-    symmetric with an exactly zero diagonal.
+    ``x`` is a (dim, n) point set or a stack (..., dim, n) of them, giving
+    (n, n) or (..., n, n).  Computed from explicit coordinate differences
+    so the result is exactly symmetric with an exactly zero diagonal, and
+    each matrix of a stack equals the unstacked call bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidDimensionError("edm_from_points needs a (dim, n) array")
-    diff = x[:, :, None] - x[:, None, :]
-    return np.einsum("dij,dij->ij", diff, diff)
+    if x.ndim < 2:
+        raise InvalidDimensionError("edm_from_points needs a (..., dim, n) array")
+    diff = x[..., :, :, None] - x[..., :, None, :]
+    return np.einsum("...dij,...dij->...ij", diff, diff)
 
 
 def gram_from_edm(dk) -> np.ndarray:

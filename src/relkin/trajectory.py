@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, InvalidDimensionError, UnsupportedOrderError
-from .linalg import centering_matrix
+from .linalg import centering_matrix, edm_from_points, triu_indices
 
 __all__ = [
     "MeasurementSet",
@@ -74,17 +74,21 @@ class PolynomialTrajectory:
         return np.zeros((self.dim, self.n_nodes))
 
 
-def eval_kinematics(traj: PolynomialTrajectory, t: float, order: int = 0) -> np.ndarray:
+def eval_kinematics(traj: PolynomialTrajectory, t, order: int = 0) -> np.ndarray:
     """Positions (order 0), velocities (1) or accelerations (2) at time t.
 
     The order-``m`` derivative is ``sum_{l >= m} coeffs[l] * t**(l-m) / (l-m)!``.
+    A scalar ``t`` gives a (dim, n) matrix, a vector of T times a
+    (T, dim, n) stack.  ``np.float_power`` takes the powers with C ``pow``
+    as Python's ``float ** int`` does (``**`` on an array may not).
     Orders above 2 are not supported.
     """
     if order not in (0, 1, 2):
         raise UnsupportedOrderError(f"derivative order {order} not supported (use 0..2)")
-    out = np.zeros((traj.dim, traj.n_nodes))
+    t = np.asarray(t, dtype=float)[..., None, None]
+    out = np.zeros(t.shape[:-2] + (traj.dim, traj.n_nodes))
     for l in range(order, traj.order + 1):
-        out += traj.coeffs[l] * (float(t) ** (l - order) / factorial(l - order))
+        out += traj.coeffs[l] * (np.float_power(t, l - order) / factorial(l - order))
     return out
 
 
@@ -170,15 +174,16 @@ class MeasurementSet:
         if not np.isfinite(largest):
             raise InvalidDimensionError("EDM entries must be finite")
         scale = max(1.0, largest)
-        if float(np.abs(self.edms - self.edms.transpose(0, 2, 1)).max()) > 1e-8 * scale:
+        iu, ju = triu_indices(self.n_nodes, 1)
+        if float(np.abs(self.edms[:, iu, ju] - self.edms[:, ju, iu]).max(initial=0)) > 1e-8 * scale:
             raise InvalidDimensionError("each EDM must be symmetric")
         diags = self.edms[:, range(self.edms.shape[1]), range(self.edms.shape[1])]
         if float(np.abs(diags).max()) > 1e-8 * scale:
             raise InvalidDimensionError("each EDM must have a zero diagonal")
         if self.accels is not None:
             self.accels = np.asarray(self.accels, dtype=float)
-            if self.accels.ndim != 3 or self.accels.shape[0] != self.timestamps.size:
-                raise InvalidDimensionError("accels must be (K+1, dim, n)")
+            if self.accels.ndim != 3 or self.accels.shape[::2] != self.edms.shape[:2]:
+                raise InvalidDimensionError("accels must be (K+1, dim, n) matching the EDMs")
             if not np.all(np.isfinite(self.accels)):
                 raise InvalidDimensionError("accelerometer readings must be finite")
 
@@ -190,11 +195,14 @@ class MeasurementSet:
 def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> MeasurementSet:
     """Generate a noisy measurement set on the configured time grid.
 
-    Distance noise is drawn once per unordered node pair and timestamp,
-    added to the *unsquared* distance, and squared into the EDM, keeping
-    the matrix exactly symmetric.  Accelerometer readings are the mean-
-    centered true accelerations rotated into the sensor frame plus white
-    noise per entry.  The same seed reproduces the output bit for bit.
+    The record is built whole: stacks of positions, EDMs and accelerations
+    over the K+1 instants and one draw of each noise, with the values of
+    K+1 draws in sequence.  Distance noise is drawn per timestamp and
+    unordered node pair, added to the *unsquared* distance, and squared
+    into the EDM, keeping the matrix exactly symmetric.  Accelerometer
+    readings are the mean-centered true accelerations rotated into the
+    sensor frame plus white noise per entry.  The same seed reproduces the
+    output bit for bit.
     """
     if traj.dim != config.dim or traj.n_nodes != config.n_nodes:
         raise ConfigError(
@@ -207,24 +215,14 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     )
     q = rotation2d(config.accel_rotation_angle) if d == 2 else np.eye(d)
-    c = centering_matrix(n)
-    iu, ju = np.triu_indices(n, k=1)
-    edms = np.zeros((ts.size, n, n))
-    accels = np.zeros((ts.size, d, n))
-    for k, t in enumerate(ts):
-        x = eval_kinematics(traj, t, 0)
-        diff = x[:, :, None] - x[:, None, :]
-        sq = np.einsum("dij,dij->ij", diff, diff)
-        if config.sigma_d == 0.0:
-            upper = sq[iu, ju]
-        else:
-            noisy = np.sqrt(sq[iu, ju]) + rng_dist.normal(0.0, config.sigma_d, iu.size)
-            upper = noisy**2
-        edm = np.zeros((n, n))
-        edm[iu, ju] = upper
-        edms[k] = edm + edm.T
-        acc = eval_kinematics(traj, t, 2) @ c
-        accels[k] = q @ acc + rng_accel.normal(0.0, config.sigma_a, (d, n))
+    edms = edm_from_points(eval_kinematics(traj, ts, 0))
+    if config.sigma_d != 0.0:
+        iu, ju = triu_indices(n, 1)
+        noisy = np.sqrt(edms[:, iu, ju]) + rng_dist.normal(0.0, config.sigma_d, (ts.size, iu.size))
+        edms = np.zeros_like(edms)
+        edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
+    acc = eval_kinematics(traj, ts, 2) @ centering_matrix(n)
+    accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, d, n))
     return MeasurementSet(timestamps=ts, edms=edms, accels=accels, truth=traj, q_true=q)
 
 

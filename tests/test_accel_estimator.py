@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from relkin import (
     AccelCoefficients,
     ConfigError,
+    InvalidDimensionError,
     PolynomialTrajectory,
     SimConfig,
     align_to_truth,
@@ -231,6 +232,12 @@ class TestEstimateWithAccel:
         meas = noiseless_measurements(traj)
         meas.accels = None
         with pytest.raises(ConfigError):
+            estimate_with_accel(meas)
+
+    def test_sensor_axis_count_must_match_dim(self):
+        meas = noiseless_measurements(benchmark_trajectory())
+        meas.accels = np.concatenate([meas.accels, meas.accels[:, :1]], axis=1)
+        with pytest.raises(InvalidDimensionError, match="3 axes"):
             estimate_with_accel(meas)
 
     def test_outputs_centered_even_with_noise(self):

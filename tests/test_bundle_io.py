@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relkin import ConfigError, RmseEntry, RmseTable, SimConfig, TimeSweepEntry
+from relkin import ConfigError, KinematicEstimate, MeasurementSet, RmseEntry, RmseTable
+from relkin import SimConfig, TimeSweepEntry
 from relkin import benchmark_trajectory, estimate_from_distances, simulate_measurements
 from relkin.bundle_io import (
     ACCEL_FILE,
@@ -13,6 +14,7 @@ from relkin.bundle_io import (
     TIMESTAMPS_FILE,
     read_measurement_bundle,
     write_estimate,
+    write_failure_counts,
     write_measurement_bundle,
     write_rmse_table,
     write_time_sweep,
@@ -141,3 +143,127 @@ class TestTables:
         entries = [TimeSweepEntry("accel", 20, -5.0, 0.5)]
         path = write_time_sweep(entries, tmp_path / "sweep.csv")
         assert path.read_text() == "method,k,t,rmse\naccel,20,-5.0,0.5\n"
+
+
+def _hand_built_outputs():
+    """A 4-node, 2-sample bundle, a small estimate and tables, with values
+    whose shortest repr takes each form: 0.1, 1e-05, 2.0, 1e+20, -1e-07."""
+    upper = np.array([[1.0, 2.0, 0.1, 1e-05, 3.5, 12345.678],
+                      [0.30000000000000004, 2.0, 1e-05, 4.0, 0.25, 1e+20]])
+    iu, ju = np.triu_indices(4, 1)
+    edms = np.zeros((2, 4, 4))
+    edms[:, iu, ju] = edms[:, ju, iu] = upper
+    accels = np.array([[[0.1, -0.5, 2.0, 1e-05], [0.0, 3.0, -1e-07, 0.7]],
+                       [[1.5, 0.1, -2.0, 0.0], [1e-05, 0.2, 0.3, -4.25]]])
+    meas = MeasurementSet(timestamps=[0.0, 0.1], edms=edms, accels=accels)
+    est = KinematicEstimate(
+        y0=np.array([[0.1, -2.0], [1e-05, 3.0]]),
+        y1=np.array([[2.0, 0.0], [-0.1, 1e-05]]),
+        y2=np.array([[0.5, 0.25], [-1e-07, 2.0]]),
+        rotation=np.array([[0.0, -1.0], [1.0, 0.0]]),
+        residuals={"gram_fit": 1e-05, "basis": 0.1},
+        warnings=["minimum-norm velocity"],
+    )
+    table = RmseTable(rows=[RmseEntry("accel", 10, "Y0", 0.1),
+                            RmseEntry("distance", 40, "B2", 1e-05)])
+    sweep = [TimeSweepEntry("distance", 10, -5.0, 2.0), TimeSweepEntry("accel", 10, 0.1, 1e-05)]
+    return meas, est, table, sweep
+
+
+GOLDEN = {
+    "timestamps.csv": (
+        "k,t\n"
+        "0,0.0\n"
+        "1,0.1\n"
+    ),
+    "edms.csv": (
+        "k,i,j,value\n"
+        "0,0,1,1.0\n"
+        "0,0,2,2.0\n"
+        "0,0,3,0.1\n"
+        "0,1,2,1e-05\n"
+        "0,1,3,3.5\n"
+        "0,2,3,12345.678\n"
+        "1,0,1,0.30000000000000004\n"
+        "1,0,2,2.0\n"
+        "1,0,3,1e-05\n"
+        "1,1,2,4.0\n"
+        "1,1,3,0.25\n"
+        "1,2,3,1e+20\n"
+    ),
+    "accels.csv": (
+        "k,node,axis,value\n"
+        "0,0,0,0.1\n"
+        "0,0,1,0.0\n"
+        "0,1,0,-0.5\n"
+        "0,1,1,3.0\n"
+        "0,2,0,2.0\n"
+        "0,2,1,-1e-07\n"
+        "0,3,0,1e-05\n"
+        "0,3,1,0.7\n"
+        "1,0,0,1.5\n"
+        "1,0,1,1e-05\n"
+        "1,1,0,0.1\n"
+        "1,1,1,0.2\n"
+        "1,2,0,-2.0\n"
+        "1,2,1,0.3\n"
+        "1,3,0,0.0\n"
+        "1,3,1,-4.25\n"
+    ),
+    "estimate.csv": (
+        "block,row,col,value\n"
+        "Y0,0,0,0.1\n"
+        "Y0,0,1,-2.0\n"
+        "Y0,1,0,1e-05\n"
+        "Y0,1,1,3.0\n"
+        "Y1,0,0,2.0\n"
+        "Y1,0,1,0.0\n"
+        "Y1,1,0,-0.1\n"
+        "Y1,1,1,1e-05\n"
+        "Y2,0,0,0.5\n"
+        "Y2,0,1,0.25\n"
+        "Y2,1,0,-1e-07\n"
+        "Y2,1,1,2.0\n"
+        "rotation,0,0,0.0\n"
+        "rotation,0,1,-1.0\n"
+        "rotation,1,0,1.0\n"
+        "rotation,1,1,0.0\n"
+    ),
+    "diagnostics.txt": (
+        "residual gram_fit = 1e-05\n"
+        "residual basis = 0.1\n"
+        "warning: minimum-norm velocity\n"
+    ),
+    "rmse.csv": (
+        "method,k,block,rmse\n"
+        "accel,10,Y0,0.1\n"
+        "distance,40,B2,1e-05\n"
+    ),
+    "time_sweep.csv": (
+        "method,k,t,rmse\n"
+        "distance,10,-5.0,2.0\n"
+        "accel,10,0.1,1e-05\n"
+    ),
+    "failures.csv": "k,failures,n_trials\n10,0,100\n40,1,100\n",
+}
+
+
+class TestGoldenText:
+    """The exact text of every writer; a change of number format fails here."""
+
+    def test_every_file_matches(self, tmp_path):
+        meas, est, table, sweep = _hand_built_outputs()
+        write_measurement_bundle(meas, tmp_path)
+        write_estimate(est, tmp_path)
+        write_rmse_table(table, tmp_path / "rmse.csv")
+        write_time_sweep(sweep, tmp_path / "time_sweep.csv")
+        write_failure_counts({10: 0, 40: 1}, 100, tmp_path / "failures.csv")
+        for name, text in GOLDEN.items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+
+    def test_golden_bundle_reads_back_exactly(self, tmp_path):
+        meas = _hand_built_outputs()[0]
+        write_measurement_bundle(meas, tmp_path)
+        back = read_measurement_bundle(tmp_path)
+        for field in ("timestamps", "edms", "accels"):
+            assert np.array_equal(getattr(back, field), getattr(meas, field))

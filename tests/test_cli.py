@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relkin import benchmark_trajectory
+from relkin.bundle_io import read_measurement_bundle, write_measurement_bundle
 from relkin.cli import main
 from relkin.config import load_scenario
 
@@ -87,6 +88,19 @@ class TestEstimate:
         assert code == 1
         assert "accelerometer" in capsys.readouterr().err
 
+    def test_accel_axis_count_other_than_dim_is_clean_error(self, bundle, tmp_path, capsys):
+        meas = read_measurement_bundle(bundle)
+        meas.accels = np.concatenate([meas.accels, meas.accels[:, :1]], axis=1)
+        write_measurement_bundle(meas, bundle)
+        code = run_cli(
+            ["estimate", "--bundle", str(bundle), "--method", "accel",
+             "--output", str(tmp_path / "est")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "3 axes" in err
+        assert "Traceback" not in err
+
 
 class TestBenchmark:
     def test_k_sweep_in_output(self, tmp_path):
@@ -109,6 +123,7 @@ class TestBenchmark:
         ks = {int(line.split(",")[1]) for line in text.strip().splitlines()[1:]}
         assert ks == {6, 8}
         assert (out / "time_sweep.csv").exists()
+        assert (out / "failures.csv").read_text() == "k,failures,n_trials\n6,0,2\n8,0,2\n"
 
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["benchmark", "--trials", "2", "--k-sweep", "6", "--seed", "7"]

@@ -128,6 +128,14 @@ class TestEdmFromPoints:
         assert np.array_equal(np.diag(edm), np.zeros(12))
         assert np.all(edm >= 0)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stack_equals_per_matrix_calls(self, rng, dim):
+        x = rng.uniform(-1000, 1000, (2, 5, dim, 9))
+        stacked = edm_from_points(x)
+        assert stacked.shape == (2, 5, 9, 9)
+        per_matrix = np.array([[edm_from_points(p) for p in row] for row in x])
+        assert np.array_equal(stacked, per_matrix)
+
 
 class TestGramFromEdm:
     def test_two_points(self):

@@ -1,5 +1,7 @@
 """Trajectory evaluation, coefficient centering and the noise simulator."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,19 @@ from relkin import (
 )
 
 from conftest import random_constant_accel_trajectory
+
+
+def _kinematics_at(traj, t, order):
+    """Derivative ``order`` at one time t with Python float powers, ``float(t) ** p``."""
+    out = np.zeros((traj.dim, traj.n_nodes))
+    for l in range(order, traj.order + 1):
+        out += traj.coeffs[l] * (float(t) ** (l - order) / factorial(l - order))
+    return out
+
+
+def _with_cubic_term(rng, traj):
+    """``traj`` plus a small t**3 term: numpy's array power and C pow often differ there."""
+    return PolynomialTrajectory(traj.coeffs + (0.01 * rng.normal(size=(traj.dim, traj.n_nodes)),))
 
 
 class TestEvalKinematics:
@@ -48,6 +63,14 @@ class TestEvalKinematics:
     def test_order_beyond_trajectory_is_zero(self):
         static = PolynomialTrajectory((np.ones((2, 4)),))
         assert_allclose(eval_kinematics(static, 2.0, 2), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_time_vector_equals_stacked_scalar_calls(self, rng, order):
+        traj = _with_cubic_term(rng, random_constant_accel_trajectory(rng, n=7))
+        ts = np.concatenate([np.linspace(-5.0, 5.0, 501), rng.normal(size=200) * 30.0])
+        stacked = np.stack([eval_kinematics(traj, t, order) for t in ts])
+        assert np.array_equal(eval_kinematics(traj, ts, order), stacked)
+        assert np.array_equal(stacked, np.stack([_kinematics_at(traj, t, order) for t in ts]))
 
     def test_polynomial_combination(self, rng):
         traj = random_constant_accel_trajectory(rng, n=5)
@@ -95,7 +118,41 @@ class TestSimConfig:
             SimConfig(dim=3, accel_rotation_angle=0.3)
 
 
+def _per_instant_simulation(config, traj):
+    """The simulator one instant at a time: K+1 sequential draws per stream."""
+    n, d = config.n_nodes, config.dim
+    ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
+    rng_dist, rng_accel = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
+    )
+    q, c = rotation2d(config.accel_rotation_angle), centering_matrix(n)
+    iu, ju = np.triu_indices(n, k=1)
+    edms, accels = np.zeros((ts.size, n, n)), np.zeros((ts.size, d, n))
+    for k, t in enumerate(ts):
+        x = _kinematics_at(traj, t, 0)
+        diff = x[:, :, None] - x[:, None, :]
+        sq = np.einsum("dij,dij->ij", diff, diff)
+        noisy = np.sqrt(sq[iu, ju]) + rng_dist.normal(0.0, config.sigma_d, iu.size)
+        edms[k, iu, ju] = edms[k, ju, iu] = noisy**2
+        acc = _kinematics_at(traj, t, 2) @ c
+        accels[k] = q @ acc + rng_accel.normal(0.0, config.sigma_a, (d, n))
+    return ts, edms, accels
+
+
 class TestSimulateMeasurements:
+    @pytest.mark.parametrize("n, k_samples", [(10, 40), (10, 500), (100, 10)])
+    def test_noisy_record_matches_per_instant_reference(self, rng, n, k_samples):
+        traj = benchmark_trajectory() if n == 10 else random_constant_accel_trajectory(rng, n=n)
+        traj = _with_cubic_term(rng, traj)
+        cfg = SimConfig(n_nodes=n, k_samples=k_samples, sigma_d=0.01, sigma_a=0.001, seed=77,
+                        accel_rotation_angle=0.4, t_start=-3.3, t_end=6.1)
+        meas = simulate_measurements(cfg, traj)
+        ts, edms, accels = _per_instant_simulation(cfg, traj)
+        assert np.array_equal(meas.timestamps, ts)
+        assert np.array_equal(meas.edms, edms)
+        assert np.array_equal(meas.accels, accels)
+
+
     def test_timestamps_inclusive_uniform(self):
         cfg = SimConfig(k_samples=20, t_start=-5.0, t_end=5.0, seed=0)
         meas = simulate_measurements(cfg, benchmark_trajectory())
@@ -204,6 +261,13 @@ class TestMeasurementSetInvariants:
         edms[0, 1, 1] = 5.0
         with pytest.raises(InvalidDimensionError):
             MeasurementSet(timestamps=[0.0], edms=edms)
+
+    def test_accel_node_count_must_match_edms(self):
+        from relkin import InvalidDimensionError, MeasurementSet
+
+        with pytest.raises(InvalidDimensionError, match="matching the EDMs"):
+            MeasurementSet(timestamps=[0.0, 1.0], edms=np.zeros((2, 4, 4)),
+                           accels=np.zeros((2, 2, 5)))
 
     @pytest.mark.parametrize("field", ["timestamps", "edms", "accels"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
