@@ -141,4 +141,5 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
         mds0 = classical_mds(coeffs.blocks[0], d)
     warnings_ = [f"position factor: {w}" for w in mds0.warnings]
     residuals = {"accel_fit": acc.residual, "gram_fit": coeffs.residual}
-    return _solve(meas, coeffs, mds0, sensor_accel, warnings_, residuals)
+    conditioning = {"position_mds": mds0.eigen_gap}
+    return _solve(meas, coeffs, mds0, sensor_accel, warnings_, residuals, conditioning)

@@ -182,6 +182,7 @@ def write_estimate(est: KinematicEstimate, outdir) -> list[Path]:
         np.concatenate([m.ravel() for m in mats]),
     )
     diag = [f"residual {name} = {float(value)}\n" for name, value in est.residuals.items()]
+    diag += [f"conditioning {name} = {float(value)}\n" for name, value in est.conditioning.items()]
     diag += [f"warning: {w}\n" for w in est.warnings]
     diag_path = outdir / DIAGNOSTICS_FILE
     diag_path.write_text("".join(diag), encoding="utf-8")

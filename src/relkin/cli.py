@@ -6,7 +6,8 @@ Subcommands:
 - ``estimate``: run the distance-only or accelerometer-fused estimator on
   a bundle and write the estimate CSV plus diagnostics.
 - ``benchmark``: run the paired Monte-Carlo sweep and write the RMSE,
-  time-sweep and per-K failure-count tables.
+  time-sweep and per-K failure-count tables; it exits with status 1,
+  after writing them, when more than 1% of any K's trials failed.
 
 Output directory resolution: ``--output`` flag, else the
 ``RELKIN_OUTPUT_DIR`` environment variable, else ``./relkin_out``.
@@ -33,6 +34,8 @@ from .trajectory import simulate_measurements
 __all__ = ["main"]
 
 OUTPUT_ENV_VAR = "RELKIN_OUTPUT_DIR"
+#: ``benchmark`` fails when more than this share of a K's trials fail
+_MAX_FAILURE_RATE = 0.01
 
 
 def _resolve_output(flag_value: Optional[str]) -> Path:
@@ -86,16 +89,28 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
         scenario.sim, scenario.trajectory, methods=methods, k_values=scenario.k_sweep
     )
     outdir = _resolve_output(args.output)
-    written = [
-        bundle_io.write_rmse_table(result.rmse_table, outdir / bundle_io.RMSE_FILE),
-        bundle_io.write_time_sweep(result.time_sweep, outdir / bundle_io.TIME_SWEEP_FILE),
+    written = []
+    if result.rmse_table.rows:
+        written += [
+            bundle_io.write_rmse_table(result.rmse_table, outdir / bundle_io.RMSE_FILE),
+            bundle_io.write_time_sweep(result.time_sweep, outdir / bundle_io.TIME_SWEEP_FILE),
+        ]
+    written.append(
         bundle_io.write_failure_counts(
             result.failure_counts, result.n_trials, outdir / bundle_io.FAILURES_FILE
-        ),
-    ]
+        )
+    )
     for path in written:
         print(path)
-    return 0
+    limit = _MAX_FAILURE_RATE * result.n_trials
+    over = {k: f for k, f in result.failure_counts.items() if f > limit}
+    for k, failures in over.items():
+        print(
+            f"error: {failures} of {result.n_trials} trials failed at K={k} "
+            f"(threshold {_MAX_FAILURE_RATE:.0%}); results would not be trustworthy",
+            file=sys.stderr,
+        )
+    return 1 if over else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -107,7 +107,8 @@ class BasisSystem:
 
     ``phi`` solves rows @ phi ~ rhs in least squares for the basis vector
     (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2); ``h`` is the normalized rotation
-    pair and ``u`` the recovered free entries.
+    pair and ``u`` the recovered free entries.  ``condition`` is
+    s_max/s_min of ``w``.
     """
 
     w: np.ndarray
@@ -117,6 +118,7 @@ class BasisSystem:
     u: np.ndarray
     residual: float
     rank: int
+    condition: float
 
 
 @dataclass
@@ -126,7 +128,12 @@ class KinematicEstimate:
     ``rotation`` maps the raw acceleration factor (MDS factor or sensor
     frame) into the frame of ``y0``; it is orthogonal but may be a
     reflection.  ``coeffs`` keeps the fitted Grammian coefficient blocks
-    for diagnostic and benchmarking use.
+    for diagnostic and benchmarking use.  ``conditioning`` holds the
+    eigen-gap lambda_d/|lambda_(d+1)| of each MDS (``position_mds``, and
+    ``acceleration_mds`` on the distance-only path), lambda_max/lambda_min
+    of each split (``velocity_split``, ``acceleration_split``) and
+    s_max/s_min of the basis system (``basis``); the last two are NaN
+    when the solve falls back.
     """
 
     y0: np.ndarray
@@ -136,16 +143,19 @@ class KinematicEstimate:
     residuals: dict[str, float]
     warnings: list[str]
     coeffs: Optional[GrammianCoefficients] = None
+    conditioning: dict[str, float] = field(default_factory=dict)
 
 
 def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares polynomial fit shared by all columns of ``values``.
 
     One QR factorization of the (degree+1)-column Vandermonde matrix
-    serves every column.  The time axis is rescaled to [-1, 1] before
-    factorization and the coefficients unscaled afterwards, which leaves
-    the minimizer unchanged but keeps the factor well conditioned.
-    Returns the coefficients and the (K+1, m) residual of the fit.
+    gives the small (degree+1, K+1) projector R^-1 Q^T, which one matmul
+    applies to every column at once.  The time axis is rescaled to
+    [-1, 1] before factorization and the coefficients unscaled
+    afterwards, which leaves the minimizer unchanged but keeps the factor
+    well conditioned.  Returns the coefficients and the (K+1, m) residual
+    of the fit.
     """
     t = np.asarray(timestamps, dtype=float).ravel()
     vals = np.asarray(values, dtype=float)
@@ -161,7 +171,7 @@ def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularDesignError("rank-deficient Vandermonde design (repeated timestamps?)")
-    coeffs = np.linalg.solve(r, q.T @ vals)
+    coeffs = np.linalg.solve(r, q.T) @ vals
     residual = a @ coeffs
     residual -= vals
     powers = scale ** np.arange(degree + 1)
@@ -184,20 +194,22 @@ def fit_gram_coeffs(gram_vecs, timestamps, degree: int) -> GrammianCoefficients:
 
 
 def _double_center(pairs, n: int) -> np.ndarray:
-    """-C D C / 2 of the EDM D with upper-triangle entries ``pairs``.
+    """-C D C / 2 of each EDM D whose upper-triangle entries are a row of ``pairs``.
 
-    Centers by row and column means: the block stays exactly symmetric,
-    and the cost is O(n^2) rather than two n-by-n matrix products.
+    ``pairs`` is (B, m); the result is the (B, n, n) block stack.  Centers
+    by row and column means: each block stays exactly symmetric, and the
+    cost is O(B n^2) rather than two n-by-n matrix products per block.
     """
     iu, ju = triu_indices(n, 1)
-    d = np.zeros((n, n))
-    d[iu, ju] = pairs
-    d = d + d.T
-    r = d.mean(axis=1)
-    g = d - (r[:, None] + r[None, :])
-    g += r.mean()
-    g *= -0.5
-    return g
+    d = np.zeros((len(pairs), n, n))
+    d[:, iu, ju] = pairs
+    d[:, ju, iu] = pairs
+    # in place: fewer (B, n, n) temporaries, the same operations in the same order
+    r = d.mean(axis=2)
+    d -= r[:, :, None] + r[:, None, :]
+    d += r.mean(axis=1)[:, None, None]
+    d *= -0.5
+    return d
 
 
 def _gram_residual(res, r, n: int) -> float:
@@ -245,7 +257,7 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
         row_means -= np.outer(t**4, node_quartic / n)
     coeffs, res = _poly_lstsq(t, pairs, degree)
     _, row_res = _poly_lstsq(t, row_means, degree)
-    blocks = [_double_center(row, n) for row in coeffs]
+    blocks = list(_double_center(coeffs, n))
     return GrammianCoefficients(degree, blocks, residual=_gram_residual(res, row_res, n))
 
 
@@ -327,14 +339,17 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     holds the two unknown off-diagonals of Z's leading block.  The system
     stacks all available linear relations:
 
-    - one row per determined entry of Zbar (its leading-block diagonal
-      and the full trailing block),
+    - one row per determined entry of Zbar: first the two entries of its
+      leading-block diagonal, then the trailing block row by row (row 0
+      for columns 2..n-1, then row 1),
     - the off-diagonal constraint of ``f2``, a known linear combination
       of two Zbar entries,
     - the off-diagonal constraint of ``f0``, which ties u linearly and
       yields two homogeneous rows after multiplication by h1 and h2.
 
-    phi is obtained by linear least squares; h is normalized to unit
+    The six coefficient matrices are stacked once and the 2n + 1 rows are
+    sliced out of that stack, so no step loops over the nodes.  phi is
+    obtained by linear least squares; h is normalized to unit
     length and u recovered by projecting the bilinear components onto h,
     which avoids dividing by near-zero rotation components.
     """
@@ -356,32 +371,21 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     e01[0, 1] = 1.0
     e10 = np.zeros((2, n))
     e10[1, 0] = 1.0
-    # coefficient matrices of Zbar's entries w.r.t. each basis component
-    mats = [g1 @ zk @ p, g2 @ zk @ p, g1 @ e01 @ p, g1 @ e10 @ p, g2 @ e01 @ p, g2 @ e10 @ p]
-
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for i in range(2):
-        rows.append(np.array([m[i, i] for m in mats]))
-        rhs.append(float(f2.z1_diag[i]))
-    for i in range(2):
-        for j in range(2, n):
-            rows.append(np.array([m[i, j] for m in mats]))
-            rhs.append(float(f2.z2[i, j - 2]))
+    # coefficient matrices of Zbar's entries w.r.t. each basis component, (6, 2, n)
+    m = np.stack([g1 @ zk @ p, g2 @ zk @ p, g1 @ e01 @ p, g1 @ e10 @ p, g2 @ e01 @ p, g2 @ e10 @ p])
     ci, cj, c2 = f2.offdiag_constraints[0]
-    rows.append(
-        np.array([f2.lam[ci] * m[ci, cj] + f2.lam[cj] * m[cj, ci] for m in mats])
+    ki, kj, c0 = f0.offdiag_constraints[0]
+    w = np.vstack(
+        [
+            m[:, [0, 1], [0, 1]].T,  # leading-block diagonal
+            m[:, :, 2:].reshape(6, -1).T,  # trailing block, row 0 then row 1
+            f2.lam[ci] * m[:, ci, cj] + f2.lam[cj] * m[:, cj, ci],
+            [[-c0, 0.0, f0.lam[ki], f0.lam[kj], 0.0, 0.0],
+             [0.0, -c0, 0.0, 0.0, f0.lam[ki], f0.lam[kj]]],
+        ]
     )
-    rhs.append(c2)
-    ci, cj, c0 = f0.offdiag_constraints[0]
-    rows.append(np.array([-c0, 0.0, f0.lam[ci], f0.lam[cj], 0.0, 0.0]))
-    rhs.append(0.0)
-    rows.append(np.array([0.0, -c0, 0.0, 0.0, f0.lam[ci], f0.lam[cj]]))
-    rhs.append(0.0)
-
-    w = np.vstack(rows)
-    b = np.asarray(rhs)
-    phi, _, rank, _ = np.linalg.lstsq(w, b, rcond=None)
+    b = np.concatenate([f2.z1_diag, f2.z2.ravel(), [c2, 0.0, 0.0]])
+    phi, _, rank, sv = np.linalg.lstsq(w, b, rcond=None)
     if rank < 6:
         raise NonUniqueSolutionError(
             "basis system is rank deficient; the coefficient blocks are too "
@@ -393,7 +397,10 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
         raise DegenerateRotationError("rotation components of the basis solution vanish")
     h = phi[:2] / norm_h
     u = np.array([h[0] * phi[2] + h[1] * phi[4], h[0] * phi[3] + h[1] * phi[5]])
-    return BasisSystem(w=w, rhs=b, phi=phi, h=h, u=u, residual=residual, rank=int(rank))
+    return BasisSystem(
+        w=w, rhs=b, phi=phi, h=h, u=u, residual=residual, rank=int(rank),
+        condition=float(sv[0] / sv[-1]),
+    )
 
 
 def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
@@ -425,6 +432,7 @@ def _solve(
     accel_factor: np.ndarray,
     warnings_: list[str],
     residuals: dict[str, float],
+    conditioning: dict[str, float],
 ) -> KinematicEstimate:
     """Joint velocity/rotation solve shared by both data models.
 
@@ -453,6 +461,7 @@ def _solve(
         f0 = chu_decompose(coeffs.blocks[1], mds0.points)
     warnings_ += [f"velocity split: {w}" for w in f0.warnings]
     residuals["velocity_split"] = f0.residual
+    conditioning["velocity_split"] = float(f0.lam[0] / f0.lam[-1])
 
     candidates = []
     reason = "negligible next to the positions over the record"
@@ -477,6 +486,8 @@ def _solve(
         y1, rotation = recover_velocity(f0, u), np.eye(2)
         residuals["acceleration_split"] = float("nan")
         residuals["basis"] = float("nan")
+        conditioning["acceleration_split"] = float("nan")
+        conditioning["basis"] = float("nan")
         warnings_.append(
             f"acceleration factor {reason}; velocity set to its minimum-norm "
             "completion and the rotation fixed to identity"
@@ -498,6 +509,8 @@ def _solve(
         y1 = recover_velocity(f0, basis.u)
         residuals["acceleration_split"] = f2.residual
         residuals["basis"] = basis.residual
+        conditioning["acceleration_split"] = float(f2.lam[0] / f2.lam[-1])
+        conditioning["basis"] = basis.condition
         warnings_ += f2.warnings
 
     return KinematicEstimate(
@@ -508,6 +521,7 @@ def _solve(
         residuals=residuals,
         warnings=warnings_,
         coeffs=coeffs,
+        conditioning=conditioning,
     )
 
 
@@ -530,4 +544,7 @@ def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstima
         mds0, mds2 = recover_position_acceleration(coeffs, d)
     warnings_ += [f"position factor: {w}" for w in mds0.warnings]
     warnings_ += [f"acceleration factor: {w}" for w in mds2.warnings]
-    return _solve(meas, coeffs, mds0, mds2.points, warnings_, {"gram_fit": coeffs.residual})
+    conditioning = {"position_mds": mds0.eigen_gap, "acceleration_mds": mds2.eigen_gap}
+    return _solve(
+        meas, coeffs, mds0, mds2.points, warnings_, {"gram_fit": coeffs.residual}, conditioning
+    )

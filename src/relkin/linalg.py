@@ -125,12 +125,20 @@ class MdsResult:
 
     ``points.T @ points`` is the best rank-d PSD approximation of the
     symmetrized input.  ``eigenvalues`` holds the top-d eigenvalues before
-    clamping; ``warnings`` lists degeneracies encountered.
+    clamping and ``next_eigenvalue`` the (d+1)-th (0 when d = n);
+    ``warnings`` lists degeneracies encountered.
     """
 
     points: np.ndarray
     eigenvalues: np.ndarray
     warnings: list[str] = field(default_factory=list)
+    next_eigenvalue: float = 0.0
+
+    @property
+    def eigen_gap(self) -> float:
+        """lambda_d / |lambda_(d+1)|, infinite when lambda_(d+1) is exactly 0."""
+        below = abs(self.next_eigenvalue)
+        return float(self.eigenvalues[-1] / below) if below else math.inf
 
 
 def classical_mds(g, d: int) -> MdsResult:
@@ -161,7 +169,8 @@ def classical_mds(g, d: int) -> MdsResult:
         if col[np.argmax(np.abs(col))] < 0:
             vecs[:, j] = -col
     points = np.sqrt(clamped)[:, None] * vecs.T
-    return MdsResult(points=points, eigenvalues=top, warnings=notes)
+    below = float(evals[-d - 1]) if d < n else 0.0
+    return MdsResult(points=points, eigenvalues=top, warnings=notes, next_eigenvalue=below)
 
 
 def orthogonal_procrustes(a, b) -> np.ndarray:

@@ -123,6 +123,18 @@ class TestEstimateOutput:
         diag = (tmp_path / DIAGNOSTICS_FILE).read_text()
         assert "residual gram_fit = " in diag
 
+    def test_conditioning_lines_follow_residuals(self, tmp_path):
+        _, est, _, _ = _hand_built_outputs()
+        est.conditioning = {"position_mds": 2.5e4, "basis": float("nan")}
+        write_estimate(est, tmp_path)
+        assert (tmp_path / DIAGNOSTICS_FILE).read_text() == (
+            "residual gram_fit = 1e-05\n"
+            "residual basis = 0.1\n"
+            "conditioning position_mds = 25000.0\n"
+            "conditioning basis = nan\n"
+            "warning: minimum-norm velocity\n"
+        )
+
     def test_values_roundtrip_via_repr(self, meas, tmp_path):
         est = estimate_from_distances(meas)
         write_estimate(est, tmp_path)

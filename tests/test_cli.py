@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relkin import benchmark_trajectory
+import relkin.harness as harness
+from relkin import EstimationError, benchmark_trajectory
 from relkin.bundle_io import read_measurement_bundle, write_measurement_bundle
 from relkin.cli import main
 from relkin.config import load_scenario
@@ -124,6 +125,39 @@ class TestBenchmark:
         assert ks == {6, 8}
         assert (out / "time_sweep.csv").exists()
         assert (out / "failures.csv").read_text() == "k,failures,n_trials\n6,0,2\n8,0,2\n"
+
+    def test_failure_threshold_enforced(self, tmp_path, monkeypatch, capsys):
+        def always_fails(meas, d=2):
+            raise EstimationError("stage 'synthetic': injected failure")
+
+        monkeypatch.setitem(harness._ESTIMATORS, "distance", always_fails)
+        out = tmp_path / "bench"
+        args = ["benchmark", "--trials", "5", "--k-sweep", "6", "--seed", "2", "--method"]
+        code = run_cli(args + ["distance", "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "threshold" in err
+        # no trial survived, so only the failure counts are written
+        assert sorted(p.name for p in out.iterdir()) == ["failures.csv"]
+        assert (out / "failures.csv").read_text() == "k,failures,n_trials\n6,5,5\n"
+
+    def test_tables_written_before_threshold_error(self, tmp_path, monkeypatch, capsys):
+        estimator = harness._ESTIMATORS["distance"]
+
+        def fails_at_k6(meas, d=2):
+            if meas.timestamps.size == 7:
+                raise EstimationError("stage 'synthetic': injected failure")
+            return estimator(meas, d)
+
+        monkeypatch.setitem(harness._ESTIMATORS, "distance", fails_at_k6)
+        out = tmp_path / "bench"
+        args = ["benchmark", "--trials", "2", "--k-sweep", "6,8", "--method", "distance"]
+        assert run_cli(args + ["--output", str(out)]) == 1
+        assert "K=6 (threshold 1%)" in capsys.readouterr().err
+        ks = {line.split(",")[1] for line in (out / "rmse.csv").read_text().splitlines()[1:]}
+        assert ks == {"8"}
+        assert (out / "time_sweep.csv").exists()
+        assert (out / "failures.csv").read_text() == "k,failures,n_trials\n6,2,2\n8,0,2\n"
 
     def test_repeat_run_byte_identical(self, tmp_path):
         args = ["benchmark", "--trials", "2", "--k-sweep", "6", "--seed", "7"]

@@ -428,7 +428,32 @@ class TestSharedSolve:
         assert np.linalg.norm(est.y2) <= y2_tol * scale
         assert np.array_equal(est.rotation, np.eye(2))
         assert np.isnan(est.residuals["basis"])
+        assert np.isnan(est.conditioning["basis"])
+        assert np.isnan(est.conditioning["acceleration_split"])
+        assert np.isfinite(est.conditioning["velocity_split"])
         assert any("minimum-norm" in w for w in est.warnings)
+
+    @pytest.mark.parametrize(
+        "estimate,keys",
+        [
+            (estimate_from_distances, ["position_mds", "acceleration_mds"]),
+            (estimate_with_accel, ["position_mds"]),
+        ],
+        ids=["distance", "accel"],
+    )
+    def test_conditioning_flags_collinear_positions(self, estimate, keys):
+        keys = keys + ["velocity_split", "acceleration_split", "basis"]
+        c = [benchmark_trajectory().coefficient(l) for l in range(3)]
+        collinear = PolynomialTrajectory((np.vstack([c[0][0], 0.5 * c[0][0]]), c[1], c[2]))
+        cfg = SimConfig(sigma_d=0.01, sigma_a=0.001, seed=1, accel_rotation_angle=0.5)
+        good = estimate(simulate_measurements(cfg, benchmark_trajectory())).conditioning
+        bad = estimate(simulate_measurements(cfg, collinear)).conditioning
+        assert list(good) == keys and list(bad) == keys
+        assert all(np.isfinite(v) and v >= 1.0 for v in [*good.values(), *bad.values()])
+        # a collinear start leaves no gap after the second eigenvalue of B0,
+        # and the velocity split inherits the position factor's spread
+        assert good["position_mds"] > 1e3 > 10.0 > bad["position_mds"]
+        assert good["velocity_split"] < 10.0 < 100.0 < bad["velocity_split"]
 
     @pytest.mark.parametrize(
         "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]

@@ -160,15 +160,31 @@ class TestRunMonteCarlo:
         methods = {row.method for row in result.rmse_table.rows}
         assert methods == {"distance", "accel"}
 
-    def test_failure_threshold_enforced(self, monkeypatch):
+    def test_failed_trials_are_counted(self, monkeypatch):
         def always_fails(meas, d=2):
             raise EstimationError("stage 'synthetic': injected failure")
 
         monkeypatch.setitem(harness._ESTIMATORS, "distance", always_fails)
         traj = benchmark_trajectory()
         cfg = SimConfig(n_trials=5, seed=2)
-        with pytest.raises(EstimationError, match="threshold"):
-            run_monte_carlo(cfg, traj, methods=("distance",), k_values=(6,))
+        result = run_monte_carlo(cfg, traj, methods=("distance",), k_values=(6,))
+        assert result.failure_counts == {6: 5}
+        assert result.rmse_table.rows == [] and result.time_sweep == []
+
+    def test_k_without_survivors_has_no_rows(self, monkeypatch):
+        estimator = harness._ESTIMATORS["distance"]
+
+        def fails_at_k6(meas, d=2):
+            if meas.timestamps.size == 7:
+                raise EstimationError("stage 'synthetic': injected failure")
+            return estimator(meas, d)
+
+        monkeypatch.setitem(harness._ESTIMATORS, "distance", fails_at_k6)
+        cfg = SimConfig(n_trials=2, seed=2)
+        result = run_monte_carlo(cfg, benchmark_trajectory(), ("distance",), (6, 8))
+        assert result.failure_counts == {6: 2, 8: 0}
+        assert {row.k for row in result.rmse_table.rows} == {8}
+        assert {entry.k for entry in result.time_sweep} == {8}
 
     def test_unknown_method_rejected(self):
         traj = benchmark_trajectory()

@@ -169,6 +169,15 @@ class TestClassicalMds:
         assert_allclose(np.abs(y), [[1.0, 1.0]])
         assert_allclose(y[0, 0], -y[0, 1])
 
+    def test_eigen_gap_uses_next_eigenvalue(self):
+        q = random_orthogonal(np.random.default_rng(3), 4)
+        g = q @ np.diag([9.0, 4.0, -0.5, 0.1]) @ q.T
+        res = classical_mds(g, 2)
+        assert res.next_eigenvalue == pytest.approx(0.1)
+        assert res.eigen_gap == pytest.approx(40.0)
+        assert classical_mds(g, 3).eigen_gap == pytest.approx(0.1 / 0.5)
+        assert classical_mds(g, 4).eigen_gap == np.inf
+
     def test_zero_matrix(self):
         res = classical_mds(np.zeros((5, 5)), 2)
         assert_allclose(res.points, np.zeros((2, 5)))
