@@ -58,10 +58,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
+def _parse_k_sweep(value: str) -> tuple[int, ...]:
+    ks = tuple(int(part) for part in value.split(",") if part.strip())
+    if not ks or min(ks) < 4 or len(set(ks)) < len(ks):
+        raise ConfigError(f"k_sweep must list distinct K >= 4 (the degree-4 fit), got '{value}'")
+    return ks
+
+
 def _convert(key: str, value: str) -> object:
     try:
         if key == "k_sweep":
-            return tuple(int(part.strip()) for part in value.split(",") if part.strip())
+            return _parse_k_sweep(value)
         if key in _SCALAR_TYPES:
             return _SCALAR_TYPES[key](value)
         return float(value)  # matrix entry

@@ -71,34 +71,31 @@ class GrammianCoefficients:
 
 @dataclass
 class ChuFactors:
-    """SVD-based split of one Lyapunov-like equation B = A^T M + M^T A.
+    """Split of one Lyapunov-like equation B = A^T M + M^T A in node coordinates.
 
-    With A = u @ [diag(lam) 0] @ v.T, the transformed right side
-    bbar = v.T @ B @ v determines M's coordinates Z = u.T @ M @ v except
-    for the off-diagonal entries of its leading d-by-d block: ``z1_diag``
-    and ``z2`` are the uniquely determined parts, and each tuple in
-    ``offdiag_constraints`` records (i, j, bbar[i, j]) with
-    lam[i]*Z[i, j] + lam[j]*Z[j, i] = bbar[i, j].  ``residual`` is the
-    norm of the trailing block of bbar, zero for consistent input.
+    With the thin SVD A = u @ diag(lam) @ vt (``vt`` is 2-by-n) and the
+    projector P = I - vt^T vt onto the complement of A's row space, B
+    determines the coordinates N = u^T M except for the two off-diagonal
+    entries of the leading block N @ vt^T.  ``z1_diag`` is that block's
+    diagonal and ``z2`` = diag(1/lam) vt B P the part of N outside the row
+    space, so N = :attr:`known` + (u1 vt[1]; u2 vt[0]) for free entries
+    (u1, u2) tied by lam[0] u1 + lam[1] u2 = ``c`` = (vt B vt^T)[0, 1].
+    ``residual`` is ||P B P||_F, zero for consistent input.
     """
 
     u: np.ndarray
-    v: np.ndarray
+    vt: np.ndarray
     lam: np.ndarray
-    bbar: np.ndarray
-    z2: np.ndarray
     z1_diag: np.ndarray
-    offdiag_constraints: list[tuple[int, int, float]]
+    z2: np.ndarray
+    c: float
     residual: float
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def dim(self) -> int:
-        return self.lam.size
-
-    @property
-    def n_nodes(self) -> int:
-        return self.v.shape[0]
+    def known(self) -> np.ndarray:
+        """N with both free entries set to zero, (2, n)."""
+        return self.z1_diag[:, None] * self.vt + self.z2
 
 
 @dataclass
@@ -277,114 +274,94 @@ def recover_position_acceleration(
 
 
 def chu_decompose(bhat, yhat) -> ChuFactors:
-    """Split B = A^T M + M^T A via the SVD of the known factor A = ``yhat``.
+    """Split B = A^T M + M^T A via the thin SVD of the known factor A = ``yhat``.
 
-    Requires ``yhat`` to have full row rank (singular values above
-    1e-8 of the largest); otherwise the equation does not determine the
-    blocks and a DegenerateGeometryError is raised.
+    ``bhat`` is the symmetric n-by-n B and ``yhat`` the 2-by-n A, which
+    must have full row rank (singular values above 1e-8 of the largest);
+    otherwise the equation does not determine the split and a
+    DegenerateGeometryError is raised.  No n-by-n frame is formed: B is
+    projected with P = I - vt^T vt applied as two rank-2 updates.
     """
     bhat = np.asarray(bhat, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
-    if yhat.ndim != 2 or bhat.shape != (yhat.shape[1], yhat.shape[1]):
-        raise InvalidDimensionError("chu_decompose needs yhat (d, n) and bhat (n, n)")
-    d, n = yhat.shape
-    u, lam, vt = np.linalg.svd(yhat, full_matrices=True)
-    if lam.min() <= 1e-8 * lam.max() or lam.max() == 0.0:
+    if yhat.ndim != 2 or yhat.shape[0] != 2 or bhat.shape != (yhat.shape[1], yhat.shape[1]):
+        raise InvalidDimensionError("chu_decompose needs yhat (2, n) and bhat (n, n)")
+    u, lam, vt = np.linalg.svd(yhat, full_matrices=False)
+    if lam.size < 2 or lam[1] <= 1e-8 * lam[0]:
         raise DegenerateGeometryError(
             "factor is rank deficient; the Lyapunov-like split cannot proceed"
         )
-    v = vt.T
-    bbar = v.T @ bhat @ v
-    bbar = 0.5 * (bbar + bbar.T)
-    z2 = bbar[:d, d:] / lam[:, None]
-    z1_diag = np.diag(bbar)[:d] / (2.0 * lam)
-    constraints = [(i, j, float(bbar[i, j])) for i in range(d) for j in range(i + 1, d)]
-    residual = float(np.linalg.norm(bbar[d:, d:]))
+    bv = bhat @ vt.T
+    lead = vt @ bv  # vt B vt^T
+    bp = bhat - bv @ vt  # B P
+    vbp = vt @ bp
     notes: list[str] = []
-    if d >= 2 and lam[0] / lam[-1] < 1.0 + 1e-6:
+    if lam[0] / lam[1] < 1.0 + 1e-6:
         notes.append(
             "nearly repeated singular values; the SVD frame is ill determined "
             "and the basis solve relies on its residual check"
         )
+    # ||P B P||, not ||B||^2 - ||vt B||^2, which cancels at zero noise
+    residual = float(np.linalg.norm(bp - vt.T @ vbp))
     return ChuFactors(
-        u=u,
-        v=v,
-        lam=lam,
-        bbar=bbar,
-        z2=z2,
-        z1_diag=z1_diag,
-        offdiag_constraints=constraints,
-        residual=residual,
-        warnings=notes,
+        u=u, vt=vt, lam=lam, z1_diag=np.diag(lead) / (2.0 * lam), z2=vbp / lam[:, None],
+        c=float(lead[0, 1]), residual=residual, warnings=notes,
     )
 
 
-def _known_z(f: ChuFactors) -> np.ndarray:
-    """Assemble Z from its determined parts, zeros at the unknown entries."""
-    d, n = f.dim, f.n_nodes
-    z = np.zeros((d, n))
-    z[range(d), range(d)] = f.z1_diag
-    z[:, d:] = f.z2
-    return z
-
-
-def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
-    """Solve the coupled pair of Lyapunov-like splits for (rotation, unknowns).
-
-    Writing Z for the velocity coordinates in the frame of ``f0`` and
-    Zbar for those in the frame of ``f2``, the two splits are linked by
-    Zbar = (U2^T R^T U0) Z (V0^T V2) with R the planar rotation
-    parameterized by h = (h1, h2).  Every entry of Zbar is then linear in
-    the basis vector phi = (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2), where u
-    holds the two unknown off-diagonals of Z's leading block.  The system
-    stacks all available linear relations:
-
-    - one row per determined entry of Zbar: first the two entries of its
-      leading-block diagonal, then the trailing block row by row (row 0
-      for columns 2..n-1, then row 1),
-    - the off-diagonal constraint of ``f2``, a known linear combination
-      of two Zbar entries,
-    - the off-diagonal constraint of ``f0``, which ties u linearly and
-      yields two homogeneous rows after multiplication by h1 and h2.
-
-    The six coefficient matrices are stacked once and the 2n + 1 rows are
-    sliced out of that stack, so no step loops over the nodes.  phi is
-    obtained by linear least squares; h is normalized to unit
-    length and u recovered by projecting the bilinear components onto h,
-    which avoids dividing by near-zero rotation components.
-    """
-    if f0.dim != 2 or f2.dim != 2:
-        raise InvalidDimensionError("the basis solve is implemented for dim = 2 only")
-    n = f0.n_nodes
-    if f2.n_nodes != n:
-        raise InvalidDimensionError("both splits must describe the same node count")
+def _require_four_nodes(n: int) -> None:
     if n < 4:
         raise NonUniqueSolutionError(
             f"{n} nodes give fewer equations than the 6 basis unknowns; need n >= 4"
         )
 
-    zk = _known_z(f0)
-    p = f0.v.T @ f2.v
-    g1 = f2.u.T @ f0.u
-    g2 = f2.u.T @ _J @ f0.u
-    e01 = np.zeros((2, n))
-    e01[0, 1] = 1.0
-    e10 = np.zeros((2, n))
-    e10[1, 0] = 1.0
-    # coefficient matrices of Zbar's entries w.r.t. each basis component, (6, 2, n)
-    m = np.stack([g1 @ zk @ p, g2 @ zk @ p, g1 @ e01 @ p, g1 @ e10 @ p, g2 @ e01 @ p, g2 @ e10 @ p])
-    ci, cj, c2 = f2.offdiag_constraints[0]
-    ki, kj, c0 = f0.offdiag_constraints[0]
+
+def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
+    """Solve the coupled pair of Lyapunov-like splits for (rotation, unknowns).
+
+    Writing N0 and N2 for the velocity coordinates of ``f0`` and ``f2``
+    (see :class:`ChuFactors`), the two splits are linked by
+    N2 = (U2^T R^T U0) N0 with R the planar rotation parameterized by
+    h = (h1, h2).  Every entry of N2 is then linear in the basis vector
+    phi = (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2), where u holds the two free
+    entries of N0.  The six (2, n) coefficient matrices of N2 are stacked
+    once, and the 2n + 5 rows are sliced out of that stack:
+
+    - the two diagonal entries of the leading block N2 @ vt2^T,
+    - the trailing part N2 - (N2 @ vt2^T) @ vt2, row 0 then row 1 (2n
+      rows, matched to ``f2.z2``),
+    - the off-diagonal constraint of ``f2``, a known linear combination
+      of two leading-block entries,
+    - the off-diagonal constraint of ``f0``, which ties u linearly and
+      yields two homogeneous rows after multiplication by h1 and h2.
+
+    The trailing rows span only the (n - 2)-dimensional complement of
+    vt2's rows, so the normal equations equal those of the 2n + 1 rows of
+    the full SVD frame.  phi is obtained by linear least squares; h is
+    normalized to unit length and u recovered by projecting the bilinear
+    components onto h, which avoids dividing by near-zero rotation
+    components.
+    """
+    n = f0.vt.shape[1]
+    if f2.vt.shape[1] != n:
+        raise InvalidDimensionError("both splits must describe the same node count")
+    _require_four_nodes(n)
+
+    g = (f2.u.T @ f0.u, f2.u.T @ _J @ f0.u)
+    known, free = f0.known, f0.vt[::-1]
+    # coefficient matrices of N2 w.r.t. each basis component, (6, 2, n)
+    m = np.stack([x @ known for x in g] + [np.outer(x[:, k], free[k]) for x in g for k in (0, 1)])
+    lead = m @ f2.vt.T
     w = np.vstack(
         [
-            m[:, [0, 1], [0, 1]].T,  # leading-block diagonal
-            m[:, :, 2:].reshape(6, -1).T,  # trailing block, row 0 then row 1
-            f2.lam[ci] * m[:, ci, cj] + f2.lam[cj] * m[:, cj, ci],
-            [[-c0, 0.0, f0.lam[ki], f0.lam[kj], 0.0, 0.0],
-             [0.0, -c0, 0.0, 0.0, f0.lam[ki], f0.lam[kj]]],
+            lead[:, [0, 1], [0, 1]].T,
+            (m - lead @ f2.vt).reshape(6, -1).T,
+            f2.lam[0] * lead[:, 0, 1] + f2.lam[1] * lead[:, 1, 0],
+            [[-f0.c, 0.0, f0.lam[0], f0.lam[1], 0.0, 0.0],
+             [0.0, -f0.c, 0.0, 0.0, f0.lam[0], f0.lam[1]]],
         ]
     )
-    b = np.concatenate([f2.z1_diag, f2.z2.ravel(), [c2, 0.0, 0.0]])
+    b = np.concatenate([f2.z1_diag, f2.z2.ravel(), [f2.c, 0.0, 0.0]])
     phi, _, rank, sv = np.linalg.lstsq(w, b, rcond=None)
     if rank < 6:
         raise NonUniqueSolutionError(
@@ -404,16 +381,12 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
 
 
 def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
-    """Map the completed coordinates Z back to the velocity matrix.
+    """The velocity matrix u0 @ N0 of the split ``f0``.
 
-    ``u`` supplies the two off-diagonal entries of Z's leading block; the
-    rest comes from the determined parts of ``f0``.
+    ``u`` supplies the two free entries of N0; the rest is ``f0.known``.
     """
     u = np.asarray(u, dtype=float).ravel()
-    z = _known_z(f0)
-    z[0, 1] = u[0]
-    z[1, 0] = u[1]
-    return f0.u @ z @ f0.v.T
+    return f0.u @ (f0.known + u[:, None] * f0.vt[::-1])
 
 
 @contextmanager
@@ -451,12 +424,8 @@ def _solve(
     completion of the first split and the rotation to identity, with a
     warning.
     """
-    n = meas.n_nodes
     with _stage("basis-solve"):
-        if n < 4:
-            raise NonUniqueSolutionError(
-                f"{n} nodes give fewer equations than the 6 basis unknowns; need n >= 4"
-            )
+        _require_four_nodes(meas.n_nodes)
     with _stage("velocity-split"):
         f0 = chu_decompose(coeffs.blocks[1], mds0.points)
     warnings_ += [f"velocity split: {w}" for w in f0.warnings]
@@ -480,14 +449,11 @@ def _solve(
                 reason = f"unusable ({exc})"
 
     if not candidates:
-        i, j, c0 = f0.offdiag_constraints[0]
-        lam = f0.lam
-        u = (c0 / (lam[i] ** 2 + lam[j] ** 2)) * np.array([lam[i], lam[j]])
-        y1, rotation = recover_velocity(f0, u), np.eye(2)
-        residuals["acceleration_split"] = float("nan")
-        residuals["basis"] = float("nan")
-        conditioning["acceleration_split"] = float("nan")
-        conditioning["basis"] = float("nan")
+        # the minimum-norm (u1, u2) on lam[0] u1 + lam[1] u2 = c
+        y1 = recover_velocity(f0, (f0.c / (f0.lam @ f0.lam)) * f0.lam)
+        rotation, nan = np.eye(2), float("nan")
+        residuals.update(acceleration_split=nan, basis=nan)
+        conditioning.update(acceleration_split=nan, basis=nan)
         warnings_.append(
             f"acceleration factor {reason}; velocity set to its minimum-norm "
             "completion and the rotation fixed to identity"
@@ -507,10 +473,10 @@ def _solve(
         if flipped:
             rotation = rotation @ _FLIP
         y1 = recover_velocity(f0, basis.u)
-        residuals["acceleration_split"] = f2.residual
-        residuals["basis"] = basis.residual
-        conditioning["acceleration_split"] = float(f2.lam[0] / f2.lam[-1])
-        conditioning["basis"] = basis.condition
+        residuals.update(acceleration_split=f2.residual, basis=basis.residual)
+        conditioning.update(
+            acceleration_split=float(f2.lam[0] / f2.lam[-1]), basis=basis.condition
+        )
         warnings_ += f2.warnings
 
     return KinematicEstimate(

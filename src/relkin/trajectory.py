@@ -128,6 +128,10 @@ class SimConfig:
     n_trials: int = 100
 
     def __post_init__(self):
+        # the comparisons below are all False for NaN, so check finiteness first
+        for name in ("t_start", "t_end", "sigma_d", "sigma_a", "accel_rotation_angle"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_nodes < 1 or self.dim < 1:
             raise ConfigError("n_nodes and dim must be positive")
         if self.k_samples < 4:
@@ -138,6 +142,8 @@ class SimConfig:
             raise ConfigError("noise standard deviations must be nonnegative")
         if self.n_trials < 1:
             raise ConfigError("n_trials must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.dim != 2 and self.accel_rotation_angle != 0.0:
             raise ConfigError("accel_rotation_angle is only defined for dim = 2")
 

@@ -20,13 +20,10 @@ from relkin import (
     center_coefficients,
     estimate_from_distances,
     fit_accel_coeffs,
-    fit_gram_coeffs,
-    gram_from_edm,
     orthogonal_procrustes,
     recover_position_acceleration,
     run_monte_carlo,
     simulate_measurements,
-    vech,
 )
 from relkin.cli import main as cli_main
 
@@ -99,9 +96,8 @@ def test_criterion_2_coefficient_oracle():
         for i in range(100):
             traj = random_constant_accel_trajectory(rng)
             cfg = SimConfig(k_samples=20, sigma_d=0.0, sigma_a=0.0, seed=i)
-            meas = simulate_measurements(cfg, traj)
-            grams = np.stack([vech(gram_from_edm(e)) for e in meas.edms])
-            fitted = fit_gram_coeffs(grams, meas.timestamps, degree=4)
+            # the production fit: coefficient space, then double centering
+            fitted = estimate_from_distances(simulate_measurements(cfg, traj)).coeffs
             for got, want in zip(fitted.blocks, gram_poly_blocks(traj, 4)):
                 assert rel_err(got, want) <= 1e-8
         assert time.perf_counter() - start < 10.0
@@ -110,9 +106,7 @@ def test_criterion_2_coefficient_oracle():
 def _rotation_angle_error(meas, traj):
     """Angle between the recovered rotation and the Procrustes oracle."""
     est = estimate_from_distances(meas)
-    grams = np.stack([vech(gram_from_edm(e)) for e in meas.edms])
-    coeffs = fit_gram_coeffs(grams, meas.timestamps, degree=4)
-    mds0, mds2 = recover_position_acceleration(coeffs, 2)
+    mds0, mds2 = recover_position_acceleration(est.coeffs, 2)
     centered = center_coefficients(traj)
     to_est_frame = orthogonal_procrustes(centered.coeffs[0], mds0.points)
     h_true = orthogonal_procrustes(mds2.points, to_est_frame @ centered.coeffs[2])

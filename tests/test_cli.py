@@ -189,6 +189,29 @@ class TestBenchmark:
         assert methods == {"distance"}
 
 
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["benchmark", "--k-sweep", "-5"], "k_sweep"),
+            (["benchmark", "--k-sweep", "3,10"], "k_sweep"),
+            (["benchmark", "--k-sweep", "10,10"], "k_sweep"),
+            (["benchmark", "--k-sweep", ""], "k_sweep"),
+            (["benchmark", "--k-sweep", "6", "--seed", "-1"], "seed"),
+            (["simulate", "--seed", "-1"], "seed"),
+            (["simulate", "--set", "t_end=inf"], "t_end"),
+            (["simulate", "--set", "sigma_d=nan"], "sigma_d"),
+        ],
+        ids=["k-negative", "k-below-4", "k-repeated", "k-empty", "bench-seed",
+             "sim-seed", "t-end-inf", "sigma-nan"],
+    )
+    def test_bad_sweep_or_seed_is_clean_error(self, args, key, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(args + ["--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+
 class TestConfigHandling:
     def test_bundled_default_matches_builtin_trajectory(self):
         scenario = load_scenario(None)

@@ -137,7 +137,7 @@ class TestRecoverPositionAcceleration:
 class TestChuDecompose:
     def test_known_split_with_distinct_singular_values(self):
         # factor with orthogonal rows: svd frames are axis aligned, so the
-        # determined parts can be read off the transformed matrix directly
+        # determined parts can be read off the node coordinates directly
         n = 6
         yhat = np.zeros((2, n))
         yhat[0, 0] = 2.0
@@ -146,23 +146,24 @@ class TestChuDecompose:
         bhat = yhat.T @ m + m.T @ yhat
         f = chu_decompose(bhat, yhat)
         assert_allclose(np.sort(f.lam)[::-1], [2.0, 1.0])
-        z_true = f.u.T @ m @ f.v
-        assert_allclose(f.z1_diag, np.diag(z_true)[:2], atol=1e-10)
-        assert_allclose(f.z2, z_true[:, 2:], atol=1e-10)
-        i, j, c = f.offdiag_constraints[0]
-        assert_allclose(f.lam[i] * z_true[i, j] + f.lam[j] * z_true[j, i], c, atol=1e-10)
+        n_true = f.u.T @ m
+        lead = n_true @ f.vt.T
+        assert_allclose(f.z1_diag, np.diag(lead), atol=1e-10)
+        assert_allclose(f.z2, n_true - lead @ f.vt, atol=1e-10)
+        assert_allclose(f.lam[0] * lead[0, 1] + f.lam[1] * lead[1, 0], f.c, atol=1e-10)
         assert f.residual <= 1e-10
 
     def test_zero_coefficient_matrix(self):
         yhat = np.array([[3.0, 0.0, 1.0, -1.0], [0.0, 2.0, 1.0, 1.0]])
         f = chu_decompose(np.zeros((4, 4)), yhat)
         assert_allclose(f.z1_diag, np.zeros(2), atol=1e-12)
-        assert_allclose(f.z2, np.zeros((2, 2)), atol=1e-12)
+        assert_allclose(f.z2, np.zeros((2, 4)), atol=1e-12)
+        assert f.c == 0.0
         assert f.residual <= 1e-12
 
     def test_noiseless_pipeline_reconstruction(self):
-        # oracle: plug the true velocity into the split and check the
-        # two-sided reconstruction of the transformed coefficient matrix
+        # oracle: plug the true velocity's node coordinates into the split
+        # and check that they reconstruct the coefficient matrix
         traj = benchmark_trajectory()
         ts = np.linspace(-5, 5, 21)
         coeffs = fit_gram_coeffs(noiseless_gram_vecs(traj, ts), ts, degree=4)
@@ -171,11 +172,9 @@ class TestChuDecompose:
         centered = center_coefficients(traj)
         r = orthogonal_procrustes(centered.coeffs[0], mds0.points)
         y1_est_frame = r @ centered.coeffs[1]
-        z_true = f.u.T @ y1_est_frame @ f.v
-        lam_block = np.zeros((f.n_nodes, 2))
-        lam_block[:2, :2] = np.diag(f.lam)
-        recon = lam_block @ z_true + z_true.T @ lam_block.T
-        assert rel_err(recon, f.bbar) <= 1e-7
+        half = f.vt.T @ (f.lam[:, None] * (f.u.T @ y1_est_frame))  # A^T M
+        assert rel_err(half + half.T, coeffs.blocks[1]) <= 1e-7
+        assert f.residual <= 1e-7 * np.linalg.norm(coeffs.blocks[1])
 
     def test_rank_deficient_factor_rejected(self):
         yhat = np.zeros((2, 5))
@@ -195,16 +194,18 @@ class TestBasisSolve:
         f0 = chu_decompose(y0.T @ y1 + y1.T @ y0, y0)
         f2 = chu_decompose(y2.T @ y1 + y1.T @ y2, y2)
         sol = build_and_solve_basis(f0, f2)
-        z_true = f0.u.T @ y1 @ f0.v
+        lead = f0.u.T @ y1 @ f0.vt.T
         assert_allclose(sol.phi[:2], [1.0, 0.0], atol=1e-9)
-        assert_allclose(sol.phi[2:4], [z_true[0, 1], z_true[1, 0]], atol=1e-8)
+        assert_allclose(sol.phi[2:4], [lead[0, 1], lead[1, 0]], atol=1e-8)
         assert_allclose(sol.phi[4:], [0.0, 0.0], atol=1e-8)
-        assert_allclose(sol.u, [z_true[0, 1], z_true[1, 0]], atol=1e-8)
+        assert_allclose(sol.u, [lead[0, 1], lead[1, 0]], atol=1e-8)
 
     def test_equation_count(self, rng):
-        # determined entries contribute 2n-2 rows; the two off-diagonal
-        # tie-ins add three more (the first-equation tie needs both its
-        # h1- and h2-multiplied forms to stay linear in the basis)
+        # the leading diagonal gives 2 rows and the trailing part 2n rows,
+        # which lie in the complement of the second factor's row space; the
+        # two off-diagonal tie-ins add three more (the first-equation tie
+        # needs both its h1- and h2-multiplied forms to stay linear in the
+        # basis)
         for n in (4, 7, 10):
             y0 = rng.standard_normal((2, n))
             y1 = rng.standard_normal((2, n))
@@ -212,7 +213,9 @@ class TestBasisSolve:
             f0 = chu_decompose(y0.T @ y1 + y1.T @ y0, y0)
             f2 = chu_decompose(y2.T @ y1 + y1.T @ y2, y2)
             sol = build_and_solve_basis(f0, f2)
-            assert sol.w.shape == (2 * n + 1, 6)
+            assert sol.w.shape == (2 * n + 5, 6)
+            trail = sol.w[2 : 2 * n + 2].T.reshape(6, 2, n)
+            assert np.abs(trail @ f2.vt.T).max() <= 1e-12 * np.abs(trail).max()
             assert sol.rank == 6
 
     def test_noiseless_rotation_recovery(self):
@@ -254,13 +257,13 @@ class TestRecoverVelocity:
         mds0, _ = recover_position_acceleration(coeffs, 2)
         f0 = chu_decompose(coeffs.blocks[1], mds0.points)
         y1 = np.arange(20.0).reshape(2, 10)
-        z = f0.u.T @ y1 @ f0.v
-        rebuilt = f0.u @ z @ f0.v.T
-        assert rel_err(rebuilt, y1) <= 1e-12
-        # assembling from the true Z's parts reproduces the same matrix
-        f0.z1_diag = np.diag(z)[:2].copy()
-        f0.z2 = z[:, 2:].copy()
-        assert rel_err(recover_velocity(f0, [z[0, 1], z[1, 0]]), y1) <= 1e-9
+        coords = f0.u.T @ y1
+        assert rel_err(f0.u @ coords, y1) <= 1e-12
+        # assembling from the true coordinates' parts reproduces the same matrix
+        lead = coords @ f0.vt.T
+        f0.z1_diag = np.diag(lead).copy()
+        f0.z2 = coords - lead @ f0.vt
+        assert rel_err(recover_velocity(f0, [lead[0, 1], lead[1, 0]]), y1) <= 1e-9
 
     def test_zero_unknowns_give_known_part_only(self, rng):
         y0 = rng.standard_normal((2, 6))

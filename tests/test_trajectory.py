@@ -117,6 +117,18 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(dim=3, accel_rotation_angle=0.3)
 
+    @pytest.mark.parametrize(
+        "field", ["t_start", "t_end", "sigma_d", "sigma_a", "accel_rotation_angle"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SimConfig(**{field: bad})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            SimConfig(seed=-1)
+
 
 def _per_instant_simulation(config, traj):
     """The simulator one instant at a time: K+1 sequential draws per stream."""

@@ -1,10 +1,11 @@
 """Whole-array arithmetic of the estimators on wide networks.
 
-The basis system is sliced out of one stacked array, the polynomial fit is
-applied as one precomputed projector, and the coefficient blocks are
-double-centered in one batched call.  These tests pin each against the
-straightforward per-row / per-block / per-column computation, and check
-end-to-end accuracy at 100 nodes.
+The Lyapunov-like splits and the basis system work in node coordinates
+with the thin SVD, the basis system is sliced out of one stacked array,
+the polynomial fit is applied as one precomputed projector, and the
+coefficient blocks are double-centered in one batched call.  These tests
+pin each against the full-SVD-frame / per-row / per-block / per-column
+computation, and check end-to-end accuracy at 100 nodes.
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ from relkin import (
     estimate_from_distances,
     estimate_with_accel,
     recover_position_acceleration,
+    recover_velocity,
     simulate_measurements,
 )
-from relkin.distance_estimator import _J, _double_center, _fit_edm_coeffs, _known_z, _poly_lstsq
+from relkin.distance_estimator import _J, _double_center, _fit_edm_coeffs, _poly_lstsq
 from relkin.linalg import triu_indices
 
 from conftest import random_constant_accel_trajectory, rel_err
@@ -41,45 +43,126 @@ def measurements(n, k, sigma_d=0.01, sigma_a=0.001, seed=0):
     return traj, simulate_measurements(cfg, traj)
 
 
-def splits(n, seed=0):
-    """Both Lyapunov-like splits of a noisy distance-only estimate."""
+def split_inputs(n, seed=0):
+    """(B, A) of both Lyapunov-like equations of a noisy distance-only estimate."""
     _, meas = measurements(n, 10, seed=seed)
     coeffs = _fit_edm_coeffs(meas, degree=4)
     mds0, mds2 = recover_position_acceleration(coeffs, 2)
-    return chu_decompose(coeffs.blocks[1], mds0.points), chu_decompose(
-        2.0 * coeffs.blocks[3], mds2.points
-    )
+    return (coeffs.blocks[1], mds0.points), (2.0 * coeffs.blocks[3], mds2.points)
 
 
-def row_loop_system(f0, f2):
-    """The basis system built one row at a time, one entry per coefficient matrix."""
-    n = f0.n_nodes
-    zk = _known_z(f0)
-    p = f0.v.T @ f2.v
-    g1 = f2.u.T @ f0.u
-    g2 = f2.u.T @ _J @ f0.u
+def splits(n, seed=0):
+    """Both Lyapunov-like splits of a noisy distance-only estimate."""
+    return tuple(chu_decompose(b, a) for b, a in split_inputs(n, seed))
+
+
+def full_frame_split(bhat, yhat):
+    """The split in the full n-by-n SVD frame: Z = u^T M V, bbar = V^T B V."""
+    u, lam, vt = np.linalg.svd(yhat, full_matrices=True)
+    v = vt.T
+    bbar = v.T @ bhat @ v
+    bbar = 0.5 * (bbar + bbar.T)
+    return {
+        "u": u, "v": v, "lam": lam, "z1_diag": np.diag(bbar)[:2] / (2.0 * lam),
+        "z2": bbar[:2, 2:] / lam[:, None], "c": bbar[0, 1],
+        "residual": float(np.linalg.norm(bbar[2:, 2:])),
+    }
+
+
+def full_frame_z(s, u):
+    """Z of a full-frame split with free entries ``u``."""
+    z = np.zeros((2, s["v"].shape[0]))
+    z[[0, 1], [0, 1]] = s["z1_diag"]
+    z[:, 2:] = s["z2"]
+    z[0, 1], z[1, 0] = u
+    return z
+
+
+def full_frame_basis(s0, s2):
+    """The 2n + 1 rows of the basis system in the full SVD frames, solved."""
+    n = s0["v"].shape[0]
+    p = s0["v"].T @ s2["v"]
+    g1 = s2["u"].T @ s0["u"]
+    g2 = s2["u"].T @ _J @ s0["u"]
     e01 = np.zeros((2, n))
     e01[0, 1] = 1.0
     e10 = np.zeros((2, n))
     e10[1, 0] = 1.0
-    mats = [g1 @ zk @ p, g2 @ zk @ p, g1 @ e01 @ p, g1 @ e10 @ p, g2 @ e01 @ p, g2 @ e10 @ p]
+    zk = full_frame_z(s0, (0.0, 0.0))
+    m = np.stack([g1 @ zk @ p, g2 @ zk @ p, g1 @ e01 @ p, g1 @ e10 @ p, g2 @ e01 @ p, g2 @ e10 @ p])
+    lam0, lam2, c0 = s0["lam"], s2["lam"], s0["c"]
+    w = np.vstack(
+        [
+            m[:, [0, 1], [0, 1]].T,  # leading-block diagonal
+            m[:, :, 2:].reshape(6, -1).T,  # trailing block, row 0 then row 1
+            lam2[0] * m[:, 0, 1] + lam2[1] * m[:, 1, 0],
+            [[-c0, 0.0, lam0[0], lam0[1], 0.0, 0.0], [0.0, -c0, 0.0, 0.0, lam0[0], lam0[1]]],
+        ]
+    )
+    b = np.concatenate([s2["z1_diag"], s2["z2"].ravel(), [s2["c"], 0.0, 0.0]])
+    phi, _, _, sv = np.linalg.lstsq(w, b, rcond=None)
+    h = phi[:2] / np.hypot(phi[0], phi[1])
+    u = np.array([h[0] * phi[2] + h[1] * phi[4], h[0] * phi[3] + h[1] * phi[5]])
+    return {
+        "w": w, "phi": phi, "h": h, "u": u, "residual": float(np.linalg.norm(w @ phi - b)),
+        "condition": float(sv[0] / sv[-1]),
+    }
+
+
+@pytest.mark.parametrize("n", [4, 10, 100])
+def test_thin_split_and_basis_match_full_frame(n):
+    (b0, a0), (b2, a2) = split_inputs(n)
+    f0, f2 = chu_decompose(b0, a0), chu_decompose(b2, a2)
+    s0, s2 = full_frame_split(b0, a0), full_frame_split(b2, a2)
+    for f, s in ((f0, s0), (f2, s2)):
+        assert rel_err(f.lam, s["lam"]) <= 1e-12
+        assert rel_err(f.residual, s["residual"]) <= 1e-10
+        assert rel_err(f.known, full_frame_z(s, (0.0, 0.0)) @ s["v"].T) <= 1e-10
+    basis, ref = build_and_solve_basis(f0, f2), full_frame_basis(s0, s2)
+    assert basis.w.shape == (2 * n + 5, 6) and ref["w"].shape == (2 * n + 1, 6)
+    for key in ("phi", "h", "u", "residual", "condition"):
+        assert rel_err(getattr(basis, key), ref[key]) <= 1e-10, key
+    want = s0["u"] @ full_frame_z(s0, ref["u"]) @ s0["v"].T
+    assert rel_err(recover_velocity(f0, basis.u), want) <= 1e-10
+
+
+def test_split_residual_vanishes_on_consistent_input():
+    # ||P B P|| from two rank-2 updates; ||B||^2 - ||vt B||^2 would cancel here
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1000.0, 1000.0, (2, 100))
+    m = rng.uniform(-10.0, 10.0, (2, 100))
+    b = a.T @ m + m.T @ a
+    assert chu_decompose(b, a).residual <= 1e-12 * np.linalg.norm(b)
+
+
+def row_loop_system(f0, f2):
+    """The basis system built one row at a time, one entry per coefficient matrix."""
+    n = f0.vt.shape[1]
+    g1 = f2.u.T @ f0.u
+    g2 = f2.u.T @ _J @ f0.u
+    known, free = f0.known, f0.vt[::-1]
+    mats = [
+        g1 @ known, g2 @ known,
+        np.outer(g1[:, 0], free[0]), np.outer(g1[:, 1], free[1]),
+        np.outer(g2[:, 0], free[0]), np.outer(g2[:, 1], free[1]),
+    ]
+    leads = [m @ f2.vt.T for m in mats]
+    trails = [m - lead @ f2.vt for m, lead in zip(mats, leads)]
     rows, rhs = [], []
     for i in range(2):
-        rows.append(np.array([m[i, i] for m in mats]))
-        rhs.append(float(f2.z1_diag[i]))
+        rows.append([lead[i, i] for lead in leads])
+        rhs.append(f2.z1_diag[i])
     for i in range(2):
-        for j in range(2, n):
-            rows.append(np.array([m[i, j] for m in mats]))
-            rhs.append(float(f2.z2[i, j - 2]))
-    ci, cj, c2 = f2.offdiag_constraints[0]
-    rows.append(np.array([f2.lam[ci] * m[ci, cj] + f2.lam[cj] * m[cj, ci] for m in mats]))
-    rhs.append(c2)
-    ci, cj, c0 = f0.offdiag_constraints[0]
-    rows.append(np.array([-c0, 0.0, f0.lam[ci], f0.lam[cj], 0.0, 0.0]))
+        for j in range(n):
+            rows.append([trail[i, j] for trail in trails])
+            rhs.append(f2.z2[i, j])
+    rows.append([f2.lam[0] * lead[0, 1] + f2.lam[1] * lead[1, 0] for lead in leads])
+    rhs.append(f2.c)
+    rows.append([-f0.c, 0.0, f0.lam[0], f0.lam[1], 0.0, 0.0])
     rhs.append(0.0)
-    rows.append(np.array([0.0, -c0, 0.0, 0.0, f0.lam[ci], f0.lam[cj]]))
+    rows.append([0.0, -f0.c, 0.0, 0.0, f0.lam[0], f0.lam[1]])
     rhs.append(0.0)
-    return np.vstack(rows), np.asarray(rhs)
+    return np.array(rows), np.array(rhs)
 
 
 @pytest.mark.parametrize("n", [4, 10, 100])
@@ -87,7 +170,7 @@ def test_basis_system_equals_row_loop(n):
     f0, f2 = splits(n)
     w, b = row_loop_system(f0, f2)
     basis = build_and_solve_basis(f0, f2)
-    assert basis.w.shape == (2 * n + 1, 6)
+    assert basis.w.shape == (2 * n + 5, 6)
     assert np.array_equal(basis.w, w)
     assert np.array_equal(basis.rhs, b)
 
