@@ -10,14 +10,17 @@ from .accel_estimator import (
     AccelCoefficients,
     deflate_grams,
     estimate_with_accel,
+    estimate_with_accel_batch,
     fit_accel_coeffs,
     fit_deflated_coeffs,
 )
 from .distance_estimator import (
+    BatchEstimate,
     KinematicEstimate,
     build_and_solve_basis,
     chu_decompose,
     estimate_from_distances,
+    estimate_from_distances_batch,
     fit_gram_coeffs,
     recover_position_acceleration,
     recover_velocity,
@@ -65,6 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccelCoefficients",
+    "BatchEstimate",
     "ConfigError",
     "DegenerateGeometryError",
     "DegenerateGeometryWarning",
@@ -91,7 +95,9 @@ __all__ = [
     "deflate_grams",
     "edm_from_points",
     "estimate_from_distances",
+    "estimate_from_distances_batch",
     "estimate_with_accel",
+    "estimate_with_accel_batch",
     "eval_kinematics",
     "fit_accel_coeffs",
     "fit_deflated_coeffs",

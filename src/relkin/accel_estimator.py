@@ -23,12 +23,15 @@ from math import factorial
 import numpy as np
 
 from .distance_estimator import (
+    BatchEstimate,
     GrammianCoefficients,
     KinematicEstimate,
     _fit_edm_coeffs,
+    _one_record,
     _poly_lstsq,
     _solve,
     _stage,
+    _sum_squares,
     fit_gram_coeffs,
 )
 from .distance_estimator import chu_decompose  # noqa: F401  (perfbench's tracer rebinds this copy)
@@ -40,6 +43,7 @@ __all__ = [
     "AccelCoefficients",
     "deflate_grams",
     "estimate_with_accel",
+    "estimate_with_accel_batch",
     "fit_accel_coeffs",
     "fit_deflated_coeffs",
 ]
@@ -51,15 +55,16 @@ class AccelCoefficients:
 
     ``blocks[i]`` estimates the coefficient of derivative order ``2 + i``,
     expressed in the sensor frame (a fixed unknown rotation of the true
-    coefficients).
+    coefficients).  A stacked fit carries the leading axes on every block
+    and on ``residual``.
     """
 
     blocks: list[np.ndarray]
-    residual: float = 0.0
+    residual: float | np.ndarray = 0.0
 
 
 def fit_accel_coeffs(accels, timestamps, order: int = 2) -> AccelCoefficients:
-    """Per-entry polynomial fit of an accelerometer series.
+    """Per-entry polynomial fit of an accelerometer series, or of a stack of them.
 
     An order-``order`` trajectory has acceleration polynomial of degree
     ``order - 2`` in time, so for the constant-acceleration case the fit
@@ -67,14 +72,15 @@ def fit_accel_coeffs(accels, timestamps, order: int = 2) -> AccelCoefficients:
     matrices for derivative orders 2..order in the sensor frame.
     """
     accels = np.asarray(accels, dtype=float)
-    if accels.ndim != 3:
+    if accels.ndim < 3:
         raise InvalidDimensionError("accels must be (K+1, dim, n)")
     if order < 2:
         raise InvalidDimensionError("accelerometer data constrains orders >= 2 only")
-    kk, d, n = accels.shape
-    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(kk, d * n), order - 2)
-    blocks = [factorial(j) * coeffs[j].reshape(d, n) for j in range(order - 1)]
-    return AccelCoefficients(blocks=blocks, residual=float(np.linalg.norm(residual)))
+    lead, (d, n) = accels.shape[:-2], accels.shape[-2:]
+    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), order - 2)
+    shape = lead[:-1] + (d, n)
+    blocks = [factorial(j) * coeffs[..., j, :].reshape(shape) for j in range(order - 1)]
+    return AccelCoefficients(blocks=blocks, residual=np.sqrt(_sum_squares(residual)))
 
 
 def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
@@ -108,8 +114,8 @@ def fit_deflated_coeffs(deflated_vecs, timestamps) -> GrammianCoefficients:
     return fit_gram_coeffs(deflated_vecs, timestamps, degree=3)
 
 
-def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
-    """Recover relative kinematics from EDMs fused with accelerometer data.
+def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:
+    """Accelerometer-fused estimates of every record of ``meas`` (a stack, or one record).
 
     Steps: fit sensor-frame acceleration coefficients, deflate every
     pair's squared-distance series by its quartic term and fit it at
@@ -119,15 +125,17 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     acceleration coefficients as the acceleration factor.  Outputs of
     order >= 2 are the sensor-frame coefficients mapped through the
     recovered rotation, so all blocks share the position factor's frame.
+    Each stage is one stacked call over all records.
     """
     if d != 2:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     if meas.accels is None:
         raise ConfigError("accelerometer fusion needs accelerometer data in the bundle")
-    if meas.accels.shape[1] != d:
+    if meas.accels.shape[-2] != d:
         raise InvalidDimensionError(
-            f"accelerometer data has {meas.accels.shape[1]} axes, but dim = {d}"
+            f"accelerometer data has {meas.accels.shape[-2]} axes, but dim = {d}"
         )
+    meas = meas.as_batch()
 
     with _stage("accelerometer-fit"):
         acc = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
@@ -139,7 +147,17 @@ def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
         coeffs = _fit_edm_coeffs(meas, degree=3, accel=sensor_accel)
     with _stage("mds"):
         mds0 = classical_mds(coeffs.blocks[0], d)
-    warnings_ = [f"position factor: {w}" for w in mds0.warnings]
+    notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
     residuals = {"accel_fit": acc.residual, "gram_fit": coeffs.residual}
     conditioning = {"position_mds": mds0.eigen_gap}
-    return _solve(meas, coeffs, mds0, sensor_accel, warnings_, residuals, conditioning)
+    return _solve(meas, coeffs, mds0, sensor_accel, notes, residuals, conditioning)
+
+
+def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
+    """Recover relative kinematics from EDMs fused with accelerometer data.
+
+    The batch of one of :func:`estimate_with_accel_batch`: ``meas`` holds
+    one record, and a failed record raises its stage-labelled
+    EstimationError.
+    """
+    return estimate_with_accel_batch(_one_record(meas), d).estimate(0)

@@ -13,13 +13,20 @@ with one fallback rule for both: when the acceleration factor is
 negligible over the record, rank deficient, or admits no solvable basis
 system, the velocity takes its minimum-norm completion, the rotation is
 fixed to identity and a warning says so.
+
+Every stage works on a stack of records that share one time grid: the
+batch entry points estimate all of a stacked MeasurementSet at once, and
+a single estimate is the batch of one.  The choices a record needs of
+its own (reflection retry, fallback, a degenerate split) are per-record
+masks, so each record comes out as it would alone.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from typing import Optional, TypeVar
 
 import numpy as np
 
@@ -32,18 +39,20 @@ from .errors import (
     RelkinError,
     SingularDesignError,
 )
-from .linalg import MdsResult, classical_mds, triu_indices, unvech
+from .linalg import MdsResult, classical_mds, edm_from_points, triu_indices, unvech
 from .linalg import vech  # noqa: F401  (perfbench's tracer test rebinds this copy)
 from .trajectory import MeasurementSet
 
 __all__ = [
     "BasisSystem",
+    "BatchEstimate",
     "ChuFactors",
     "GrammianCoefficients",
     "KinematicEstimate",
     "build_and_solve_basis",
     "chu_decompose",
     "estimate_from_distances",
+    "estimate_from_distances_batch",
     "fit_gram_coeffs",
     "recover_position_acceleration",
     "recover_velocity",
@@ -54,19 +63,40 @@ __all__ = [
 _FLIP = np.diag([-1.0, 1.0])
 # 90-degree generator: h1*I + h2*_J spans the planar rotations
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_GENERATORS = np.stack([np.eye(2), _J])
 # the acceleration factor F counts as negligible when s_min(F)^2 t_max^4, its
 # weakest direction at the record's largest |t|, stays below this fraction of
 # the largest position eigenvalue
 _NEGLIGIBLE_ACCEL = 1e-10
+_EYE = np.eye(2)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+_DEGENERATE_FACTOR = "factor is rank deficient; the Lyapunov-like split cannot proceed"
+_RANK_DEFICIENT_BASIS = (
+    "basis system is rank deficient; the coefficient blocks are too close to "
+    "singular for a unique solution"
+)
+_VANISHING_ROTATION = "rotation components of the basis solution vanish"
+_REPEATED = (
+    "nearly repeated singular values; the SVD frame is ill determined and the "
+    "basis solve relies on its residual check"
+)
+
+T = TypeVar("T")
 
 
 @dataclass
 class GrammianCoefficients:
-    """Symmetric coefficient blocks of the fitted Grammian polynomial."""
+    """Symmetric coefficient blocks of the fitted Grammian polynomial.
+
+    For a stack of B records, ``blocks[l]`` is the (B, n, n) stack of
+    block l and ``residual`` holds the B fit residuals.
+    """
 
     degree: int
     blocks: list[np.ndarray]
-    residual: float = 0.0
+    residual: float | np.ndarray = 0.0
 
 
 @dataclass
@@ -80,7 +110,13 @@ class ChuFactors:
     diagonal and ``z2`` = diag(1/lam) vt B P the part of N outside the row
     space, so N = :attr:`known` + (u1 vt[1]; u2 vt[0]) for free entries
     (u1, u2) tied by lam[0] u1 + lam[1] u2 = ``c`` = (vt B vt^T)[0, 1].
-    ``residual`` is ||P B P||_F, zero for consistent input.
+    ``residual`` is ||P B P||_F, zero for consistent input, and
+    ``repeated`` flags nearly repeated singular values.
+
+    The split of a stack carries its leading axes on every field.
+    ``degenerate`` then flags the members whose A is rank deficient (a
+    single split raises instead); their other fields are finite but
+    meaningless.
     """
 
     u: np.ndarray
@@ -88,14 +124,15 @@ class ChuFactors:
     lam: np.ndarray
     z1_diag: np.ndarray
     z2: np.ndarray
-    c: float
-    residual: float
-    warnings: list[str] = field(default_factory=list)
+    c: np.ndarray
+    residual: np.ndarray
+    repeated: np.ndarray
+    degenerate: np.ndarray
 
     @property
     def known(self) -> np.ndarray:
-        """N with both free entries set to zero, (2, n)."""
-        return self.z1_diag[:, None] * self.vt + self.z2
+        """N with both free entries set to zero, (..., 2, n)."""
+        return self.z1_diag[..., :, None] * self.vt + self.z2
 
 
 @dataclass
@@ -104,8 +141,12 @@ class BasisSystem:
 
     ``phi`` solves rows @ phi ~ rhs in least squares for the basis vector
     (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2); ``h`` is the normalized rotation
-    pair and ``u`` the recovered free entries.  ``condition`` is
-    s_max/s_min of ``w``.
+    pair, ``h_norm`` its length before normalization, and ``u`` the
+    recovered free entries.  ``condition`` is s_max/s_min of ``w``.
+
+    The system of a stack of splits carries its leading axes on every
+    field; members with ``rank`` < 6 or ``h_norm`` < 1e-8 are flagged
+    there instead of raising.
     """
 
     w: np.ndarray
@@ -113,9 +154,10 @@ class BasisSystem:
     phi: np.ndarray
     h: np.ndarray
     u: np.ndarray
-    residual: float
-    rank: int
-    condition: float
+    residual: np.ndarray
+    rank: np.ndarray
+    condition: np.ndarray
+    h_norm: np.ndarray
 
 
 @dataclass
@@ -143,21 +185,74 @@ class KinematicEstimate:
     conditioning: dict[str, float] = field(default_factory=dict)
 
 
-def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares polynomial fit shared by all columns of ``values``.
+@dataclass
+class BatchEstimate:
+    """Estimates of the B records of a stack, as the batch entry points return them.
 
-    One QR factorization of the (degree+1)-column Vandermonde matrix
-    gives the small (degree+1, K+1) projector R^-1 Q^T, which one matmul
-    applies to every column at once.  The time axis is rescaled to
-    [-1, 1] before factorization and the coefficients unscaled
-    afterwards, which leaves the minimizer unchanged but keeps the factor
-    well conditioned.  Returns the coefficients and the (K+1, m) residual
-    of the fit.
+    ``y0``, ``y1``, ``y2`` (B, d, n) and ``rotation`` (B, 2, 2) stack the
+    fields of :class:`KinematicEstimate`, every value of ``residuals`` and
+    ``conditioning`` is a (B,) array, and ``coeffs`` holds stacked blocks.
+    ``warnings[i]`` lists record i's warnings and ``errors[i]`` holds its
+    stage-labelled failure, or None; the blocks of a failed record are
+    meaningless.
     """
-    t = np.asarray(timestamps, dtype=float).ravel()
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 2 or vals.shape[0] != t.size:
-        raise InvalidDimensionError("values must be (K+1, m) matching timestamps")
+
+    y0: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+    rotation: np.ndarray
+    residuals: dict[str, np.ndarray]
+    conditioning: dict[str, np.ndarray]
+    warnings: list[list[str]]
+    errors: list[Optional[EstimationError]]
+    coeffs: GrammianCoefficients
+
+    def estimate(self, i: int) -> KinematicEstimate:
+        """Record ``i`` on its own; raises its error if it failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        c = self.coeffs
+        return KinematicEstimate(
+            y0=self.y0[i],
+            y1=self.y1[i],
+            y2=self.y2[i],
+            rotation=self.rotation[i],
+            residuals={key: float(v[i]) for key, v in self.residuals.items()},
+            warnings=self.warnings[i],
+            coeffs=GrammianCoefficients(c.degree, [b[i] for b in c.blocks], float(c.residual[i])),
+            conditioning={key: float(v[i]) for key, v in self.conditioning.items()},
+        )
+
+    def select(self, index: np.ndarray) -> BatchEstimate:
+        """The records at the integer positions ``index``, as a batch."""
+        c = self.coeffs
+        return BatchEstimate(
+            y0=self.y0[index],
+            y1=self.y1[index],
+            y2=self.y2[index],
+            rotation=self.rotation[index],
+            residuals={key: v[index] for key, v in self.residuals.items()},
+            conditioning={key: v[index] for key, v in self.conditioning.items()},
+            warnings=[self.warnings[i] for i in index],
+            errors=[self.errors[i] for i in index],
+            coeffs=GrammianCoefficients(c.degree, [b[index] for b in c.blocks], c.residual[index]),
+        )
+
+
+@lru_cache(maxsize=32)
+def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design, projector and unscaling powers of a degree-``degree`` fit.
+
+    ``t_bytes`` holds the float64 time grid.  One QR factorization of the
+    (degree+1)-column Vandermonde matrix gives the small (degree+1, K+1)
+    projector R^-1 Q^T.  The time axis is rescaled to [-1, 1] before
+    factorization and the coefficients are unscaled by the powers
+    afterwards, which leaves the minimizer unchanged but keeps the factor
+    well conditioned.  The arrays are read-only and cached per grid and
+    degree: every record of a sweep's K shares one grid, and so does
+    every single estimate at that K.
+    """
+    t = np.frombuffer(t_bytes)
     if t.size < degree + 1:
         raise SingularDesignError(
             f"need at least {degree + 1} samples for a degree-{degree} fit, got {t.size}"
@@ -168,10 +263,28 @@ def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularDesignError("rank-deficient Vandermonde design (repeated timestamps?)")
-    coeffs = np.linalg.solve(r, q.T) @ vals
+    fit = a, np.linalg.solve(r, q.T), scale ** np.arange(degree + 1)
+    for array in fit:
+        array.flags.writeable = False
+    return fit
+
+
+def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares polynomial fit shared by all columns of ``values``.
+
+    ``values`` is (K+1, m), or a stack (..., K+1, m) of such series; the
+    grid's cached projector (see :func:`_vandermonde`) serves every column
+    of every member in one matmul.  Returns the coefficients and the
+    residual of the fit.
+    """
+    t = np.asarray(timestamps, dtype=float).ravel()
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim < 2 or vals.shape[-2] != t.size:
+        raise InvalidDimensionError("values must be (K+1, m) matching timestamps")
+    a, projector, powers = _vandermonde(t.tobytes(), degree)
+    coeffs = projector @ vals
     residual = a @ coeffs
     residual -= vals
-    powers = scale ** np.arange(degree + 1)
     return coeffs / powers[:, None], residual
 
 
@@ -190,41 +303,47 @@ def fit_gram_coeffs(gram_vecs, timestamps, degree: int) -> GrammianCoefficients:
     return GrammianCoefficients(degree, blocks, residual=float(np.linalg.norm(residual)))
 
 
+def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Sum of squares over ``axis``, by default the last two axes of ``x``."""
+    return np.add.reduce(x * x, axis=axis)
+
+
 def _double_center(pairs, n: int) -> np.ndarray:
     """-C D C / 2 of each EDM D whose upper-triangle entries are a row of ``pairs``.
 
-    ``pairs`` is (B, m); the result is the (B, n, n) block stack.  Centers
-    by row and column means: each block stays exactly symmetric, and the
-    cost is O(B n^2) rather than two n-by-n matrix products per block.
+    ``pairs`` is (..., m); the result is the (..., n, n) block stack.
+    Centers by row and column means: each block stays exactly symmetric,
+    and the cost is O(n^2) per block rather than two n-by-n matrix
+    products.
     """
     iu, ju = triu_indices(n, 1)
-    d = np.zeros((len(pairs), n, n))
-    d[:, iu, ju] = pairs
-    d[:, ju, iu] = pairs
-    # in place: fewer (B, n, n) temporaries, the same operations in the same order
-    r = d.mean(axis=2)
-    d -= r[:, :, None] + r[:, None, :]
-    d += r.mean(axis=1)[:, None, None]
+    d = np.zeros(pairs.shape[:-1] + (n, n))
+    d[..., iu, ju] = pairs
+    d[..., ju, iu] = pairs
+    # in place: fewer (..., n, n) temporaries, the same operations in the same order
+    r = d.mean(axis=-1)
+    d -= r[..., :, None] + r[..., None, :]
+    d += r.mean(axis=-1)[..., None, None]
     d *= -0.5
     return d
 
 
-def _gram_residual(res, r, n: int) -> float:
-    """Norm of the half-vectorized Grammian-space residual, in O(K m).
+def _gram_residual(res, r, n: int) -> np.ndarray:
+    """Norm of the half-vectorized Grammian-space residual, in O(K m) per record.
 
-    Row k of ``res`` holds the upper-triangle entries of a symmetric,
-    zero-diagonal residual EDM R, and row k of ``r`` its row means.  With
-    rbar their mean, ||C R C||_F^2 = ||R||_F^2 - 2n ||r||^2 + n^2 rbar^2
-    and diag(-C R C / 2) = r - rbar / 2; vech keeps each diagonal entry
-    and each off-diagonal pair once, so
-    ||vech G||^2 = (||G||_F^2 + ||diag G||^2) / 2.
+    Row k of ``res`` (..., K+1, m) holds the upper-triangle entries of a
+    symmetric, zero-diagonal residual EDM R, and row k of ``r`` its row
+    means.  With rbar their mean,
+    ||C R C||_F^2 = ||R||_F^2 - 2n ||r||^2 + n^2 rbar^2 and
+    diag(-C R C / 2) = r - rbar / 2; vech keeps each diagonal entry and
+    each off-diagonal pair once, so ||vech G||^2 = (||G||_F^2 + ||diag G||^2) / 2.
     """
-    rbar = r.mean(axis=1)
-    r_sq = 2.0 * float(np.vdot(res, res))  # each pair appears twice in R
-    crc_sq = r_sq - 2.0 * n * float(np.vdot(r, r)) + n**2 * float(rbar @ rbar)
-    diag = r - 0.5 * rbar[:, None]
-    total = 0.5 * (0.25 * crc_sq + float(np.vdot(diag, diag)))
-    return float(np.sqrt(max(total, 0.0)))
+    rbar = r.mean(axis=-1)
+    r_sq = 2.0 * _sum_squares(res)  # each pair appears twice in R
+    crc_sq = r_sq - 2.0 * n * _sum_squares(r) + n**2 * _sum_squares(rbar, -1)
+    diag = r - 0.5 * rbar[..., None]
+    total = 0.5 * (0.25 * crc_sq + _sum_squares(diag))
+    return np.sqrt(np.maximum(total, 0.0))
 
 
 def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCoefficients:
@@ -235,27 +354,32 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     (validated symmetric, zero-diagonal) EDM with one shared Vandermonde
     projection and centering only the coefficient blocks gives
     :func:`fit_gram_coeffs` of the Grammian series, up to round-off.
-    ``accel``, a centered (d, n) acceleration block, deflates each pair
-    by t^4 |a_i - a_j|^2 / 4 first; that double-centers to the
-    vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.
+    ``accel``, a centered (..., d, n) acceleration block, deflates each
+    pair by t^4 |a_i - a_j|^2 / 4 first; that double-centers to the
+    vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  A stacked
+    ``meas`` gives stacked blocks, all from the grid's one projector.
     """
     n = meas.n_nodes
     iu, ju = triu_indices(n, 1)
     t = meas.timestamps
-    pairs = meas.edms[:, iu, ju]
+    pairs = meas.edms[..., iu, ju]
     # row means are linear too: their series' fit residual is the row
     # means of the residual EDMs, which the Grammian residual needs
-    row_means = meas.edms.mean(axis=2)
+    mean = np.full(n, 1.0 / n)
+    row_means = meas.edms @ mean
     if accel is not None:
-        diff = accel[:, iu] - accel[:, ju]
-        quartic = 0.25 * np.einsum("dm,dm->m", diff, diff)
-        pairs -= np.outer(t**4, quartic)
-        node_quartic = np.bincount(iu, quartic, n) + np.bincount(ju, quartic, n)
-        row_means -= np.outer(t**4, node_quartic / n)
+        quartic = 0.25 * edm_from_points(accel)
+        t4 = (t**4)[:, None]
+        pairs -= t4 * quartic[..., None, iu, ju]
+        row_means -= t4 * (quartic @ mean)[..., None, :]
     coeffs, res = _poly_lstsq(t, pairs, degree)
     _, row_res = _poly_lstsq(t, row_means, degree)
-    blocks = list(_double_center(coeffs, n))
-    return GrammianCoefficients(degree, blocks, residual=_gram_residual(res, row_res, n))
+    blocks = _double_center(coeffs, n)
+    return GrammianCoefficients(
+        degree,
+        [blocks[..., l, :, :] for l in range(degree + 1)],
+        residual=_gram_residual(res, row_res, n),
+    )
 
 
 def recover_position_acceleration(
@@ -266,7 +390,8 @@ def recover_position_acceleration(
     The constant block is the Grammian of the centered positions at t = 0;
     four times the quartic block is the Grammian of the accelerations.
     Both factors inherit zero row sums from the double-centered data, and
-    each is known only up to its own orthogonal transform.
+    each is known only up to its own orthogonal transform.  Stacked
+    blocks give stacked factors.
     """
     if coeffs.degree < 4:
         raise InvalidDimensionError("position/acceleration recovery needs a degree-4 fit")
@@ -276,36 +401,38 @@ def recover_position_acceleration(
 def chu_decompose(bhat, yhat) -> ChuFactors:
     """Split B = A^T M + M^T A via the thin SVD of the known factor A = ``yhat``.
 
-    ``bhat`` is the symmetric n-by-n B and ``yhat`` the 2-by-n A, which
-    must have full row rank (singular values above 1e-8 of the largest);
-    otherwise the equation does not determine the split and a
-    DegenerateGeometryError is raised.  No n-by-n frame is formed: B is
-    projected with P = I - vt^T vt applied as two rank-2 updates.
+    ``bhat`` is the symmetric n-by-n B and ``yhat`` the 2-by-n A, or
+    stacks (..., n, n) and (..., 2, n) of them, split by one stacked SVD.
+    A must have full row rank (singular values above 1e-8 of the
+    largest); otherwise the equation does not determine the split: a
+    single split raises DegenerateGeometryError, a stack flags the
+    member in ``degenerate``.  No n-by-n frame is formed: B is projected
+    with P = I - vt^T vt applied as two rank-2 updates.
     """
     bhat = np.asarray(bhat, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
-    if yhat.ndim != 2 or yhat.shape[0] != 2 or bhat.shape != (yhat.shape[1], yhat.shape[1]):
+    square = yhat.shape[:-2] + yhat.shape[-1:] * 2
+    if yhat.ndim < 2 or yhat.shape[-2] != 2 or bhat.shape != square:
         raise InvalidDimensionError("chu_decompose needs yhat (2, n) and bhat (n, n)")
     u, lam, vt = np.linalg.svd(yhat, full_matrices=False)
-    if lam.size < 2 or lam[1] <= 1e-8 * lam[0]:
-        raise DegenerateGeometryError(
-            "factor is rank deficient; the Lyapunov-like split cannot proceed"
-        )
-    bv = bhat @ vt.T
+    if lam.shape[-1] < 2:
+        raise DegenerateGeometryError(_DEGENERATE_FACTOR)
+    degenerate = lam[..., 1] <= 1e-8 * lam[..., 0]
+    if yhat.ndim == 2 and degenerate:
+        raise DegenerateGeometryError(_DEGENERATE_FACTOR)
+    # a degenerate member of a stack divides by 1 instead, keeping its fields finite
+    safe = np.where(degenerate[..., None], 1.0, lam) if degenerate.any() else lam
+    vtt = vt.swapaxes(-1, -2)
+    bv = bhat @ vtt
     lead = vt @ bv  # vt B vt^T
     bp = bhat - bv @ vt  # B P
     vbp = vt @ bp
-    notes: list[str] = []
-    if lam[0] / lam[1] < 1.0 + 1e-6:
-        notes.append(
-            "nearly repeated singular values; the SVD frame is ill determined "
-            "and the basis solve relies on its residual check"
-        )
     # ||P B P||, not ||B||^2 - ||vt B||^2, which cancels at zero noise
-    residual = float(np.linalg.norm(bp - vt.T @ vbp))
+    residual = np.sqrt(_sum_squares(bp - vtt @ vbp))
     return ChuFactors(
-        u=u, vt=vt, lam=lam, z1_diag=np.diag(lead) / (2.0 * lam), z2=vbp / lam[:, None],
-        c=float(lead[0, 1]), residual=residual, warnings=notes,
+        u=u, vt=vt, lam=lam, z1_diag=lead.diagonal(0, -2, -1) / (2.0 * safe),
+        z2=vbp / safe[..., None], c=lead[..., 0, 1], residual=residual,
+        repeated=lam[..., 0] / safe[..., 1] < 1.0 + 1e-6, degenerate=degenerate,
     )
 
 
@@ -337,56 +464,89 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
 
     The trailing rows span only the (n - 2)-dimensional complement of
     vt2's rows, so the normal equations equal those of the 2n + 1 rows of
-    the full SVD frame.  phi is obtained by linear least squares; h is
-    normalized to unit length and u recovered by projecting the bilinear
-    components onto h, which avoids dividing by near-zero rotation
-    components.
+    the full SVD frame.  phi is the least-squares solution from the SVD
+    of the rows, with ``lstsq``'s rank rule (singular values at most
+    eps * max(rows, 6) times the largest count as zero); h is normalized
+    to unit length and u recovered by projecting the bilinear components
+    onto h, which avoids dividing by near-zero rotation components.
+    Stacked splits give a stack of systems solved by one stacked SVD.
     """
-    n = f0.vt.shape[1]
-    if f2.vt.shape[1] != n:
+    n = f0.vt.shape[-1]
+    if f2.vt.shape[-1] != n:
         raise InvalidDimensionError("both splits must describe the same node count")
     _require_four_nodes(n)
 
-    g = (f2.u.T @ f0.u, f2.u.T @ _J @ f0.u)
-    known, free = f0.known, f0.vt[::-1]
-    # coefficient matrices of N2 w.r.t. each basis component, (6, 2, n)
-    m = np.stack([x @ known for x in g] + [np.outer(x[:, k], free[k]) for x in g for k in (0, 1)])
-    lead = m @ f2.vt.T
-    w = np.vstack(
+    # g[..., j, :, :] = U2^T G_j U0 for the generators G = (I, _J) of h1*I + h2*_J
+    g = f2.u.swapaxes(-1, -2)[..., None, :, :] @ _GENERATORS @ f0.u[..., None, :, :]
+    free = f0.vt[..., ::-1, :]
+    # coefficient matrices of N2 w.r.t. each basis component, (..., 6, 2, n): g_j @ known
+    # for h_j, then the outer products of g_j's column k with free[k] for h_j * u_(k+1)
+    outer = g.swapaxes(-1, -2)[..., :, :, :, None] * free[..., None, :, None, :]
+    m = np.concatenate(
+        [g @ f0.known[..., None, :, :], outer.reshape(outer.shape[:-4] + (4, 2, n))], axis=-3
+    )
+    vt2 = f2.vt[..., None, :, :]
+    lead = m @ vt2.swapaxes(-1, -2)
+    tie = np.zeros(f0.lam.shape[:-1] + (2, 6))
+    tie[..., 0, 0] = tie[..., 1, 1] = -f0.c
+    tie[..., 0, 2:4] = tie[..., 1, 4:6] = f0.lam
+    w = np.concatenate(
         [
-            lead[:, [0, 1], [0, 1]].T,
-            (m - lead @ f2.vt).reshape(6, -1).T,
-            f2.lam[0] * lead[:, 0, 1] + f2.lam[1] * lead[:, 1, 0],
-            [[-f0.c, 0.0, f0.lam[0], f0.lam[1], 0.0, 0.0],
-             [0.0, -f0.c, 0.0, 0.0, f0.lam[0], f0.lam[1]]],
-        ]
+            lead.diagonal(0, -2, -1).swapaxes(-1, -2),
+            (m - lead @ vt2).reshape(m.shape[:-2] + (2 * n,)).swapaxes(-1, -2),
+            (f2.lam[..., :1] * lead[..., 0, 1] + f2.lam[..., 1:] * lead[..., 1, 0])[..., None, :],
+            tie,
+        ],
+        axis=-2,
     )
-    b = np.concatenate([f2.z1_diag, f2.z2.ravel(), [f2.c, 0.0, 0.0]])
-    phi, _, rank, sv = np.linalg.lstsq(w, b, rcond=None)
-    if rank < 6:
-        raise NonUniqueSolutionError(
-            "basis system is rank deficient; the coefficient blocks are too "
-            "close to singular for a unique solution"
-        )
-    residual = float(np.linalg.norm(w @ phi - b))
-    norm_h = float(np.hypot(phi[0], phi[1]))
-    if norm_h < 1e-8:
-        raise DegenerateRotationError("rotation components of the basis solution vanish")
-    h = phi[:2] / norm_h
-    u = np.array([h[0] * phi[2] + h[1] * phi[4], h[0] * phi[3] + h[1] * phi[5]])
+    b = np.concatenate(
+        [f2.z1_diag, f2.z2.reshape(f2.z2.shape[:-2] + (2 * n,)), f2.c[..., None], tie[..., 0, 4:]],
+        axis=-1,
+    )
+    uw, sv, vwt = np.linalg.svd(w, full_matrices=False)
+    kept = sv > _EPS * max(w.shape[-2], 6) * sv[..., :1]
+    rank = kept.sum(axis=-1)
+    # singular values under the cutoff contribute nothing, as in lstsq
+    scaled = (uw.swapaxes(-1, -2) @ b[..., None])[..., 0] / np.where(kept, sv, np.inf)
+    phi = (vwt.swapaxes(-1, -2) @ scaled[..., None])[..., 0]
+    gap = (w @ phi[..., None])[..., 0] - b
+    h_norm = np.hypot(phi[..., 0], phi[..., 1])
+    if w.ndim == 2:
+        if rank < 6:
+            raise NonUniqueSolutionError(_RANK_DEFICIENT_BASIS)
+        if h_norm < 1e-8:
+            raise DegenerateRotationError(_VANISHING_ROTATION)
+    h = phi[..., :2] / np.maximum(h_norm, _TINY)[..., None]
     return BasisSystem(
-        w=w, rhs=b, phi=phi, h=h, u=u, residual=residual, rank=int(rank),
-        condition=float(sv[0] / sv[-1]),
+        w=w, rhs=b, phi=phi, h=h, u=h[..., :1] * phi[..., 2:4] + h[..., 1:] * phi[..., 4:],
+        residual=np.sqrt(_sum_squares(gap, -1)), rank=rank,
+        condition=_ratio(sv), h_norm=h_norm,
     )
+
+
+def _ratio(s: np.ndarray) -> np.ndarray:
+    """s[..., 0] / s[..., -1] of nonnegative ``s``.
+
+    Only flagged members of a stack can have s[..., -1] = 0; their ratio
+    is finite and never reported.
+    """
+    return s[..., 0] / np.maximum(s[..., -1], _TINY)
 
 
 def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
     """The velocity matrix u0 @ N0 of the split ``f0``.
 
-    ``u`` supplies the two free entries of N0; the rest is ``f0.known``.
+    ``u`` (..., 2) supplies the two free entries of N0; the rest is
+    ``f0.known``.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    return f0.u @ (f0.known + u[:, None] * f0.vt[::-1])
+    u = np.asarray(u, dtype=float)
+    return f0.u @ (f0.known + u[..., :, None] * f0.vt[..., ::-1, :])
+
+
+def _stage_error(label: str, exc: Exception) -> EstimationError:
+    err = EstimationError(f"stage '{label}': {exc}")
+    err.__cause__ = exc
+    return err
 
 
 @contextmanager
@@ -395,7 +555,35 @@ def _stage(label: str):
     try:
         yield
     except (RelkinError, np.linalg.LinAlgError) as exc:
-        raise EstimationError(f"stage '{label}': {exc}") from exc
+        raise _stage_error(label, exc) from exc
+
+
+def _merge(mask: np.ndarray, first: T, second: T) -> T:
+    """Per record of a stack: the fields of ``second`` where ``mask`` is set, else of ``first``."""
+    if not mask.any():
+        return first
+    if mask.all():
+        return second
+    picked = {}
+    for item in fields(first):
+        a, b = getattr(first, item.name), getattr(second, item.name)
+        picked[item.name] = np.where(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), b, a)
+    return replace(first, **picked)
+
+
+def _note(notes: list[list[str]], mask: np.ndarray, message: str) -> None:
+    """Append ``message`` to the warnings of each record that ``mask`` flags."""
+    for i in mask.nonzero()[0]:
+        notes[i].append(message)
+
+
+def _candidate_failure(f2: ChuFactors, basis: BasisSystem, negligible, i: int) -> str:
+    """Why the acceleration factor candidate behind ``f2`` failed for record ``i``."""
+    if f2.degenerate[i]:
+        return f"unusable ({_DEGENERATE_FACTOR})"
+    if negligible[i]:
+        return "negligible next to the positions over the record"
+    return f"unusable ({_RANK_DEFICIENT_BASIS if basis.rank[i] < 6 else _VANISHING_ROTATION})"
 
 
 def _solve(
@@ -403,11 +591,11 @@ def _solve(
     coeffs: GrammianCoefficients,
     mds0: MdsResult,
     accel_factor: np.ndarray,
-    warnings_: list[str],
-    residuals: dict[str, float],
-    conditioning: dict[str, float],
-) -> KinematicEstimate:
-    """Joint velocity/rotation solve shared by both data models.
+    notes: list[list[str]],
+    residuals: dict[str, np.ndarray],
+    conditioning: dict[str, np.ndarray],
+) -> BatchEstimate:
+    """Joint velocity/rotation solve shared by both data models, for a stack of records.
 
     The methods differ only in where ``coeffs`` and the acceleration
     factor F (MDS factor of the quartic block, or centered sensor
@@ -423,94 +611,130 @@ def _solve(
     solvable basis system, the velocity is set to the minimum-norm
     completion of the first split and the rotation to identity, with a
     warning.
+
+    Every stage runs once on the whole stack; the retry, the fallback
+    and a degenerate velocity split are per-record masks, so one record's
+    outcome never depends on the others.  A record is tried the way one
+    estimate would try it: the reflected candidate is not consulted once
+    the original is found negligible.  Warning strings are built only
+    for the records they concern.
     """
+    errors: list[Optional[EstimationError]] = [None] * len(notes)
     with _stage("basis-solve"):
         _require_four_nodes(meas.n_nodes)
     with _stage("velocity-split"):
         f0 = chu_decompose(coeffs.blocks[1], mds0.points)
-    warnings_ += [f"velocity split: {w}" for w in f0.warnings]
+    for i in f0.degenerate.nonzero()[0]:
+        errors[i] = _stage_error("velocity-split", DegenerateGeometryError(_DEGENERATE_FACTOR))
+    _note(notes, f0.repeated, f"velocity split: {_REPEATED}")
     residuals["velocity_split"] = f0.residual
-    conditioning["velocity_split"] = float(f0.lam[0] / f0.lam[-1])
+    conditioning["velocity_split"] = _ratio(f0.lam)
 
-    candidates = []
-    reason = "negligible next to the positions over the record"
     with _stage("basis-solve"):
-        t_max = float(np.abs(meas.timestamps).max())
         two_b3 = 2.0 * coeffs.blocks[3]
-        for flipped in (False, True):
-            try:
-                f2 = chu_decompose(two_b3, _FLIP @ accel_factor if flipped else accel_factor)
-                # the split's singular values are F's, the same for both candidates
-                if f2.lam[-1] ** 2 * t_max**4 <= _NEGLIGIBLE_ACCEL * mds0.eigenvalues[0]:
-                    break
-                candidates.append((flipped, f2, build_and_solve_basis(f0, f2)))
-            except (DegenerateGeometryError, NonUniqueSolutionError,
-                    DegenerateRotationError) as exc:
-                reason = f"unusable ({exc})"
+        splits = [chu_decompose(two_b3, f) for f in (accel_factor, _FLIP @ accel_factor)]
+        bases = [build_and_solve_basis(f0, f2) for f2 in splits]
+    # the split's singular values are F's, the same for both candidates
+    t_max = float(np.abs(meas.timestamps).max())
+    floor = _NEGLIGIBLE_ACCEL * mds0.eigenvalues[..., 0]
+    negligible = [~f2.degenerate & (f2.lam[..., -1] ** 2 * t_max**4 <= floor) for f2 in splits]
+    ok = [
+        ~f2.degenerate & ~neg & (basis.rank == 6) & (basis.h_norm >= 1e-8)
+        for f2, basis, neg in zip(splits, bases, negligible)
+    ]
+    ok[1] &= ~negligible[0]
+    fallback = ~(ok[0] | ok[1])
+    reflected = ok[1] & (~ok[0] | (bases[0].residual > 10.0 * bases[1].residual))
+    for i in fallback.nonzero()[0]:
+        # the last candidate tried names the reason
+        c = 0 if negligible[0][i] else 1
+        notes[i].append(
+            f"acceleration factor {_candidate_failure(splits[c], bases[c], negligible[c], i)}; "
+            "velocity set to its minimum-norm completion and the rotation fixed to identity"
+        )
+    _note(notes, reflected & ~ok[0], "only the reflected acceleration factor admitted a solution")
+    _note(
+        notes,
+        reflected & ok[0],
+        "MDS reflection ambiguity detected; the reflected acceleration factor fit the "
+        "coupled equations",
+    )
+    f2, basis = _merge(reflected, *splits), _merge(reflected, *bases)
+    _note(notes, f2.repeated & ~fallback, _REPEATED)
 
-    if not candidates:
+    u = basis.u
+    rotation = np.empty(u.shape + (2,))
+    rotation[..., 0, 0] = rotation[..., 1, 1] = basis.h[..., 0]
+    rotation[..., 1, 0] = basis.h[..., 1]
+    rotation[..., 0, 1] = -basis.h[..., 1]
+    if reflected.any():
+        # R @ _FLIP for the reflected factor: its first column negated
+        rotation[reflected, :, 0] *= -1.0
+    # NaN marks the residuals and spreads of the records that fell back
+    mark = np.where(fallback, np.nan, 0.0)
+    if fallback.any():
         # the minimum-norm (u1, u2) on lam[0] u1 + lam[1] u2 = c
-        y1 = recover_velocity(f0, (f0.c / (f0.lam @ f0.lam)) * f0.lam)
-        rotation, nan = np.eye(2), float("nan")
-        residuals.update(acceleration_split=nan, basis=nan)
-        conditioning.update(acceleration_split=nan, basis=nan)
-        warnings_.append(
-            f"acceleration factor {reason}; velocity set to its minimum-norm "
-            "completion and the rotation fixed to identity"
-        )
-    else:
-        flipped, f2, basis = candidates[0]
-        if flipped:
-            warnings_.append("only the reflected acceleration factor admitted a solution")
-        elif len(candidates) == 2 and basis.residual > 10.0 * candidates[1][2].residual:
-            flipped, f2, basis = candidates[1]
-            warnings_.append(
-                "MDS reflection ambiguity detected; the reflected acceleration "
-                "factor fit the coupled equations"
-            )
-        h1, h2 = basis.h
-        rotation = np.array([[h1, -h2], [h2, h1]])
-        if flipped:
-            rotation = rotation @ _FLIP
-        y1 = recover_velocity(f0, basis.u)
-        residuals.update(acceleration_split=f2.residual, basis=basis.residual)
-        conditioning.update(
-            acceleration_split=float(f2.lam[0] / f2.lam[-1]), basis=basis.condition
-        )
-        warnings_ += f2.warnings
-
-    return KinematicEstimate(
+        lam_sq = np.where(f0.degenerate, 1.0, _sum_squares(f0.lam, -1))
+        u = np.where(fallback[..., None], (f0.c / lam_sq)[..., None] * f0.lam, u)
+        rotation[fallback] = _EYE
+    residuals["acceleration_split"] = f2.residual + mark
+    residuals["basis"] = basis.residual + mark
+    conditioning["acceleration_split"] = _ratio(f2.lam) + mark
+    conditioning["basis"] = basis.condition + mark
+    return BatchEstimate(
         y0=mds0.points,
-        y1=y1,
+        y1=recover_velocity(f0, u),
         y2=rotation @ accel_factor,
         rotation=rotation,
         residuals=residuals,
-        warnings=warnings_,
-        coeffs=coeffs,
         conditioning=conditioning,
+        warnings=notes,
+        errors=errors,
+        coeffs=coeffs,
+    )
+
+
+def _one_record(meas: MeasurementSet) -> MeasurementSet:
+    if meas.edms.ndim == 4 and len(meas.edms) != 1:
+        raise InvalidDimensionError(
+            f"a single estimate takes one record, got a stack of {len(meas.edms)}; "
+            "use the batch entry point"
+        )
+    return meas
+
+
+def estimate_from_distances_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:
+    """Distance-only estimates of every record of ``meas`` (a stack, or one record).
+
+    Steps: degree-4 fit of the EDM records, double centering of their
+    coefficient blocks, MDS of the constant and quartic blocks, then the
+    shared velocity/rotation solve (:func:`_solve`) with the quartic
+    block's factor as the acceleration factor.  A static network, whose
+    quartic block is round-off, takes the solve's minimum-norm fallback.
+    Each stage is one stacked call over all records.
+    """
+    if d != 2:
+        raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
+    meas = meas.as_batch()
+    with _stage("coefficient-fit"):
+        coeffs = _fit_edm_coeffs(meas, degree=4)
+    with _stage("mds"):
+        mds0, mds2 = recover_position_acceleration(coeffs, d)
+    notes = [
+        [f"position factor: {w}" for w in p] + [f"acceleration factor: {w}" for w in a]
+        for p, a in zip(mds0.warnings, mds2.warnings)
+    ]
+    conditioning = {"position_mds": mds0.eigen_gap, "acceleration_mds": mds2.eigen_gap}
+    return _solve(
+        meas, coeffs, mds0, mds2.points, notes, {"gram_fit": coeffs.residual}, conditioning
     )
 
 
 def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:
     """Recover relative position, velocity and acceleration from EDMs only.
 
-    Steps: degree-4 fit of the EDM record, double centering of its
-    coefficient blocks, MDS of the constant and quartic blocks, then the
-    shared velocity/rotation solve (:func:`_solve`) with the quartic
-    block's factor as the acceleration factor.  A static network, whose
-    quartic block is round-off, takes the solve's minimum-norm fallback.
+    The batch of one of :func:`estimate_from_distances_batch`: ``meas``
+    holds one record, and a failed record raises its stage-labelled
+    EstimationError.
     """
-    if d != 2:
-        raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
-    warnings_: list[str] = []
-
-    with _stage("coefficient-fit"):
-        coeffs = _fit_edm_coeffs(meas, degree=4)
-    with _stage("mds"):
-        mds0, mds2 = recover_position_acceleration(coeffs, d)
-    warnings_ += [f"position factor: {w}" for w in mds0.warnings]
-    warnings_ += [f"acceleration factor: {w}" for w in mds2.warnings]
-    conditioning = {"position_mds": mds0.eigen_gap, "acceleration_mds": mds2.eigen_gap}
-    return _solve(
-        meas, coeffs, mds0, mds2.points, warnings_, {"gram_fit": coeffs.residual}, conditioning
-    )
+    return estimate_from_distances_batch(_one_record(meas), d).estimate(0)

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import factorial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .accel_estimator import estimate_with_accel
-from .distance_estimator import KinematicEstimate, estimate_from_distances
+from .accel_estimator import estimate_with_accel_batch
+from .distance_estimator import BatchEstimate, KinematicEstimate, estimate_from_distances_batch
 from .errors import InvalidDimensionError, RelkinError
-from .linalg import centering_matrix, orthogonal_procrustes, vech
-from .trajectory import PolynomialTrajectory, SimConfig, simulate_measurements
+from .linalg import centering_matrix, orthogonal_procrustes, triu_indices, vech
+from .trajectory import MeasurementSet, PolynomialTrajectory, SimConfig, simulate_measurements
 
 __all__ = [
     "MonteCarloResult",
@@ -31,12 +31,15 @@ __all__ = [
     "run_monte_carlo",
 ]
 
+E = TypeVar("E", KinematicEstimate, BatchEstimate)
+
 KINEMATIC_BLOCKS = ("Y0", "Y1", "Y2")
 COEFFICIENT_BLOCKS = ("B0", "B1", "B2")
 
-_ESTIMATORS: dict[str, Callable[..., KinematicEstimate]] = {
-    "distance": estimate_from_distances,
-    "accel": estimate_with_accel,
+#: the methods by name: each maps a (stacked) MeasurementSet and the dimension to a BatchEstimate
+_ESTIMATORS: dict[str, Callable[..., BatchEstimate]] = {
+    "distance": estimate_from_distances_batch,
+    "accel": estimate_with_accel_batch,
 }
 
 
@@ -95,19 +98,21 @@ def _centered_blocks(truth: PolynomialTrajectory, count: int = 3) -> list[np.nda
     return [truth.coefficient(l) @ c for l in range(count)]
 
 
-def align_to_truth(est: KinematicEstimate, truth: PolynomialTrajectory) -> KinematicEstimate:
-    """Register an estimate to centered ground truth.
+def align_to_truth(est: E, truth: PolynomialTrajectory) -> E:
+    """Register an estimate, or each estimate of a batch, to centered ground truth.
 
     One orthogonal transform (possibly a reflection) is fit to the
     horizontally stacked position/velocity/acceleration blocks and applied
     to every block and to the rotation field; per-block alignment would
-    hide rotation-estimation errors and is deliberately not done.
+    hide rotation-estimation errors and is deliberately not done.  A
+    :class:`BatchEstimate` gets one transform per record from one
+    stacked SVD.
     """
     targets = _centered_blocks(truth)
-    if est.y0.shape != targets[0].shape:
+    if est.y0.shape[-2:] != targets[0].shape:
         raise InvalidDimensionError("estimate and truth shapes do not match")
-    est_stack = np.hstack([est.y0, est.y1, est.y2])
-    truth_stack = np.hstack(targets)
+    est_stack = np.concatenate([est.y0, est.y1, est.y2], axis=-1)
+    truth_stack = np.broadcast_to(np.hstack(targets), est_stack.shape)
     r = orthogonal_procrustes(est_stack, truth_stack)
     return replace(
         est,
@@ -165,10 +170,58 @@ def _truth_coeff_vecs(truth: PolynomialTrajectory) -> list[np.ndarray]:
 
 
 def _positions(blocks: Iterable[np.ndarray], times: np.ndarray) -> np.ndarray:
-    """Positions at each of the T ``times``, as a (T, d, n) stack."""
-    y0, y1, y2 = blocks
+    """Positions at each of the T ``times``, (T, d, n), or (B, T, d, n) for stacked blocks."""
+    y0, y1, y2 = (np.asarray(y)[..., None, :, :] for y in blocks)
     t = times[:, None, None]
     return y0 + y1 * t + 0.5 * y2 * t * t
+
+
+def _check_sweep(methods: Sequence[str], k_values: Sequence[int], time_grid: np.ndarray) -> None:
+    for name, values in (("methods", methods), ("k_values", k_values)):
+        if len(values) == 0 or len(set(values)) != len(values):
+            raise InvalidDimensionError(
+                f"{name} must be non-empty and without repeats, got {values!r}"
+            )
+    for method in methods:
+        if method not in _ESTIMATORS:
+            raise InvalidDimensionError(f"unknown method '{method}'")
+    if time_grid.size == 0 or not np.all(np.isfinite(time_grid)):
+        raise InvalidDimensionError(f"time_grid must be non-empty and finite, got {time_grid}")
+
+
+def _simulate_stack(config: SimConfig, truth: PolynomialTrajectory, k: int) -> MeasurementSet:
+    """The K's trials, simulated one by one from their sub-seeds, stacked on their shared grid."""
+    edms = np.empty((config.n_trials, k + 1, config.n_nodes, config.n_nodes))
+    accels = np.empty((config.n_trials, k + 1, config.dim, config.n_nodes))
+    for trial in range(config.n_trials):
+        cfg = replace(config, k_samples=k, seed=_trial_seed(config.seed, k, trial))
+        meas = simulate_measurements(cfg, truth)
+        edms[trial], accels[trial] = meas.edms, meas.accels
+    return MeasurementSet(meas.timestamps, edms, accels, truth=truth)
+
+
+def _estimate_stack(
+    method: str, meas: MeasurementSet, d: int
+) -> list[tuple[np.ndarray, BatchEstimate]]:
+    """``method`` on every record of ``meas``, as (record positions, batch) pieces.
+
+    One batch call does the work and gives one piece.  Only if that call
+    fails as a whole is each record retried as a batch of one, so that a
+    failure costs only the records that fail; a record that fails alone
+    has no piece.
+    """
+    estimator = _ESTIMATORS[method]
+    try:
+        return [(np.arange(len(meas.edms)), estimator(meas, d))]
+    except RelkinError:
+        pieces = []
+        for i in range(len(meas.edms)):
+            one = MeasurementSet(meas.timestamps, meas.edms[i : i + 1], meas.accels[i : i + 1])
+            try:
+                pieces.append((np.array([i]), estimator(one, d)))
+            except RelkinError:
+                pass
+        return pieces
 
 
 def run_monte_carlo(
@@ -180,71 +233,75 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Paired Monte-Carlo benchmark over a sweep of sample counts.
 
-    For every K and trial one measurement set is generated from a
-    deterministic sub-seed and fed to every requested method, so methods
-    see bit-identical noise.  Each estimate is aligned to the truth; the
-    squared errors of the kinematic blocks, of the low-order coefficient
-    blocks, and of the positions over a time grid (aligned with the same
-    transform) are accumulated.  Trials where any method fails are
+    For every K, each trial's measurement set is generated on its own
+    from a deterministic (K, trial) sub-seed.  The K's sets are stacked
+    on their shared time grid, and each requested method estimates the
+    whole stack in one batch call, so methods see bit-identical noise.
+    Each estimate is aligned to the truth; the squared errors of the
+    kinematic blocks, of the low-order coefficient blocks, and of the
+    positions over a time grid (aligned with the same transform) are
+    accumulated, on the stack.  Trials where any method fails are
     excluded from all methods to keep the comparison paired and counted
     in ``failure_counts`` per K; a K with no surviving trial has no RMSE
-    or time-sweep rows.  Judging the failure rate is left to the caller.
+    or time-sweep rows.  A batch call that fails as a whole is retried
+    one trial at a time, so only the failing trials are lost.  Judging
+    the failure rate is left to the caller.
+
+    ``methods`` and ``k_values`` must be non-empty and free of repeats,
+    and ``time_grid`` non-empty and finite.
     """
-    for method in methods:
-        if method not in _ESTIMATORS:
-            raise InvalidDimensionError(f"unknown method '{method}'")
     if time_grid is None:
         time_grid = np.linspace(config.t_start, config.t_end, 21)
-    time_grid = np.asarray(time_grid, dtype=float)
+    time_grid = np.asarray(time_grid, dtype=float).ravel()
+    _check_sweep(methods, k_values, time_grid)
 
     truth_blocks = _centered_blocks(truth)
     truth_vecs = _truth_coeff_vecs(truth)
     truth_positions = _positions(truth_blocks, time_grid)
     n, d = truth.n_nodes, truth.dim
+    iu, ju = triu_indices(n)
 
     trials: list[TrialResult] = []
-    sweep_acc: dict[tuple[str, int], np.ndarray] = {
-        (m, k): np.zeros(time_grid.size) for m in methods for k in k_values
-    }
-    sweep_counts: dict[tuple[str, int], int] = {(m, k): 0 for m in methods for k in k_values}
+    sweep_acc: dict[tuple[str, int], np.ndarray] = {}
+    sweep_counts: dict[tuple[str, int], int] = {}
     failure_counts: dict[int, int] = {}
 
     for k in k_values:
-        failures = 0
-        for trial in range(config.n_trials):
-            cfg = replace(config, k_samples=k, seed=_trial_seed(config.seed, k, trial))
-            meas = simulate_measurements(cfg, truth)
-            try:
-                estimates = {m: _ESTIMATORS[m](meas, d) for m in methods}
-            except RelkinError:
-                failures += 1
-                continue
-            for method, est in estimates.items():
-                aligned = align_to_truth(est, truth)
-                sq = {
-                    block: float(np.linalg.norm(getattr(aligned, attr) - target) ** 2)
-                    for block, attr, target in zip(
-                        KINEMATIC_BLOCKS, ("y0", "y1", "y2"), truth_blocks
-                    )
-                }
-                for l, block in enumerate(COEFFICIENT_BLOCKS):
-                    est_vec = vech(aligned.coeffs.blocks[l])
-                    sq[block] = float(np.linalg.norm(est_vec - truth_vecs[l]) ** 2)
-                trials.append(
-                    TrialResult(
-                        trial_index=trial,
-                        method=method,
-                        k=k,
-                        sq_errors=sq,
-                        n_nodes=n,
-                        dim=d,
-                        warnings=list(est.warnings),
-                    )
-                )
-                est_positions = _positions((aligned.y0, aligned.y1, aligned.y2), time_grid)
-                sweep_acc[(method, k)] += ((est_positions - truth_positions) ** 2).sum(axis=(1, 2))
-                sweep_counts[(method, k)] += 1
-        failure_counts[k] = failures
+        stack = _simulate_stack(config, truth, k)
+        results = {m: _estimate_stack(m, stack, d) for m in methods}
+        # paired: a trial counts only if every method estimated it
+        kept = np.ones(config.n_trials, dtype=bool)
+        for pieces in results.values():
+            ok = np.zeros(config.n_trials, dtype=bool)
+            for index, batch in pieces:
+                ok[index] = [error is None for error in batch.errors]
+            kept &= ok
+        failure_counts[k] = config.n_trials - int(kept.sum())
+        if not kept.any():
+            continue
+        for method, pieces in results.items():
+            sweep_acc[(method, k)] = np.zeros(time_grid.size)
+            sweep_counts[(method, k)] = int(kept.sum())
+            for index, batch in pieces:
+                keep = kept[index]
+                if not keep.any():
+                    continue
+                aligned = align_to_truth(batch.select(keep.nonzero()[0]), truth)
+                blocks = (aligned.y0, aligned.y1, aligned.y2)
+                sq = [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
+                # the coefficient blocks are exactly symmetric, so vech is a gather
+                sq += [
+                    ((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2).sum(axis=-1)
+                    for l in range(len(COEFFICIENT_BLOCKS))
+                ]
+                names = KINEMATIC_BLOCKS + COEFFICIENT_BLOCKS
+                rows = zip(index[keep].tolist(), aligned.warnings, *(e.tolist() for e in sq))
+                trials += [
+                    TrialResult(trial, method, k, dict(zip(names, errs)), n, d, list(notes))
+                    for trial, notes, *errs in rows
+                ]
+                positions = _positions(blocks, time_grid)
+                sweep_acc[(method, k)] += ((positions - truth_positions) ** 2).sum(axis=(0, 2, 3))
 
     sweep = [
         TimeSweepEntry(
@@ -255,7 +312,7 @@ def run_monte_carlo(
         )
         for m in methods
         for k in k_values
-        if sweep_counts[(m, k)]
+        if (m, k) in sweep_acc
         for i, t in enumerate(time_grid)
     ]
     return MonteCarloResult(

@@ -31,9 +31,10 @@ __all__ = [
 SYMMETRY_RTOL = 1e-9
 
 
-def _as_square(m, op: str) -> np.ndarray:
+def _as_square(m, op: str, stacked: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    ndim_ok = m.ndim == 2 or stacked and m.ndim > 2
+    if not ndim_ok or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise InvalidDimensionError(f"{op} needs a square matrix, got shape {m.shape}")
     return m
 
@@ -121,72 +122,79 @@ def gram_from_edm(dk) -> np.ndarray:
 
 @dataclass
 class MdsResult:
-    """Rank-d factor of a Grammian plus diagnostics.
+    """Rank-d factor of a Grammian, or of each Grammian of a stack, plus diagnostics.
 
     ``points.T @ points`` is the best rank-d PSD approximation of the
     symmetrized input.  ``eigenvalues`` holds the top-d eigenvalues before
     clamping and ``next_eigenvalue`` the (d+1)-th (0 when d = n);
-    ``warnings`` lists degeneracies encountered.
+    ``warnings`` lists degeneracies encountered.  For a (..., n, n) stack
+    every field gains the leading axes, and ``warnings`` holds one list
+    per matrix of a (B, n, n) stack.
     """
 
     points: np.ndarray
     eigenvalues: np.ndarray
-    warnings: list[str] = field(default_factory=list)
+    warnings: list = field(default_factory=list)
     next_eigenvalue: float = 0.0
 
     @property
-    def eigen_gap(self) -> float:
-        """lambda_d / |lambda_(d+1)|, infinite when lambda_(d+1) is exactly 0."""
-        below = abs(self.next_eigenvalue)
-        return float(self.eigenvalues[-1] / below) if below else math.inf
+    def eigen_gap(self):
+        """lambda_d / |lambda_(d+1)|, infinite where lambda_(d+1) is exactly 0."""
+        below = np.abs(self.next_eigenvalue)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.where(below > 0, self.eigenvalues[..., -1] / below, np.inf)
+        return float(gap) if gap.ndim == 0 else gap
 
 
 def classical_mds(g, d: int) -> MdsResult:
-    """Classical multidimensional scaling of a Grammian.
+    """Classical multidimensional scaling of a Grammian or a (B, n, n) stack of them.
 
     Keeps the d algebraically largest eigenvalues; negative ones are
     clamped to zero and recorded as a warning rather than a failure, since
     measurement noise routinely makes the input indefinite.  Each
     eigenvector's largest-magnitude entry is made positive so the factor
-    is deterministic across runs.
+    is deterministic across runs.  A stack takes one stacked ``eigh``.
     """
-    g = _as_square(g, "classical_mds")
-    n = g.shape[0]
+    g = _as_square(g, "classical_mds", stacked=True)
+    n = g.shape[-1]
     if not 1 <= d <= n:
         raise InvalidDimensionError(f"embedding dimension {d} invalid for n={n}")
-    evals, evecs = np.linalg.eigh(0.5 * (g + g.T))
-    top = evals[::-1][:d].copy()  # descending
-    vecs = evecs[:, ::-1][:, :d].copy()
-    notes: list[str] = []
-    if np.any(top <= 0.0) or top[-1] < 1e-12 * max(top[0], 0.0):
-        notes.append(
-            f"degenerate geometry: only {int(np.sum(top > 0.0))} of {d} requested "
-            "eigenvalues are positive; the rest were clamped to zero"
+    evals, evecs = np.linalg.eigh(0.5 * (g + g.swapaxes(-1, -2)))
+    top = evals[..., : -d - 1 : -1]  # descending
+    rows = evecs.swapaxes(-1, -2)[..., : -d - 1 : -1, :]  # their eigenvectors, (..., d, n)
+    # the sign of each eigenvector's (first) largest-magnitude entry
+    flat = rows.reshape(-1, n)
+    lead = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)].reshape(top.shape)
+    points = (np.sqrt(np.maximum(top, 0.0)) * np.copysign(1.0, lead))[..., None] * rows
+    below = evals[..., -d - 1] if d < n else np.zeros(evals.shape[:-1])
+    flagged = ((top[..., -1] <= 0.0) | (top[..., -1] < 1e-12 * top[..., 0])).ravel()
+    notes: list[list[str]] = [[] for _ in flagged]
+    for i in flagged.nonzero()[0]:
+        positive = int(np.count_nonzero(top.reshape(-1, d)[i] > 0.0))
+        notes[i].append(
+            f"degenerate geometry: only {positive} of {d} requested eigenvalues are "
+            "positive; the rest were clamped to zero"
         )
-    clamped = np.clip(top, 0.0, None)
-    for j in range(d):
-        col = vecs[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            vecs[:, j] = -col
-    points = np.sqrt(clamped)[:, None] * vecs.T
-    below = float(evals[-d - 1]) if d < n else 0.0
-    return MdsResult(points=points, eigenvalues=top, warnings=notes, next_eigenvalue=below)
+    if g.ndim == 2:
+        return MdsResult(points, top, notes[0], float(below))
+    return MdsResult(points, top, notes, below)
 
 
 def orthogonal_procrustes(a, b) -> np.ndarray:
-    """Orthogonal matrix R minimizing ||R @ a - b||_F.
+    """Orthogonal matrix R minimizing ||R @ a - b||_F, or one per pair of a stack.
 
-    Built from the SVD of b @ a.T; the result may be a reflection.  If
+    Built from the SVD of b @ a.T; the result may be a reflection.  Both
+    arguments are (..., d, m) of one shape, and R is (..., d, d).  If
     b @ a.T is rank deficient the minimizer is not unique: a valid
     orthogonal matrix is still returned and a DegenerateGeometryWarning
     is emitted.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape != b.shape:
+    if a.ndim < 2 or a.shape != b.shape:
         raise InvalidDimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    u, s, vt = np.linalg.svd(b @ a.T)
-    if s[-1] <= 1e-12 * max(s[0], 1e-300):
+    u, s, vt = np.linalg.svd(b @ np.swapaxes(a, -1, -2))
+    if np.any(s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1e-300)):
         warnings.warn(
             "orthogonal_procrustes: cross matrix is rank deficient; the aligning "
             "transform is not unique",

@@ -7,6 +7,7 @@ readings on a uniform time grid.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import factorial
 from typing import Optional
@@ -154,7 +155,10 @@ class MeasurementSet:
 
     ``edms[k]`` holds squared distances at ``timestamps[k]``; ``accels[k]``
     holds one accelerometer column per node, expressed in the (unknown)
-    sensor frame.  ``truth`` and ``q_true`` are carried along for
+    sensor frame.  A set may also stack B records on the one time grid:
+    ``edms`` is then (B, K+1, n, n) and ``accels`` (B, K+1, d, n), and the
+    batch estimators solve all of them at once.  Every check runs over
+    the whole stack.  ``truth`` and ``q_true`` are carried along for
     evaluation only; estimators never read them.
     """
 
@@ -171,31 +175,50 @@ class MeasurementSet:
             raise InvalidDimensionError("timestamps must be finite")
         if np.any(np.diff(self.timestamps) <= 0):
             raise InvalidDimensionError("timestamps must be strictly increasing")
-        if self.edms.ndim != 3 or self.edms.shape[0] != self.timestamps.size:
-            raise InvalidDimensionError("edms must be (K+1, n, n) matching timestamps")
-        if self.edms.shape[1] != self.edms.shape[2]:
+        if self.edms.ndim not in (3, 4) or self.edms.shape[-3] != self.timestamps.size:
+            raise InvalidDimensionError(
+                "edms must be (K+1, n, n), or (B, K+1, n, n) for a stack, matching timestamps"
+            )
+        if self.edms.shape[-1] != self.edms.shape[-2]:
             raise InvalidDimensionError("each EDM must be square")
-        # max() propagates NaN and inf, so one reduction checks finiteness too
-        largest = float(np.abs(self.edms).max())
+        # max() and min() propagate NaN and inf, so they check finiteness too;
+        # max(max, -min) is the largest magnitude without an abs() temporary
+        largest = max(float(self.edms.max()), -float(self.edms.min()))
         if not np.isfinite(largest):
             raise InvalidDimensionError("EDM entries must be finite")
         scale = max(1.0, largest)
-        iu, ju = triu_indices(self.n_nodes, 1)
-        if float(np.abs(self.edms[:, iu, ju] - self.edms[:, ju, iu]).max(initial=0)) > 1e-8 * scale:
+        n = self.n_nodes
+        iu, ju = triu_indices(n, 1)
+        asymmetry = np.abs(self.edms[..., iu, ju] - self.edms[..., ju, iu]).max(initial=0)
+        if float(asymmetry) > 1e-8 * scale:
             raise InvalidDimensionError("each EDM must be symmetric")
-        diags = self.edms[:, range(self.edms.shape[1]), range(self.edms.shape[1])]
-        if float(np.abs(diags).max()) > 1e-8 * scale:
+        if float(np.abs(self.edms[..., range(n), range(n)]).max()) > 1e-8 * scale:
             raise InvalidDimensionError("each EDM must have a zero diagonal")
         if self.accels is not None:
             self.accels = np.asarray(self.accels, dtype=float)
-            if self.accels.ndim != 3 or self.accels.shape[::2] != self.edms.shape[:2]:
-                raise InvalidDimensionError("accels must be (K+1, dim, n) matching the EDMs")
+            shape = self.accels.shape
+            if len(shape) != self.edms.ndim or shape[:-2] + shape[-1:] != self.edms.shape[:-1]:
+                raise InvalidDimensionError(
+                    "accels must be (K+1, dim, n), or (B, K+1, dim, n), matching the EDMs"
+                )
             if not np.all(np.isfinite(self.accels)):
                 raise InvalidDimensionError("accelerometer readings must be finite")
 
     @property
     def n_nodes(self) -> int:
-        return self.edms.shape[1]
+        return self.edms.shape[-1]
+
+    def as_batch(self) -> MeasurementSet:
+        """This set with a leading record axis: itself if stacked, else a batch of one.
+
+        The batch of one shares this set's (already validated) arrays.
+        """
+        if self.edms.ndim == 4:
+            return self
+        one = copy.copy(self)
+        one.edms = self.edms[None]
+        one.accels = None if self.accels is None else self.accels[None]
+        return one
 
 
 def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> MeasurementSet:
@@ -225,7 +248,8 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
     if config.sigma_d != 0.0:
         iu, ju = triu_indices(n, 1)
         noisy = np.sqrt(edms[:, iu, ju]) + rng_dist.normal(0.0, config.sigma_d, (ts.size, iu.size))
-        edms = np.zeros_like(edms)
+        # in place: the diagonal is already exactly zero, and a fresh zeroed
+        # copy would be one more large block of pages to fault in per call
         edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
     acc = eval_kinematics(traj, ts, 2) @ centering_matrix(n)
     accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, d, n))

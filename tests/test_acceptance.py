@@ -141,8 +141,9 @@ def test_criterion_3_rotation_recovery():
 
 
 def test_criterion_4_coefficient_rmse_ordering(benchmark_run):
-    with criterion(4, "coefficient RMSE: fused <= distance-only, decreasing in K"):
-        result, elapsed = benchmark_run
+    result, elapsed = benchmark_run
+    name = f"coefficient RMSE: fused <= distance-only, decreasing in K (fixture {elapsed:.1f} s)"
+    with criterion(4, name):
         assert elapsed < 600.0
         table = result.rmse_table
         for k in K_SWEEP:
@@ -157,8 +158,9 @@ def test_criterion_4_coefficient_rmse_ordering(benchmark_run):
 
 
 def test_criterion_5_kinematic_rmse_ordering(benchmark_run):
-    with criterion(5, "kinematic RMSE: fused <= distance-only, decreasing in K"):
-        result, elapsed = benchmark_run
+    result, elapsed = benchmark_run
+    name = f"kinematic RMSE: fused <= distance-only, decreasing in K (fixture {elapsed:.1f} s)"
+    with criterion(5, name):
         assert elapsed < 600.0
         table = result.rmse_table
         for k in K_SWEEP:

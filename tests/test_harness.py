@@ -200,3 +200,22 @@ class TestRunMonteCarlo:
         by_t = {entry.t: entry.rmse for entry in result.time_sweep}
         assert by_t[0.0] <= by_t[-5.0]
         assert by_t[0.0] <= by_t[5.0]
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"methods": ()}, "methods"),
+        ({"methods": ("distance", "distance")}, "methods"),
+        ({"k_values": ()}, "k_values"),
+        ({"k_values": (10, 10)}, "k_values"),
+        ({"time_grid": []}, "time_grid"),
+        ({"time_grid": [0.0, np.nan, 1.0]}, "time_grid"),
+        ({"time_grid": [0.0, np.inf]}, "time_grid"),
+    ],
+    ids=["no-methods", "repeated-method", "no-k", "repeated-k", "empty-grid", "nan-grid",
+         "inf-grid"],
+)
+def test_run_monte_carlo_rejects_degenerate_sweeps(kwargs, name):
+    with pytest.raises(InvalidDimensionError, match=name):
+        run_monte_carlo(SimConfig(n_trials=1), benchmark_trajectory(), **kwargs)
