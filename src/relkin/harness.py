@@ -18,7 +18,13 @@ from .accel_estimator import estimate_with_accel_batch
 from .distance_estimator import BatchEstimate, KinematicEstimate, estimate_from_distances_batch
 from .errors import InvalidDimensionError, RelkinError
 from .linalg import centering_matrix, orthogonal_procrustes, triu_indices, vech
-from .trajectory import MeasurementSet, PolynomialTrajectory, SimConfig, simulate_measurements
+from .trajectory import (
+    MeasurementSet,
+    PolynomialTrajectory,
+    SimConfig,
+    _add_noise,
+    _noiseless_record,
+)
 
 __all__ = [
     "MonteCarloResult",
@@ -41,6 +47,9 @@ _ESTIMATORS: dict[str, Callable[..., BatchEstimate]] = {
     "distance": estimate_from_distances_batch,
     "accel": estimate_with_accel_batch,
 }
+
+#: trials of one K simulated, estimated and scored together; bounds a sweep's memory
+_CHUNK_TRIALS = 128
 
 
 @dataclass
@@ -176,6 +185,16 @@ def _positions(blocks: Iterable[np.ndarray], times: np.ndarray) -> np.ndarray:
     return y0 + y1 * t + 0.5 * y2 * t * t
 
 
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding the entries in index order.
+
+    ``sum`` adds a contiguous row pairwise but a strided one in order, and
+    the gathered coefficient rows are strided unless the stack holds one
+    record, so a trial's score would depend on the size of its chunk.
+    """
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
 def _check_sweep(methods: Sequence[str], k_values: Sequence[int], time_grid: np.ndarray) -> None:
     for name, values in (("methods", methods), ("k_values", k_values)):
         if len(values) == 0 or len(set(values)) != len(values):
@@ -189,15 +208,23 @@ def _check_sweep(methods: Sequence[str], k_values: Sequence[int], time_grid: np.
         raise InvalidDimensionError(f"time_grid must be non-empty and finite, got {time_grid}")
 
 
-def _simulate_stack(config: SimConfig, truth: PolynomialTrajectory, k: int) -> MeasurementSet:
-    """The K's trials, simulated one by one from their sub-seeds, stacked on their shared grid."""
-    edms = np.empty((config.n_trials, k + 1, config.n_nodes, config.n_nodes))
-    accels = np.empty((config.n_trials, k + 1, config.dim, config.n_nodes))
-    for trial in range(config.n_trials):
-        cfg = replace(config, k_samples=k, seed=_trial_seed(config.seed, k, trial))
-        meas = simulate_measurements(cfg, truth)
-        edms[trial], accels[trial] = meas.edms, meas.accels
-    return MeasurementSet(meas.timestamps, edms, accels, truth=truth)
+def _simulate_chunk(
+    config: SimConfig, truth: PolynomialTrajectory, record: tuple, trials: range
+) -> MeasurementSet:
+    """The ``trials`` of one K, stacked on its grid, each with its sub-seeded noise.
+
+    ``config`` is the K's configuration and ``record`` its
+    ``_noiseless_record``.  Each trial is the record plus the noise of its
+    (K, trial) sub-seed, bit for bit what ``simulate_measurements`` gives
+    for that seed; the stack is validated once.
+    """
+    timestamps, _, true_edms, distances, true_accels = record
+    edms = np.broadcast_to(true_edms, (len(trials),) + true_edms.shape).copy()
+    accels = np.broadcast_to(true_accels, (len(trials),) + true_accels.shape).copy()
+    for i, trial in enumerate(trials):
+        seed = _trial_seed(config.seed, config.k_samples, trial)
+        _add_noise(config, seed, distances, edms[i], accels[i])
+    return MeasurementSet(timestamps, edms, accels, truth=truth)
 
 
 def _estimate_stack(
@@ -233,9 +260,12 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Paired Monte-Carlo benchmark over a sweep of sample counts.
 
-    For every K, each trial's measurement set is generated on its own
-    from a deterministic (K, trial) sub-seed.  The K's sets are stacked
-    on their shared time grid, and each requested method estimates the
+    For every K, the noise-free record is simulated once, and each
+    trial adds the noise of its deterministic (K, trial) sub-seed, so
+    every trial is what ``simulate_measurements`` gives for that seed.
+    The K's trials run in chunks of ``_CHUNK_TRIALS``, which bounds the
+    memory whatever ``n_trials`` is: a chunk's records are stacked on
+    their shared time grid, and each requested method estimates the
     whole stack in one batch call, so methods see bit-identical noise.
     Each estimate is aligned to the truth; the squared errors of the
     kinematic blocks, of the low-order coefficient blocks, and of the
@@ -245,7 +275,11 @@ def run_monte_carlo(
     in ``failure_counts`` per K; a K with no surviving trial has no RMSE
     or time-sweep rows.  A batch call that fails as a whole is retried
     one trial at a time, so only the failing trials are lost.  Judging
-    the failure rate is left to the caller.
+    the failure rate is left to the caller.  Trial indices and sub-seeds
+    are global over the K's chunks, and the RMSE rows average the trials
+    in index order, so they do not depend on the chunk size (unless a
+    chunk is retried one trial at a time, which may round differently);
+    the time-sweep sums do, by rounding only.
 
     ``methods`` and ``k_values`` must be non-empty and free of repeats,
     and ``time_grid`` non-empty and finite.
@@ -263,52 +297,57 @@ def run_monte_carlo(
 
     trials: list[TrialResult] = []
     sweep_acc: dict[tuple[str, int], np.ndarray] = {}
-    sweep_counts: dict[tuple[str, int], int] = {}
     failure_counts: dict[int, int] = {}
 
     for k in k_values:
-        stack = _simulate_stack(config, truth, k)
-        results = {m: _estimate_stack(m, stack, d) for m in methods}
-        # paired: a trial counts only if every method estimated it
-        kept = np.ones(config.n_trials, dtype=bool)
-        for pieces in results.values():
-            ok = np.zeros(config.n_trials, dtype=bool)
-            for index, batch in pieces:
-                ok[index] = [error is None for error in batch.errors]
-            kept &= ok
-        failure_counts[k] = config.n_trials - int(kept.sum())
-        if not kept.any():
-            continue
-        for method, pieces in results.items():
-            sweep_acc[(method, k)] = np.zeros(time_grid.size)
-            sweep_counts[(method, k)] = int(kept.sum())
-            for index, batch in pieces:
-                keep = kept[index]
-                if not keep.any():
-                    continue
-                aligned = align_to_truth(batch.select(keep.nonzero()[0]), truth)
-                blocks = (aligned.y0, aligned.y1, aligned.y2)
-                sq = [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
-                # the coefficient blocks are exactly symmetric, so vech is a gather
-                sq += [
-                    ((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2).sum(axis=-1)
-                    for l in range(len(COEFFICIENT_BLOCKS))
-                ]
-                names = KINEMATIC_BLOCKS + COEFFICIENT_BLOCKS
-                rows = zip(index[keep].tolist(), aligned.warnings, *(e.tolist() for e in sq))
-                trials += [
-                    TrialResult(trial, method, k, dict(zip(names, errs)), n, d, list(notes))
-                    for trial, notes, *errs in rows
-                ]
-                positions = _positions(blocks, time_grid)
-                sweep_acc[(method, k)] += ((positions - truth_positions) ** 2).sum(axis=(0, 2, 3))
+        config_k = replace(config, k_samples=k)
+        record = _noiseless_record(config_k, truth)
+        failure_counts[k] = 0
+        for start in range(0, config.n_trials, _CHUNK_TRIALS):
+            chunk = range(start, min(start + _CHUNK_TRIALS, config.n_trials))
+            stack = _simulate_chunk(config_k, truth, record, chunk)
+            results = {m: _estimate_stack(m, stack, d) for m in methods}
+            # paired: a trial counts only if every method estimated it
+            kept = np.ones(len(chunk), dtype=bool)
+            for pieces in results.values():
+                ok = np.zeros(len(chunk), dtype=bool)
+                for index, batch in pieces:
+                    ok[index] = [error is None for error in batch.errors]
+                kept &= ok
+            failure_counts[k] += len(chunk) - int(kept.sum())
+            if not kept.any():
+                continue
+            for method, pieces in results.items():
+                acc = sweep_acc.setdefault((method, k), np.zeros(time_grid.size))
+                for index, batch in pieces:
+                    keep = kept[index]
+                    if not keep.any():
+                        continue
+                    aligned = align_to_truth(batch.select(keep.nonzero()[0]), truth)
+                    blocks = (aligned.y0, aligned.y1, aligned.y2)
+                    sq = [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
+                    # the coefficient blocks are exactly symmetric, so vech is a gather
+                    sq += [
+                        _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2)
+                        for l in range(len(COEFFICIENT_BLOCKS))
+                    ]
+                    names = KINEMATIC_BLOCKS + COEFFICIENT_BLOCKS
+                    indices = (start + index[keep]).tolist()
+                    rows = zip(indices, aligned.warnings, *(e.tolist() for e in sq))
+                    trials += [
+                        TrialResult(trial, method, k, dict(zip(names, errs)), n, d, list(notes))
+                        for trial, notes, *errs in rows
+                    ]
+                    positions = _positions(blocks, time_grid)
+                    acc += ((positions - truth_positions) ** 2).sum(axis=(0, 2, 3))
 
+    survivors = {k: config.n_trials - failed for k, failed in failure_counts.items()}
     sweep = [
         TimeSweepEntry(
             method=m,
             k=k,
             t=float(t),
-            rmse=float(np.sqrt(sweep_acc[(m, k)][i] / sweep_counts[(m, k)])) / (n * d),
+            rmse=float(np.sqrt(sweep_acc[(m, k)][i] / survivors[k])) / (n * d),
         )
         for m in methods
         for k in k_values

@@ -221,17 +221,14 @@ class MeasurementSet:
         return one
 
 
-def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> MeasurementSet:
-    """Generate a noisy measurement set on the configured time grid.
+def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> tuple:
+    """The noise-free part of ``simulate_measurements``: one evaluation of the truth.
 
-    The record is built whole: stacks of positions, EDMs and accelerations
-    over the K+1 instants and one draw of each noise, with the values of
-    K+1 draws in sequence.  Distance noise is drawn per timestamp and
-    unordered node pair, added to the *unsquared* distance, and squared
-    into the EDM, keeping the matrix exactly symmetric.  Accelerometer
-    readings are the mean-centered true accelerations rotated into the
-    sensor frame plus white noise per entry.  The same seed reproduces the
-    output bit for bit.
+    Returns ``(timestamps, q, edms, distances, accels)``: the K+1 instants,
+    the sensor rotation, the true EDMs (K+1, n, n), their unsquared
+    upper-triangle distances (K+1, n(n-1)/2) that distance noise is added
+    to (None when ``sigma_d`` is 0), and the mean-centered true
+    accelerations rotated into the sensor frame (K+1, d, n).
     """
     if traj.dim != config.dim or traj.n_nodes != config.n_nodes:
         raise ConfigError(
@@ -240,19 +237,58 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
         )
     n, d = config.n_nodes, config.dim
     ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
-    rng_dist, rng_accel = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
-    )
     q = rotation2d(config.accel_rotation_angle) if d == 2 else np.eye(d)
     edms = edm_from_points(eval_kinematics(traj, ts, 0))
+    distances = None
     if config.sigma_d != 0.0:
         iu, ju = triu_indices(n, 1)
-        noisy = np.sqrt(edms[:, iu, ju]) + rng_dist.normal(0.0, config.sigma_d, (ts.size, iu.size))
-        # in place: the diagonal is already exactly zero, and a fresh zeroed
-        # copy would be one more large block of pages to fault in per call
+        distances = np.sqrt(edms[:, iu, ju])
+    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(n))
+    return ts, q, edms, distances, accels
+
+
+def _add_noise(
+    config: SimConfig,
+    seed: int,
+    distances: Optional[np.ndarray],
+    edms: np.ndarray,
+    accels: np.ndarray,
+) -> None:
+    """Add the noise draw of ``seed`` in place to one noise-free record.
+
+    ``edms`` (K+1, n, n) and ``accels`` (K+1, d, n) hold the record's true
+    EDMs and sensor-frame accelerations on entry, and ``distances`` is its
+    distance array from ``_noiseless_record``.  Only the off-diagonal EDM
+    entries are overwritten, and only when there is distance noise.
+    """
+    rng_dist, rng_accel = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+    )
+    if distances is not None:
+        iu, ju = triu_indices(config.n_nodes, 1)
+        noisy = distances + rng_dist.normal(0.0, config.sigma_d, distances.shape)
         edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
-    acc = eval_kinematics(traj, ts, 2) @ centering_matrix(n)
-    accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, d, n))
+    accels += rng_accel.normal(0.0, config.sigma_a, accels.shape)
+
+
+def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> MeasurementSet:
+    """Generate a noisy measurement set on the configured time grid.
+
+    The record is built whole in two steps: the noise-free stacks of
+    positions, EDMs and accelerations over the K+1 instants, then one draw
+    of each noise, with the values of K+1 draws in sequence, added to the
+    noise-free arrays in place.  Distance noise is drawn per timestamp
+    and unordered node pair, added to the *unsquared* distance, and squared
+    into the EDM, keeping the matrix exactly symmetric.  Accelerometer
+    readings are the mean-centered true accelerations rotated into the
+    sensor frame plus white noise per entry.  The same seed reproduces the
+    output bit for bit; the Monte-Carlo harness shares the first step
+    between the trials of one K and takes the second once per trial.
+    """
+    ts, q, edms, distances, accels = _noiseless_record(config, traj)
+    # in place: the EDM diagonal is already exactly zero, and a fresh zeroed
+    # copy would be one more large block of pages to fault in per call
+    _add_noise(config, config.seed, distances, edms, accels)
     return MeasurementSet(timestamps=ts, edms=edms, accels=accels, truth=traj, q_true=q)
 
 
