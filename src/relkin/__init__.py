@@ -39,7 +39,6 @@ from .harness import (
     RmseEntry,
     RmseTable,
     TimeSweepEntry,
-    TrialResult,
     align_to_truth,
     rmse,
     run_monte_carlo,
@@ -83,7 +82,6 @@ __all__ = [
     "SimConfig",
     "SingularDesignError",
     "TimeSweepEntry",
-    "TrialResult",
     "UnsupportedOrderError",
     "align_to_truth",
     "benchmark_trajectory",

@@ -73,9 +73,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     meas = bundle_io.read_measurement_bundle(args.bundle)
     if args.method == "accel":
-        est = estimate_with_accel(meas, args.dim)
+        est = estimate_with_accel(meas)
     else:
-        est = estimate_from_distances(meas, args.dim)
+        est = estimate_from_distances(meas)
     written = bundle_io.write_estimate(est, _resolve_output(args.output))
     for path in written:
         print(path)
@@ -146,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="distance",
         help="estimator: pairwise distances only, or fused with accelerometers",
     )
-    p_est.add_argument("--dim", type=int, default=2, help="embedding dimension")
     p_est.add_argument("--output", help="output directory")
     p_est.set_defaults(func=_cmd_estimate)
 

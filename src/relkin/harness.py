@@ -8,9 +8,9 @@ squared errors into RMSE tables per method, sample count and block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import factorial
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "RmseEntry",
     "RmseTable",
     "TimeSweepEntry",
-    "TrialResult",
     "align_to_truth",
     "rmse",
     "run_monte_carlo",
@@ -39,8 +38,8 @@ __all__ = [
 
 E = TypeVar("E", KinematicEstimate, BatchEstimate)
 
-KINEMATIC_BLOCKS = ("Y0", "Y1", "Y2")
-COEFFICIENT_BLOCKS = ("B0", "B1", "B2")
+#: the scored blocks in RMSE row order: the low-order Grammian coefficients, then the kinematics
+BLOCKS = ("B0", "B1", "B2", "Y0", "Y1", "Y2")
 
 #: the methods by name: each maps a (stacked) MeasurementSet and the dimension to a BatchEstimate
 _ESTIMATORS: dict[str, Callable[..., BatchEstimate]] = {
@@ -51,18 +50,8 @@ _ESTIMATORS: dict[str, Callable[..., BatchEstimate]] = {
 #: trials of one K simulated, estimated and scored together; bounds a sweep's memory
 _CHUNK_TRIALS = 128
 
-
-@dataclass
-class TrialResult:
-    """Per-trial squared errors after frame alignment."""
-
-    trial_index: int
-    method: str
-    k: int
-    sq_errors: dict[str, float]
-    n_nodes: int
-    dim: int
-    warnings: list[str] = field(default_factory=list)
+#: instants of the time sweep, spread evenly over [t_start, t_end]
+_TIME_GRID = 21
 
 
 @dataclass(frozen=True)
@@ -132,31 +121,20 @@ def align_to_truth(est: E, truth: PolynomialTrajectory) -> E:
     )
 
 
-def _block_size(block: str, n: int, d: int) -> int:
-    if block.startswith("B"):
-        return n * (n + 1) // 2
-    return n * d
+def rmse(mean_sq: dict[tuple[str, int], np.ndarray], n: int, d: int) -> RmseTable:
+    """RMSE rows, sorted by (method, K, block), from mean squared errors.
 
-
-def rmse(trials: Sequence[TrialResult]) -> RmseTable:
-    """Aggregate per-trial squared errors into an RMSE table.
-
-    For each (method, K, block): rmse = sqrt(mean over trials of the
-    squared error) divided by the length of the vectorized block (n*d for
-    kinematic blocks, n*(n+1)/2 for half-vectorized coefficient blocks).
+    ``mean_sq[(method, k)]`` holds the mean over trials of each block's
+    squared error, in ``BLOCKS`` order.  A row's rmse is the square root
+    of that mean divided by the length of the vectorized block:
+    n*(n+1)/2 for the half-vectorized coefficient blocks, n*d for the
+    kinematic blocks.
     """
-    if not trials:
-        raise InvalidDimensionError("rmse needs at least one trial")
-    groups: dict[tuple[str, int, str], list[float]] = {}
-    sizes: dict[tuple[str, int, str], int] = {}
-    for tr in trials:
-        for block, err in tr.sq_errors.items():
-            key = (tr.method, tr.k, block)
-            groups.setdefault(key, []).append(err)
-            sizes[key] = _block_size(block, tr.n_nodes, tr.dim)
+    sizes = (n * (n + 1) // 2,) * 3 + (n * d,) * 3
     rows = [
-        RmseEntry(method, k, block, float(np.sqrt(np.mean(errs))) / sizes[(method, k, block)])
-        for (method, k, block), errs in sorted(groups.items())
+        RmseEntry(method, k, block, float(np.sqrt(ms)) / size)
+        for (method, k), errs in sorted(mean_sq.items())
+        for block, ms, size in zip(BLOCKS, errs, sizes, strict=True)
     ]
     return RmseTable(rows=rows)
 
@@ -195,7 +173,7 @@ def _sum_in_order(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _check_sweep(methods: Sequence[str], k_values: Sequence[int], time_grid: np.ndarray) -> None:
+def _check_sweep(methods: Sequence[str], k_values: Sequence[int]) -> None:
     for name, values in (("methods", methods), ("k_values", k_values)):
         if len(values) == 0 or len(set(values)) != len(values):
             raise InvalidDimensionError(
@@ -204,13 +182,9 @@ def _check_sweep(methods: Sequence[str], k_values: Sequence[int], time_grid: np.
     for method in methods:
         if method not in _ESTIMATORS:
             raise InvalidDimensionError(f"unknown method '{method}'")
-    if time_grid.size == 0 or not np.all(np.isfinite(time_grid)):
-        raise InvalidDimensionError(f"time_grid must be non-empty and finite, got {time_grid}")
 
 
-def _simulate_chunk(
-    config: SimConfig, truth: PolynomialTrajectory, record: tuple, trials: range
-) -> MeasurementSet:
+def _simulate_chunk(config: SimConfig, record: tuple, trials: range) -> MeasurementSet:
     """The ``trials`` of one K, stacked on its grid, each with its sub-seeded noise.
 
     ``config`` is the K's configuration and ``record`` its
@@ -224,7 +198,7 @@ def _simulate_chunk(
     for i, trial in enumerate(trials):
         seed = _trial_seed(config.seed, config.k_samples, trial)
         _add_noise(config, seed, distances, edms[i], accels[i])
-    return MeasurementSet(timestamps, edms, accels, truth=truth)
+    return MeasurementSet(timestamps, edms, accels)
 
 
 def _estimate_stack(
@@ -256,7 +230,6 @@ def run_monte_carlo(
     truth: PolynomialTrajectory,
     methods: Sequence[str] = ("distance", "accel"),
     k_values: Sequence[int] = (10, 20, 30, 40, 50),
-    time_grid: Optional[Sequence[float]] = None,
 ) -> MonteCarloResult:
     """Paired Monte-Carlo benchmark over a sweep of sample counts.
 
@@ -267,95 +240,83 @@ def run_monte_carlo(
     memory whatever ``n_trials`` is: a chunk's records are stacked on
     their shared time grid, and each requested method estimates the
     whole stack in one batch call, so methods see bit-identical noise.
-    Each estimate is aligned to the truth; the squared errors of the
-    kinematic blocks, of the low-order coefficient blocks, and of the
-    positions over a time grid (aligned with the same transform) are
-    accumulated, on the stack.  Trials where any method fails are
-    excluded from all methods to keep the comparison paired and counted
-    in ``failure_counts`` per K; a K with no surviving trial has no RMSE
-    or time-sweep rows.  A batch call that fails as a whole is retried
-    one trial at a time, so only the failing trials are lost.  Judging
-    the failure rate is left to the caller.  Trial indices and sub-seeds
-    are global over the K's chunks, and the RMSE rows average the trials
-    in index order, so they do not depend on the chunk size (unless a
-    chunk is retried one trial at a time, which may round differently);
-    the time-sweep sums do, by rounding only.
+    Each estimate is aligned to the truth, and its trial's column of
+    the (method, K) score matrix gets the squared errors of ``BLOCKS``
+    and of the positions at the ``_TIME_GRID`` instants of the time
+    sweep, aligned with the same transform.  Trials where any method
+    fails are excluded from all methods to keep the comparison paired
+    and counted in ``failure_counts`` per K; a K with no surviving trial
+    has no RMSE or time-sweep rows.  A batch call that fails as a whole
+    is retried one trial at a time, so only the failing trials are
+    lost.  Judging the failure rate is left to the caller.  Both tables
+    come from one mean per (method, K) over the kept trials in index
+    order; trial indices and sub-seeds are global over the K's chunks,
+    so neither table depends on the chunk size (unless a chunk is
+    retried one trial at a time, which may round differently).
 
-    ``methods`` and ``k_values`` must be non-empty and free of repeats,
-    and ``time_grid`` non-empty and finite.
+    ``methods`` and ``k_values`` must be non-empty and free of repeats.
     """
-    if time_grid is None:
-        time_grid = np.linspace(config.t_start, config.t_end, 21)
-    time_grid = np.asarray(time_grid, dtype=float).ravel()
-    _check_sweep(methods, k_values, time_grid)
-
+    _check_sweep(methods, k_values)
+    time_grid = np.linspace(config.t_start, config.t_end, _TIME_GRID)
     truth_blocks = _centered_blocks(truth)
     truth_vecs = _truth_coeff_vecs(truth)
     truth_positions = _positions(truth_blocks, time_grid)
     n, d = truth.n_nodes, truth.dim
     iu, ju = triu_indices(n)
 
-    trials: list[TrialResult] = []
-    sweep_acc: dict[tuple[str, int], np.ndarray] = {}
+    mean_sq: dict[tuple[str, int], np.ndarray] = {}
     failure_counts: dict[int, int] = {}
-
     for k in k_values:
         config_k = replace(config, k_samples=k)
         record = _noiseless_record(config_k, truth)
-        failure_counts[k] = 0
+        scores = {m: np.empty((len(BLOCKS) + _TIME_GRID, config.n_trials)) for m in methods}
+        kept = np.zeros(config.n_trials, dtype=bool)
         for start in range(0, config.n_trials, _CHUNK_TRIALS):
             chunk = range(start, min(start + _CHUNK_TRIALS, config.n_trials))
-            stack = _simulate_chunk(config_k, truth, record, chunk)
+            stack = _simulate_chunk(config_k, record, chunk)
             results = {m: _estimate_stack(m, stack, d) for m in methods}
             # paired: a trial counts only if every method estimated it
-            kept = np.ones(len(chunk), dtype=bool)
+            ok = np.ones(len(chunk), dtype=bool)
             for pieces in results.values():
-                ok = np.zeros(len(chunk), dtype=bool)
+                estimated = np.zeros(len(chunk), dtype=bool)
                 for index, batch in pieces:
-                    ok[index] = [error is None for error in batch.errors]
-                kept &= ok
-            failure_counts[k] += len(chunk) - int(kept.sum())
-            if not kept.any():
-                continue
+                    estimated[index] = [error is None for error in batch.errors]
+                ok &= estimated
+            kept[start : chunk.stop] = ok
             for method, pieces in results.items():
-                acc = sweep_acc.setdefault((method, k), np.zeros(time_grid.size))
                 for index, batch in pieces:
-                    keep = kept[index]
+                    keep = ok[index]
                     if not keep.any():
                         continue
                     aligned = align_to_truth(batch.select(keep.nonzero()[0]), truth)
                     blocks = (aligned.y0, aligned.y1, aligned.y2)
-                    sq = [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
                     # the coefficient blocks are exactly symmetric, so vech is a gather
-                    sq += [
+                    errors = [
                         _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2)
-                        for l in range(len(COEFFICIENT_BLOCKS))
+                        for l in range(3)
                     ]
-                    names = KINEMATIC_BLOCKS + COEFFICIENT_BLOCKS
-                    indices = (start + index[keep]).tolist()
-                    rows = zip(indices, aligned.warnings, *(e.tolist() for e in sq))
-                    trials += [
-                        TrialResult(trial, method, k, dict(zip(names, errs)), n, d, list(notes))
-                        for trial, notes, *errs in rows
+                    errors += [
+                        ((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)
                     ]
                     positions = _positions(blocks, time_grid)
-                    acc += ((positions - truth_positions) ** 2).sum(axis=(0, 2, 3))
+                    errors.append(((positions - truth_positions) ** 2).sum(axis=(2, 3)).T)
+                    scores[method][:, start + index[keep]] = np.vstack(errors)
+        failure_counts[k] = config.n_trials - int(kept.sum())
+        if kept.any():
+            for m in methods:
+                # unlike a boolean gather, compress keeps each row contiguous, so each mean is
+                # summed pairwise, as np.mean of the per-trial list was
+                mean_sq[(m, k)] = np.compress(kept, scores[m], axis=1).mean(axis=1)
 
-    survivors = {k: config.n_trials - failed for k, failed in failure_counts.items()}
     sweep = [
-        TimeSweepEntry(
-            method=m,
-            k=k,
-            t=float(t),
-            rmse=float(np.sqrt(sweep_acc[(m, k)][i] / survivors[k])) / (n * d),
-        )
+        TimeSweepEntry(m, k, float(t), float(np.sqrt(mean_sq[(m, k)][len(BLOCKS) + i])) / (n * d))
         for m in methods
         for k in k_values
-        if (m, k) in sweep_acc
+        if (m, k) in mean_sq
         for i, t in enumerate(time_grid)
     ]
     return MonteCarloResult(
-        rmse_table=rmse(trials) if trials else RmseTable(rows=[]),
+        rmse_table=rmse({key: ms[: len(BLOCKS)] for key, ms in mean_sq.items()}, n, d),
         time_sweep=sweep,
         failure_counts=failure_counts,
         n_trials=config.n_trials,

@@ -129,6 +129,11 @@ class SimConfig:
     n_trials: int = 100
 
     def __post_init__(self):
+        # these size arrays and seed generators, which raise a raw TypeError on a float
+        for name in ("n_nodes", "dim", "k_samples", "n_trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         # the comparisons below are all False for NaN, so check finiteness first
         for name in ("t_start", "t_end", "sigma_d", "sigma_a", "accel_rotation_angle"):
             if not np.isfinite(getattr(self, name)):
@@ -158,14 +163,13 @@ class MeasurementSet:
     sensor frame.  A set may also stack B records on the one time grid:
     ``edms`` is then (B, K+1, n, n) and ``accels`` (B, K+1, d, n), and the
     batch estimators solve all of them at once.  Every check runs over
-    the whole stack.  ``truth`` and ``q_true`` are carried along for
-    evaluation only; estimators never read them.
+    the whole stack.  ``q_true`` is carried along for evaluation only;
+    estimators never read it.
     """
 
     timestamps: np.ndarray
     edms: np.ndarray
     accels: Optional[np.ndarray] = None
-    truth: Optional[PolynomialTrajectory] = None
     q_true: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -289,7 +293,7 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
     # in place: the EDM diagonal is already exactly zero, and a fresh zeroed
     # copy would be one more large block of pages to fault in per call
     _add_noise(config, config.seed, distances, edms, accels)
-    return MeasurementSet(timestamps=ts, edms=edms, accels=accels, truth=traj, q_true=q)
+    return MeasurementSet(timestamps=ts, edms=edms, accels=accels, q_true=q)
 
 
 def benchmark_trajectory() -> PolynomialTrajectory:

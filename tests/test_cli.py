@@ -265,7 +265,7 @@ class TestHelp:
         "sub,flags",
         [
             ("simulate", ["--config", "--seed", "--set", "--output"]),
-            ("estimate", ["--bundle", "--method", "--dim", "--output"]),
+            ("estimate", ["--bundle", "--method", "--output"]),
             ("benchmark", ["--config", "--seed", "--trials", "--k-sweep", "--method", "--output"]),
         ],
     )

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 import relkin.harness as harness
 from relkin import (
+    ConfigError,
     EstimationError,
     InvalidDimensionError,
     KinematicEstimate,
     SimConfig,
-    TrialResult,
     align_to_truth,
     benchmark_trajectory,
     center_coefficients,
@@ -81,47 +81,50 @@ class TestAlignToTruth:
 
 class TestRmse:
     def test_exact_trials_give_zero(self):
-        trials = [
-            TrialResult(i, "distance", 10, {"Y0": 0.0, "B0": 0.0}, 10, 2)
-            for i in range(5)
-        ]
-        table = rmse(trials)
-        assert table.value("distance", 10, "Y0") == 0.0
-        assert table.value("distance", 10, "B0") == 0.0
+        table = rmse({("distance", 10): np.zeros(6)}, 10, 2)
+        assert [row.rmse for row in table.rows] == [0.0] * 6
 
     def test_single_entry_error(self):
         err = 0.42
-        trials = [TrialResult(0, "accel", 20, {"Y1": err**2}, 10, 2)]
-        assert_allclose(rmse(trials).value("accel", 20, "Y1"), err / 20.0)
+        mean_sq = np.zeros(6)
+        mean_sq[harness.BLOCKS.index("Y1")] = err**2
+        table = rmse({("accel", 20): mean_sq}, 10, 2)
+        assert_allclose(table.value("accel", 20, "Y1"), err / 20.0)
+        assert table.value("accel", 20, "Y0") == 0.0
 
     def test_block_normalization_differs(self):
-        trials = [TrialResult(0, "distance", 10, {"Y0": 1.0, "B0": 1.0}, 10, 2)]
-        table = rmse(trials)
-        assert_allclose(table.value("distance", 10, "Y0"), 1.0 / 20.0)
-        assert_allclose(table.value("distance", 10, "B0"), 1.0 / 55.0)
+        # n*d entries in a kinematic block, n*(n+1)/2 in a half-vectorized coefficient block
+        for n, d in ((10, 2), (4, 3)):
+            table = rmse({("distance", 10): np.ones(6)}, n, d)
+            for block in ("Y0", "Y1", "Y2"):
+                assert_allclose(table.value("distance", 10, block), 1.0 / (n * d))
+            for block in ("B0", "B1", "B2"):
+                assert_allclose(table.value("distance", 10, block), 1.0 / (n * (n + 1) // 2))
+
+    def test_rows_sorted_by_method_k_block(self):
+        mean_sq = {(m, k): np.arange(6.0) + k for m in ("distance", "accel") for k in (20, 10)}
+        table = rmse(mean_sq, 4, 2)
+        blocks = ("B0", "B1", "B2", "Y0", "Y1", "Y2")
+        keys = [(m, k, b) for m in ("accel", "distance") for k in (10, 20) for b in blocks]
+        assert [(row.method, row.k, row.block) for row in table.rows] == keys
+        # each block reads its own entry of its (method, K)'s mean squared errors
+        sizes = (10, 10, 10, 8, 8, 8)
+        for row in table.rows:
+            j = blocks.index(row.block)
+            assert row.rmse == float(np.sqrt(j + row.k)) / sizes[j]
 
     def test_gaussian_errors_match_chi_oracle(self, rng):
         # iid N(0, sigma^2) entry errors make the rmse converge to
-        # sigma / sqrt(n_z)
+        # sigma / sqrt(n_z), n_z the number of entries in the block
         sigma, n, d = 0.1, 10, 2
-        n_z = n * d
-        trials = [
-            TrialResult(
-                i,
-                "distance",
-                10,
-                {"Y0": float(np.sum(rng.normal(0, sigma, n_z) ** 2))},
-                n,
-                d,
-            )
-            for i in range(1000)
-        ]
-        got = rmse(trials).value("distance", 10, "Y0")
-        assert abs(got - sigma / np.sqrt(n_z)) <= 0.05 * sigma / np.sqrt(n_z)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidDimensionError):
-            rmse([])
+        sizes = (n * (n + 1) // 2,) * 3 + (n * d,) * 3
+        mean_sq = np.array(
+            [np.mean(np.sum(rng.normal(0, sigma, (1000, n_z)) ** 2, axis=1)) for n_z in sizes]
+        )
+        table = rmse({("distance", 10): mean_sq}, n, d)
+        for block, n_z in zip(harness.BLOCKS, sizes):
+            got = table.value("distance", 10, block)
+            assert abs(got - sigma / np.sqrt(n_z)) <= 0.05 * sigma / np.sqrt(n_z)
 
 
 class TestRunMonteCarlo:
@@ -209,13 +212,14 @@ class TestRunMonteCarlo:
         ({"methods": ("distance", "distance")}, "methods"),
         ({"k_values": ()}, "k_values"),
         ({"k_values": (10, 10)}, "k_values"),
-        ({"time_grid": []}, "time_grid"),
-        ({"time_grid": [0.0, np.nan, 1.0]}, "time_grid"),
-        ({"time_grid": [0.0, np.inf]}, "time_grid"),
     ],
-    ids=["no-methods", "repeated-method", "no-k", "repeated-k", "empty-grid", "nan-grid",
-         "inf-grid"],
+    ids=["no-methods", "repeated-method", "no-k", "repeated-k"],
 )
 def test_run_monte_carlo_rejects_degenerate_sweeps(kwargs, name):
     with pytest.raises(InvalidDimensionError, match=name):
         run_monte_carlo(SimConfig(n_trials=1), benchmark_trajectory(), **kwargs)
+
+
+def test_run_monte_carlo_rejects_non_integral_k():
+    with pytest.raises(ConfigError, match="k_samples must be an integer"):
+        run_monte_carlo(SimConfig(n_trials=1), benchmark_trajectory(), k_values=(10.5,))

@@ -4,8 +4,7 @@ The harness simulates a K's noise-free record once and adds each trial's
 noise into a preallocated stack, a chunk of trials at a time.  These
 tests pin that every stacked record is bit for bit what the per-trial
 loop it replaced gave, that the truth is evaluated once per (K, chunk),
-and that the chunk size changes neither the RMSE rows nor the failure
-counts.
+and that the chunk size changes neither table nor the failure counts.
 """
 
 from dataclasses import replace
@@ -47,7 +46,7 @@ def reference_simulate(config, traj):
         edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
     acc = eval_kinematics(traj, ts, 2) @ centering_matrix(n)
     accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, d, n))
-    return MeasurementSet(timestamps=ts, edms=edms, accels=accels, truth=traj, q_true=q)
+    return MeasurementSet(timestamps=ts, edms=edms, accels=accels, q_true=q)
 
 
 def reference_stack(config, truth, k):
@@ -58,13 +57,13 @@ def reference_stack(config, truth, k):
         cfg = replace(config, k_samples=k, seed=harness._trial_seed(config.seed, k, trial))
         meas = reference_simulate(cfg, truth)
         edms[trial], accels[trial] = meas.edms, meas.accels
-    return MeasurementSet(meas.timestamps, edms, accels, truth=truth)
+    return MeasurementSet(meas.timestamps, edms, accels)
 
 
 def stacked(config, truth, k, trials):
     config = replace(config, k_samples=k)
     record = trajectory._noiseless_record(config, truth)
-    return harness._simulate_chunk(config, truth, record, trials)
+    return harness._simulate_chunk(config, record, trials)
 
 
 def assert_same_records(got, want):
@@ -148,9 +147,9 @@ def run_chunked(monkeypatch, chunk, config, truth, k_values, poison=None):
     sizes = []
     simulate = harness._simulate_chunk
 
-    def recorded(config, truth, record, trials):
+    def recorded(config, record, trials):
         sizes.append((config.k_samples, len(trials)))
-        return simulate(config, truth, record, trials)
+        return simulate(config, record, trials)
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_CHUNK_TRIALS", chunk)
@@ -165,16 +164,14 @@ def test_chunks_change_neither_rmse_rows_nor_failure_counts(monkeypatch, seed):
     truth, k_values = benchmark_trajectory(), (10, 20)
     config = SimConfig(n_trials=5, seed=seed, accel_rotation_angle=0.4)
     whole, whole_sizes = run_chunked(monkeypatch, 128, config, truth, k_values)
-    chunked, sizes = run_chunked(monkeypatch, 2, config, truth, k_values)
     assert whole_sizes == [(10, 5), (20, 5)]
-    assert sizes == [(k, size) for k in k_values for size in (2, 2, 1)]
-    assert chunked.failure_counts == whole.failure_counts == {10: 0, 20: 0}
-    assert chunked.rmse_table.rows == whole.rmse_table.rows
-    assert [(e.method, e.k, e.t) for e in chunked.time_sweep] == [
-        (e.method, e.k, e.t) for e in whole.time_sweep
-    ]
-    for got, want in zip(chunked.time_sweep, whole.time_sweep):
-        assert abs(got.rmse - want.rmse) <= 1e-12 * want.rmse
+    assert whole.failure_counts == {10: 0, 20: 0}
+    for chunk, chunk_sizes in ((2, (2, 2, 1)), (3, (3, 2))):
+        chunked, sizes = run_chunked(monkeypatch, chunk, config, truth, k_values)
+        assert sizes == [(k, size) for k in k_values for size in chunk_sizes]
+        assert chunked.failure_counts == whole.failure_counts
+        assert chunked.rmse_table.rows == whole.rmse_table.rows
+        assert chunked.time_sweep == whole.time_sweep
 
 
 def test_a_failure_in_the_third_chunk_is_counted_once(monkeypatch):

@@ -129,6 +129,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             SimConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_nodes", "dim", "k_samples", "n_trials", "seed"])
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, "10"])
+    def test_non_integral_count_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimConfig(**{field: bad})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(k_samples=np.int32(6), n_trials=np.int64(2), seed=np.uint32(3))
+        meas = simulate_measurements(cfg, benchmark_trajectory())
+        assert meas.edms.shape == (7, 10, 10)
+
 
 def _per_instant_simulation(config, traj):
     """The simulator one instant at a time: K+1 sequential draws per stream."""
