@@ -18,7 +18,6 @@ warning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -51,11 +50,11 @@ __all__ = [
 
 @dataclass
 class AccelCoefficients:
-    """Trajectory coefficients of order >= 2 fitted from accelerometer data.
+    """The acceleration coefficient fitted from accelerometer data.
 
-    ``blocks[i]`` estimates the coefficient of derivative order ``2 + i``,
-    expressed in the sensor frame (a fixed unknown rotation of the true
-    coefficients).  A stacked fit carries the leading axes on every block
+    ``blocks`` holds one (d, n) block, the constant acceleration expressed
+    in the sensor frame (a fixed unknown rotation of the true
+    coefficient).  A stacked fit carries the leading axes on the block
     and on ``residual``.
     """
 
@@ -63,45 +62,36 @@ class AccelCoefficients:
     residual: float | np.ndarray = 0.0
 
 
-def fit_accel_coeffs(accels, timestamps, order: int = 2) -> AccelCoefficients:
-    """Per-entry polynomial fit of an accelerometer series, or of a stack of them.
+def fit_accel_coeffs(accels, timestamps) -> AccelCoefficients:
+    """Constant-acceleration fit of an accelerometer series, or of a stack of them.
 
-    An order-``order`` trajectory has acceleration polynomial of degree
-    ``order - 2`` in time, so for the constant-acceleration case the fit
-    reduces to the per-entry time average.  Returns the coefficient
-    matrices for derivative orders 2..order in the sensor frame.
+    A constant-acceleration trajectory reads a constant in every sensor
+    entry, so the fit is the per-entry time average: a degree-0
+    polynomial fit sharing the grid's cached projector.
     """
     accels = np.asarray(accels, dtype=float)
     if accels.ndim < 3:
         raise InvalidDimensionError("accels must be (K+1, dim, n)")
-    if order < 2:
-        raise InvalidDimensionError("accelerometer data constrains orders >= 2 only")
     lead, (d, n) = accels.shape[:-2], accels.shape[-2:]
-    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), order - 2)
-    shape = lead[:-1] + (d, n)
-    blocks = [factorial(j) * coeffs[..., j, :].reshape(shape) for j in range(order - 1)]
-    return AccelCoefficients(blocks=blocks, residual=np.sqrt(_sum_squares(residual)))
+    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0)
+    block = coeffs[..., 0, :].reshape(lead[:-1] + (d, n))
+    return AccelCoefficients(blocks=[block], residual=np.sqrt(_sum_squares(residual)))
 
 
 def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
-    """Subtract the accelerometer-known quadratic terms from the Grammians.
+    """Subtract the accelerometer-known quartic term from the Grammians.
 
-    For each order l >= 2 the term vech(Y_l^T Y_l) * t^(2l) / (l!)^2 is
-    removed; these inner products are invariant to the sensor rotation, so
-    no frame knowledge is needed.  The deflated series is polynomial of
-    degree 2*order - 1 instead of 2*order (degree 3 instead of 4 in the
-    constant-acceleration case).
+    With A the acceleration block, the term vech(A^T A) * t^4 / 4 is
+    removed; this inner product is invariant to the sensor rotation, so
+    no frame knowledge is needed.  The deflated series is a cubic in time
+    instead of a quartic.
     """
     gram_vecs = np.asarray(gram_vecs, dtype=float)
     t = np.asarray(timestamps, dtype=float).ravel()
     if gram_vecs.ndim != 2 or gram_vecs.shape[0] != t.size:
         raise InvalidDimensionError("gram_vecs must be (K+1, m) matching timestamps")
-    out = gram_vecs.copy()
-    for i, block in enumerate(acc.blocks):
-        l = 2 + i
-        quad = vech(block.T @ block) / factorial(l) ** 2
-        out -= np.outer(t ** (2 * l), quad)
-    return out
+    block = acc.blocks[0]
+    return gram_vecs - np.outer(t**4, vech(block.T @ block) / 4)
 
 
 def fit_deflated_coeffs(deflated_vecs, timestamps) -> GrammianCoefficients:
@@ -138,7 +128,7 @@ def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate
     meas = meas.as_batch()
 
     with _stage("accelerometer-fit"):
-        acc = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
+        acc = fit_accel_coeffs(meas.accels, meas.timestamps)
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
     sensor_accel = acc.blocks[0] @ centering_matrix(meas.n_nodes)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DegenerateGeometryError,
-    DegenerateRotationError,
     EstimationError,
     InvalidDimensionError,
     NonUniqueSolutionError,
@@ -111,12 +110,9 @@ class ChuFactors:
     space, so N = :attr:`known` + (u1 vt[1]; u2 vt[0]) for free entries
     (u1, u2) tied by lam[0] u1 + lam[1] u2 = ``c`` = (vt B vt^T)[0, 1].
     ``residual`` is ||P B P||_F, zero for consistent input, and
-    ``repeated`` flags nearly repeated singular values.
-
+    ``repeated`` flags nearly repeated singular values and ``degenerate``
+    a rank-deficient A, whose other fields are finite but meaningless.
     The split of a stack carries its leading axes on every field.
-    ``degenerate`` then flags the members whose A is rank deficient (a
-    single split raises instead); their other fields are finite but
-    meaningless.
     """
 
     u: np.ndarray
@@ -143,10 +139,9 @@ class BasisSystem:
     (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2); ``h`` is the normalized rotation
     pair, ``h_norm`` its length before normalization, and ``u`` the
     recovered free entries.  ``condition`` is s_max/s_min of ``w``.
-
-    The system of a stack of splits carries its leading axes on every
-    field; members with ``rank`` < 6 or ``h_norm`` < 1e-8 are flagged
-    there instead of raising.
+    ``solvable`` flags a usable solution: ``rank`` 6 and ``h_norm`` at
+    least 1e-8.  The system of a stack of splits carries its leading axes
+    on every field.
     """
 
     w: np.ndarray
@@ -158,6 +153,7 @@ class BasisSystem:
     rank: np.ndarray
     condition: np.ndarray
     h_norm: np.ndarray
+    solvable: np.ndarray
 
 
 @dataclass
@@ -404,9 +400,8 @@ def chu_decompose(bhat, yhat) -> ChuFactors:
     ``bhat`` is the symmetric n-by-n B and ``yhat`` the 2-by-n A, or
     stacks (..., n, n) and (..., 2, n) of them, split by one stacked SVD.
     A must have full row rank (singular values above 1e-8 of the
-    largest); otherwise the equation does not determine the split: a
-    single split raises DegenerateGeometryError, a stack flags the
-    member in ``degenerate``.  No n-by-n frame is formed: B is projected
+    largest); otherwise the equation does not determine the split and
+    ``degenerate`` flags it.  No n-by-n frame is formed: B is projected
     with P = I - vt^T vt applied as two rank-2 updates.
     """
     bhat = np.asarray(bhat, dtype=float)
@@ -418,9 +413,7 @@ def chu_decompose(bhat, yhat) -> ChuFactors:
     if lam.shape[-1] < 2:
         raise DegenerateGeometryError(_DEGENERATE_FACTOR)
     degenerate = lam[..., 1] <= 1e-8 * lam[..., 0]
-    if yhat.ndim == 2 and degenerate:
-        raise DegenerateGeometryError(_DEGENERATE_FACTOR)
-    # a degenerate member of a stack divides by 1 instead, keeping its fields finite
+    # a degenerate split divides by 1 instead, keeping its fields finite
     safe = np.where(degenerate[..., None], 1.0, lam) if degenerate.any() else lam
     vtt = vt.swapaxes(-1, -2)
     bv = bhat @ vtt
@@ -469,7 +462,9 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     eps * max(rows, 6) times the largest count as zero); h is normalized
     to unit length and u recovered by projecting the bilinear components
     onto h, which avoids dividing by near-zero rotation components.
-    Stacked splits give a stack of systems solved by one stacked SVD.
+    Stacked splits give a stack of systems solved by one stacked SVD; a
+    system without a usable solution is flagged in ``solvable``, not
+    raised.
     """
     n = f0.vt.shape[-1]
     if f2.vt.shape[-1] != n:
@@ -511,16 +506,11 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     phi = (vwt.swapaxes(-1, -2) @ scaled[..., None])[..., 0]
     gap = (w @ phi[..., None])[..., 0] - b
     h_norm = np.hypot(phi[..., 0], phi[..., 1])
-    if w.ndim == 2:
-        if rank < 6:
-            raise NonUniqueSolutionError(_RANK_DEFICIENT_BASIS)
-        if h_norm < 1e-8:
-            raise DegenerateRotationError(_VANISHING_ROTATION)
     h = phi[..., :2] / np.maximum(h_norm, _TINY)[..., None]
     return BasisSystem(
         w=w, rhs=b, phi=phi, h=h, u=h[..., :1] * phi[..., 2:4] + h[..., 1:] * phi[..., 4:],
         residual=np.sqrt(_sum_squares(gap, -1)), rank=rank,
-        condition=_ratio(sv), h_norm=h_norm,
+        condition=_ratio(sv), h_norm=h_norm, solvable=(rank == 6) & (h_norm >= 1e-8),
     )
 
 
@@ -578,7 +568,7 @@ def _note(notes: list[list[str]], mask: np.ndarray, message: str) -> None:
 
 
 def _candidate_failure(f2: ChuFactors, basis: BasisSystem, negligible, i: int) -> str:
-    """Why the acceleration factor candidate behind ``f2`` failed for record ``i``."""
+    """Why the acceleration factor split ``f2`` and the ``basis`` solved on it fail record ``i``."""
     if f2.degenerate[i]:
         return f"unusable ({_DEGENERATE_FACTOR})"
     if negligible[i]:
@@ -603,7 +593,9 @@ def _solve(
     only up to an orthogonal transform, while the basis parameterization
     covers rotations only: F and its first-row-negated reflection are
     both tried, and the original is kept unless its residual exceeds ten
-    times the reflected one's.
+    times the reflected one's.  Both candidates share one split of F:
+    _FLIP @ F has the SVD (_FLIP @ u) diag(lam) vt, so the reflection is
+    a sign on the split's ``u``, and F alone decides the fallback flags.
 
     One fallback rule: if F is negligible next to the positions over the
     record (s_min(F)^2 t_max^4 <= _NEGLIGIBLE_ACCEL lambda_max(B0), e.g. a
@@ -614,10 +606,9 @@ def _solve(
 
     Every stage runs once on the whole stack; the retry, the fallback
     and a degenerate velocity split are per-record masks, so one record's
-    outcome never depends on the others.  A record is tried the way one
-    estimate would try it: the reflected candidate is not consulted once
-    the original is found negligible.  Warning strings are built only
-    for the records they concern.
+    outcome never depends on the others.  No stage raises on a
+    degenerate record: the splits and the basis systems flag it.
+    Warning strings are built only for the records they concern.
     """
     errors: list[Optional[EstimationError]] = [None] * len(notes)
     with _stage("basis-solve"):
@@ -631,25 +622,18 @@ def _solve(
     conditioning["velocity_split"] = _ratio(f0.lam)
 
     with _stage("basis-solve"):
-        two_b3 = 2.0 * coeffs.blocks[3]
-        splits = [chu_decompose(two_b3, f) for f in (accel_factor, _FLIP @ accel_factor)]
-        bases = [build_and_solve_basis(f0, f2) for f2 in splits]
-    # the split's singular values are F's, the same for both candidates
+        f2 = chu_decompose(2.0 * coeffs.blocks[3], accel_factor)
+        bases = [build_and_solve_basis(f0, f) for f in (f2, replace(f2, u=_FLIP @ f2.u))]
     t_max = float(np.abs(meas.timestamps).max())
     floor = _NEGLIGIBLE_ACCEL * mds0.eigenvalues[..., 0]
-    negligible = [~f2.degenerate & (f2.lam[..., -1] ** 2 * t_max**4 <= floor) for f2 in splits]
-    ok = [
-        ~f2.degenerate & ~neg & (basis.rank == 6) & (basis.h_norm >= 1e-8)
-        for f2, basis, neg in zip(splits, bases, negligible)
-    ]
-    ok[1] &= ~negligible[0]
+    negligible = ~f2.degenerate & (f2.lam[..., -1] ** 2 * t_max**4 <= floor)
+    ok = [~f2.degenerate & ~negligible & basis.solvable for basis in bases]
     fallback = ~(ok[0] | ok[1])
     reflected = ok[1] & (~ok[0] | (bases[0].residual > 10.0 * bases[1].residual))
     for i in fallback.nonzero()[0]:
-        # the last candidate tried names the reason
-        c = 0 if negligible[0][i] else 1
+        # the reflected candidate, tried last, names the reason
         notes[i].append(
-            f"acceleration factor {_candidate_failure(splits[c], bases[c], negligible[c], i)}; "
+            f"acceleration factor {_candidate_failure(f2, bases[1], negligible, i)}; "
             "velocity set to its minimum-norm completion and the rotation fixed to identity"
         )
     _note(notes, reflected & ~ok[0], "only the reflected acceleration factor admitted a solution")
@@ -659,7 +643,7 @@ def _solve(
         "MDS reflection ambiguity detected; the reflected acceleration factor fit the "
         "coupled equations",
     )
-    f2, basis = _merge(reflected, *splits), _merge(reflected, *bases)
+    basis = _merge(reflected, *bases)
     _note(notes, f2.repeated & ~fallback, _REPEATED)
 
     u = basis.u

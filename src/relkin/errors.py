@@ -22,11 +22,7 @@ class DegenerateGeometryError(RelkinError):
 
 
 class NonUniqueSolutionError(RelkinError):
-    """The stacked basis system does not pin down a unique solution."""
-
-
-class DegenerateRotationError(RelkinError):
-    """The rotation components of the basis solution are too small to normalize."""
+    """Too few nodes for the basis system to pin down a unique solution."""
 
 
 class ConfigError(RelkinError):

@@ -185,6 +185,8 @@ class MeasurementSet:
             )
         if self.edms.shape[-1] != self.edms.shape[-2]:
             raise InvalidDimensionError("each EDM must be square")
+        if self.edms.size == 0:
+            raise InvalidDimensionError("a measurement set needs records, samples and nodes")
         # max() and min() propagate NaN and inf, so they check finiteness too;
         # max(max, -min) is the largest magnitude without an abs() temporary
         largest = max(float(self.edms.max()), -float(self.edms.min()))

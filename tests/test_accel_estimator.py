@@ -50,25 +50,14 @@ class TestFitAccelCoeffs:
     def test_constant_acceleration_exact(self):
         traj = benchmark_trajectory()
         meas = noiseless_measurements(traj, angle=np.pi / 6)
-        acc = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
+        acc = fit_accel_coeffs(meas.accels, meas.timestamps)
         q = rotation2d(np.pi / 6)
         expected = q @ center_coefficients(traj).coeffs[2]
         assert rel_err(acc.blocks[0], expected) <= 1e-12
 
     def test_zero_accelerations(self):
-        acc = fit_accel_coeffs(np.zeros((9, 2, 5)), np.linspace(-5, 5, 9), order=2)
+        acc = fit_accel_coeffs(np.zeros((9, 2, 5)), np.linspace(-5, 5, 9))
         assert_allclose(acc.blocks[0], np.zeros((2, 5)), atol=1e-15)
-
-    def test_higher_order_series_recovered(self, rng):
-        # degree-1 acceleration from a cubic trajectory: build the series
-        # directly and check both coefficient blocks come back
-        y2 = rng.standard_normal((2, 6))
-        y3 = rng.standard_normal((2, 6))
-        ts = np.linspace(-5, 5, 15)
-        series = np.stack([y2 + y3 * t for t in ts])
-        acc = fit_accel_coeffs(series, ts, order=3)
-        assert rel_err(acc.blocks[0], y2) <= 1e-10
-        assert rel_err(acc.blocks[1], y3) <= 1e-10
 
     def test_sample_mean_variance(self):
         # for constant acceleration the fit is the per-entry time average,
@@ -83,10 +72,6 @@ class TestFitAccelCoeffs:
         var = entries.var(axis=0, ddof=1)
         expected = 0.001**2 / 41
         assert np.all(np.abs(var - expected) <= 0.35 * expected)
-
-    def test_low_order_rejected(self):
-        with pytest.raises(Exception):
-            fit_accel_coeffs(np.zeros((5, 2, 4)), np.arange(5.0), order=1)
 
 
 class TestDeflateGrams:

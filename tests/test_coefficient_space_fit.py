@@ -56,7 +56,7 @@ def distance_oracle(meas):
 
 
 def accel_oracle(meas):
-    raw = fit_accel_coeffs(meas.accels, meas.timestamps, order=2)
+    raw = fit_accel_coeffs(meas.accels, meas.timestamps)
     c = centering_matrix(meas.n_nodes)
     acc = AccelCoefficients(blocks=[b @ c for b in raw.blocks])
     deflated = deflate_grams(gram_series(meas), meas.timestamps, acc)

@@ -1,11 +1,12 @@
 """Distance-only estimation: coefficient fit, factor recovery, coupled solve."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from relkin import (
-    DegenerateGeometryError,
     EstimationError,
     MeasurementSet,
     PolynomialTrajectory,
@@ -26,6 +27,7 @@ from relkin import (
     simulate_measurements,
     vech,
 )
+from relkin.distance_estimator import _FLIP
 
 from conftest import (
     gram_poly_blocks,
@@ -176,11 +178,49 @@ class TestChuDecompose:
         assert rel_err(half + half.T, coeffs.blocks[1]) <= 1e-7
         assert f.residual <= 1e-7 * np.linalg.norm(coeffs.blocks[1])
 
-    def test_rank_deficient_factor_rejected(self):
+    def test_rank_deficient_factor_flagged(self):
         yhat = np.zeros((2, 5))
         yhat[0] = np.arange(5.0)
-        with pytest.raises(DegenerateGeometryError):
-            chu_decompose(np.eye(5), yhat)
+        f = chu_decompose(np.eye(5), yhat)
+        assert f.degenerate
+        for item in fields(f):
+            assert np.all(np.isfinite(getattr(f, item.name))), item.name
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reflected_factor_shares_the_split(self, seed):
+        # _FLIP @ F has the SVD (_FLIP @ u) diag(lam) vt, so one split serves
+        # both candidates.  LAPACK may negate a singular pair (a column of u
+        # with the matching row of vt) of the reflected factor; that gauge is
+        # matched first, and the basis solve does not see it at all.
+        rng = np.random.default_rng(seed)
+        b_size, n = 5, int(rng.integers(4, 30))
+        f = rng.uniform(0.1, 1000.0) * rng.standard_normal((b_size, 2, n))
+        f[seed % b_size, 1] = rng.uniform(-3.0, 3.0) * f[seed % b_size, 0]
+        half = f.swapaxes(-1, -2) @ rng.standard_normal((b_size, 2, n))
+        bhat = half + half.swapaxes(-1, -2)
+        shared = chu_decompose(bhat, f)
+        alone = chu_decompose(bhat, _FLIP @ f)
+        assert shared.degenerate.sum() == 1
+        sign = np.sign(np.sum(shared.vt * alone.vt, axis=-1))
+        want = {
+            "u": (_FLIP @ shared.u) * sign[..., None, :],
+            "lam": shared.lam,
+            "vt": shared.vt * sign[..., None],
+            "z1_diag": shared.z1_diag,
+            "z2": shared.z2 * sign[..., None],
+            "c": shared.c * sign[..., 0] * sign[..., 1],
+            "residual": shared.residual,
+        }
+        for name, value in want.items():
+            assert rel_err(getattr(alone, name), value) <= 1e-12, name
+        assert np.array_equal(alone.repeated, shared.repeated)
+        assert np.array_equal(alone.degenerate, shared.degenerate)
+        f0 = chu_decompose(bhat[::-1], rng.standard_normal((b_size, 2, n)))
+        reflected = build_and_solve_basis(f0, replace(shared, u=_FLIP @ shared.u))
+        direct = build_and_solve_basis(f0, alone)
+        for name in ("phi", "h", "u", "residual", "condition"):
+            assert rel_err(getattr(reflected, name), getattr(direct, name)) <= 1e-12, name
+        assert np.array_equal(reflected.solvable, direct.solvable)
 
 
 class TestBasisSolve:
@@ -217,6 +257,23 @@ class TestBasisSolve:
             trail = sol.w[2 : 2 * n + 2].T.reshape(6, 2, n)
             assert np.abs(trail @ f2.vt.T).max() <= 1e-12 * np.abs(trail).max()
             assert sol.rank == 6
+
+    @pytest.mark.parametrize(
+        "zero_velocity_split,rank_deficient",
+        [(False, False), (True, True)],
+        ids=["vanishing-rotation", "rank-deficient"],
+    )
+    def test_unusable_single_system_flagged(self, rng, zero_velocity_split, rank_deficient):
+        # an all-zero acceleration split solves to phi = 0: h vanishes, and
+        # with the velocity split zero too the tie rows drop out of the rank
+        n = 6
+        y0, y1, y2 = (rng.standard_normal((2, n)) for _ in range(3))
+        b0 = np.zeros((n, n)) if zero_velocity_split else y0.T @ y1 + y1.T @ y0
+        sol = build_and_solve_basis(chu_decompose(b0, y0), chu_decompose(np.zeros((n, n)), y2))
+        assert not sol.solvable
+        assert sol.h_norm < 1e-8
+        assert (sol.rank < 6) == rank_deficient
+        assert np.all(np.isfinite(sol.h)) and np.all(np.isfinite(sol.u))
 
     def test_noiseless_rotation_recovery(self):
         traj = benchmark_trajectory()

@@ -38,3 +38,24 @@ def test_package_exports_exactly_what_it_imports():
     # a re-exported name is public in the module it comes from too
     for name, module in imported.items():
         assert name in public_names(importlib.import_module(f"relkin.{module}")), (module, name)
+
+
+def traced_names():
+    """``module.name`` for every entry of ``perfbench/tracer.py``'s ``TRACED`` table."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED":
+            table = ast.literal_eval(node.value)
+            return [f"{module}.{name}" for module, names in table.items() for name in names]
+    raise AssertionError("perfbench/tracer.py defines no TRACED table")
+
+
+@pytest.mark.parametrize("key", traced_names())
+def test_every_traced_name_is_defined_where_the_tracer_looks(key):
+    # Tracer.install reads owner.__dict__[attr]: a traced name must be
+    # defined on its module or class, not merely reachable from it
+    module_name, name = key.split(".", 1)
+    module = importlib.import_module(f"relkin.{module_name}")
+    owner_name, _, attr = name.rpartition(".")
+    owner = getattr(module, owner_name) if owner_name else module
+    assert callable(owner.__dict__.get(attr)), key

@@ -308,3 +308,18 @@ class TestMeasurementSetInvariants:
         with pytest.raises(InvalidDimensionError, match="finite") as info:
             MeasurementSet(**arrays)
         assert isinstance(info.value, RelkinError)
+
+    @pytest.mark.parametrize(
+        "timestamps,edms",
+        [
+            (np.arange(3.0), np.zeros((0, 3, 4, 4))),
+            (np.zeros(0), np.zeros((0, 4, 4))),
+            (np.arange(3.0), np.zeros((3, 0, 0))),
+        ],
+        ids=["no-records", "no-samples", "no-nodes"],
+    )
+    def test_empty_set_rejected(self, timestamps, edms):
+        from relkin import InvalidDimensionError, MeasurementSet
+
+        with pytest.raises(InvalidDimensionError, match="needs records, samples and nodes"):
+            MeasurementSet(timestamps=timestamps, edms=edms)
