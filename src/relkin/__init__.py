@@ -6,6 +6,8 @@ with accelerometer readings, and ships a simulator plus a Monte-Carlo
 benchmarking harness.
 """
 
+from types import ModuleType as _ModuleType
+
 from .accel_estimator import (
     AccelCoefficients,
     deflate_grams,
@@ -65,49 +67,9 @@ from .trajectory import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccelCoefficients",
-    "BatchEstimate",
-    "ConfigError",
-    "DegenerateGeometryError",
-    "DegenerateGeometryWarning",
-    "EstimationError",
-    "InvalidDimensionError",
-    "KinematicEstimate",
-    "MeasurementSet",
-    "PolynomialTrajectory",
-    "RelkinError",
-    "RmseEntry",
-    "RmseTable",
-    "SimConfig",
-    "SingularDesignError",
-    "TimeSweepEntry",
-    "UnsupportedOrderError",
-    "align_to_truth",
-    "benchmark_trajectory",
-    "build_and_solve_basis",
-    "center_coefficients",
-    "centering_matrix",
-    "chu_decompose",
-    "classical_mds",
-    "deflate_grams",
-    "edm_from_points",
-    "estimate_from_distances",
-    "estimate_from_distances_batch",
-    "estimate_with_accel",
-    "estimate_with_accel_batch",
-    "eval_kinematics",
-    "fit_accel_coeffs",
-    "fit_deflated_coeffs",
-    "fit_gram_coeffs",
-    "gram_from_edm",
-    "orthogonal_procrustes",
-    "recover_position_acceleration",
-    "recover_velocity",
-    "rmse",
-    "rotation2d",
-    "run_monte_carlo",
-    "simulate_measurements",
-    "unvech",
-    "vech",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

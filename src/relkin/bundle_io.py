@@ -4,7 +4,8 @@ All files are UTF-8 with '.' as the decimal separator and '\n' line
 endings; floats are written with shortest round-trip precision so a
 written bundle reads back bit for bit.  Every CSV file is written by one
 table writer from whole columns (index grids broadcast against the value
-arrays), not entry by entry.
+arrays), not entry by entry.  ``edms.csv`` holds one (k, i < j) row per
+entry of a set's ``pairs``, which the reader fills straight from the rows.
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ def write_measurement_bundle(meas: MeasurementSet, outdir) -> list[Path]:
     """Write a measurement set as a CSV bundle into ``outdir``.
 
     Produces ``timestamps.csv`` (k,t), ``edms.csv`` (k,i,j,value with
-    i < j; the symmetric part and zero diagonal are implied) and, when
-    accelerometer data is present, ``accels.csv`` (k,node,axis,value).
+    i < j: the pairs) and, when accelerometer data is present,
+    ``accels.csv`` (k,node,axis,value).
     """
     outdir = Path(outdir)
     k = np.arange(meas.timestamps.size)
     iu, ju = triu_indices(meas.n_nodes, 1)
     written = [
         _write_table(outdir / TIMESTAMPS_FILE, "k,t", k, meas.timestamps),
-        _write_table(outdir / EDM_FILE, "k,i,j,value", k[:, None], iu, ju, meas.edms[:, iu, ju]),
+        _write_table(outdir / EDM_FILE, "k,i,j,value", k[:, None], iu, ju, meas.pairs),
     ]
     if meas.accels is not None:
         acc = meas.accels.transpose(0, 2, 1)  # rows run k, node, axis
@@ -101,22 +102,22 @@ def _read_columns(path: Path, header: str) -> list[np.ndarray]:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _check_each_once(path: Path, rows: int, count: int, what: str) -> None:
-    """Raise unless the file has one row per cell: ``count`` rows of ``what``."""
-    if rows != count:
-        raise ConfigError(
-            f"{path}: every {what} must occur exactly once ({count} rows expected, got {rows})"
-        )
+def _placed(path: Path, cells: np.ndarray, values: np.ndarray, count: int, what: str):
+    """``count`` cells, each filled by the one row of ``values`` that names it.
 
-
-def _check_distinct(path: Path, cells: np.ndarray, what: str) -> None:
-    """Raise if two rows name the same cell.
-
-    With in-range indices and one row per cell, as :func:`_check_each_once`
-    checks, this leaves every cell filled exactly once.
+    Raises unless there are ``count`` rows and no two name the same cell;
+    with the indices in range, as the caller checks, that fills every cell.
     """
+    if values.size != count:
+        raise ConfigError(
+            f"{path}: every {what} must occur exactly once "
+            f"({count} rows expected, got {values.size})"
+        )
     if np.bincount(cells).max() > 1:
         raise ConfigError(f"{path}: every {what} must occur exactly once (found a repeat)")
+    placed = np.empty(count)
+    placed[cells] = values
+    return placed
 
 
 def read_measurement_bundle(indir) -> MeasurementSet:
@@ -124,7 +125,8 @@ def read_measurement_bundle(indir) -> MeasurementSet:
 
     Rejects with ConfigError any bundle whose ``k`` values are not 0..K
     once each in ``timestamps.csv``, or which lacks, repeats or adds an
-    EDM pair (k, i < j) or an accelerometer reading (k, node, axis).
+    EDM pair (k, i < j) or an accelerometer reading (k, node, axis), and
+    with InvalidDimensionError values that :class:`MeasurementSet` rejects.
     """
     indir = Path(indir)
     path = indir / TIMESTAMPS_FILE
@@ -143,11 +145,8 @@ def read_measurement_bundle(indir) -> MeasurementSet:
         raise ConfigError(f"{path}: entries need 0 <= k < {kk} ({TIMESTAMPS_FILE}) and 0 <= i < j")
     n = 1 + int(j.max())
     m = n * (n - 1) // 2
-    _check_each_once(path, values.size, kk * m, "(k, i, j)")
-    _check_distinct(path, k * m + i * n - i * (i + 1) // 2 + j - i - 1, "(k, i, j)")
-    edms = np.zeros((kk, n, n))
-    edms[k, i, j] = values
-    edms[k, j, i] = values
+    cells = k * m + i * n - i * (i + 1) // 2 + j - i - 1
+    pairs = _placed(path, cells, values, kk * m, "(k, i, j)").reshape(kk, m)
 
     accels = None
     path = indir / ACCEL_FILE
@@ -161,12 +160,10 @@ def read_measurement_bundle(indir) -> MeasurementSet:
                 f"0 <= node < {n} ({EDM_FILE}) and axis >= 0"
             )
         d = 1 + int(axis.max())
-        _check_each_once(path, values.size, kk * d * n, "(k, node, axis)")
-        _check_distinct(path, (k * d + axis) * n + node, "(k, node, axis)")
-        accels = np.zeros((kk, d, n))
-        accels[k, axis, node] = values
+        cells = (k * d + axis) * n + node
+        accels = _placed(path, cells, values, kk * d * n, "(k, node, axis)").reshape(kk, d, n)
 
-    return MeasurementSet(timestamps=timestamps, edms=edms, accels=accels)
+    return MeasurementSet(timestamps, pairs, accels)
 
 
 def write_estimate(est: KinematicEstimate, outdir) -> list[Path]:

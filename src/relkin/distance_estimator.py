@@ -38,8 +38,8 @@ from .errors import (
     RelkinError,
     SingularDesignError,
 )
-from .linalg import MdsResult, classical_mds, edm_from_points, triu_indices, unvech
-from .linalg import vech  # noqa: F401  (perfbench's tracer test rebinds this copy)
+from .linalg import MdsResult, classical_mds, edm_from_pairs, pairs_from_points, triu_indices
+from .linalg import unvech, vech  # noqa: F401  (perfbench's tracer test rebinds this vech)
 from .trajectory import MeasurementSet
 
 __all__ = [
@@ -312,10 +312,7 @@ def _double_center(pairs, n: int) -> np.ndarray:
     and the cost is O(n^2) per block rather than two n-by-n matrix
     products.
     """
-    iu, ju = triu_indices(n, 1)
-    d = np.zeros(pairs.shape[:-1] + (n, n))
-    d[..., iu, ju] = pairs
-    d[..., ju, iu] = pairs
+    d = edm_from_pairs(pairs, n)
     # in place: fewer (..., n, n) temporaries, the same operations in the same order
     r = d.mean(axis=-1)
     d -= r[..., :, None] + r[..., None, :]
@@ -342,39 +339,65 @@ def _gram_residual(res, r, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(total, 0.0))
 
 
+#: from this node count on, row means come from segment sums, not the incidence matmul
+_SEGMENT_NODES = 60
+
+
+@lru_cache(maxsize=16)
+def _row_mean_plan(n: int) -> tuple[np.ndarray, ...]:
+    """The cached, read-only operands of :func:`_row_means` for ``n`` nodes."""
+    iu, ju = triu_indices(n, 1)
+    if n < _SEGMENT_NODES:
+        plan = (((iu[:, None] == np.arange(n)) | (ju[:, None] == np.arange(n))) / n,)
+    else:
+        i = np.arange(n - 1)
+        plan = (i * (2 * n - i - 1) // 2, np.argsort(ju, kind="stable"), i * (i + 1) // 2)
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _row_means(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Row means (..., n) of the EDMs above whose diagonals lie ``pairs`` (..., m).
+
+    Below ``_SEGMENT_NODES`` nodes: one matmul with the (m, n) incidence
+    matrix, 1/n where pair (i, j) meets node i or j.  From there its O(mn)
+    work loses to two segment sums: of each row's pairs (i, j > i), which
+    are contiguous, and of each column's (i < j), contiguous after one
+    take into column-major order.
+    """
+    if n < _SEGMENT_NODES:
+        return pairs @ _row_mean_plan(n)[0]
+    rows, order, columns = _row_mean_plan(n)
+    sums = np.zeros(pairs.shape[:-1] + (n,))
+    sums[..., :-1] = np.add.reduceat(pairs, rows, axis=-1)
+    sums[..., 1:] += np.add.reduceat(pairs.take(order, axis=-1), columns, axis=-1)
+    return sums / n
+
+
 def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCoefficients:
-    """Grammian coefficient blocks from one polynomial fit of the EDM record.
+    """Grammian coefficient blocks from one polynomial fit of the pair record.
 
     Double centering is linear and acts on each sample alone, so it
-    commutes with the fit: fitting the upper-triangle entries of every
-    (validated symmetric, zero-diagonal) EDM with one shared Vandermonde
-    projection and centering only the coefficient blocks gives
+    commutes with the fit: fitting each pair's series with one shared
+    Vandermonde projection and centering only the coefficient blocks gives
     :func:`fit_gram_coeffs` of the Grammian series, up to round-off.
-    ``accel``, a centered (..., d, n) acceleration block, deflates each
-    pair by t^4 |a_i - a_j|^2 / 4 first; that double-centers to the
+    ``accel``, a centered (..., d, n) acceleration block, first deflates
+    each pair by t^4 |a_i - a_j|^2 / 4 into a new array, since
+    ``meas.pairs`` is the caller's; that double-centers to the
     vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  A stacked
     ``meas`` gives stacked blocks, all from the grid's one projector.
     """
-    n = meas.n_nodes
-    iu, ju = triu_indices(n, 1)
-    t = meas.timestamps
-    pairs = meas.edms[..., iu, ju]
-    # row means are linear too: their series' fit residual is the row
-    # means of the residual EDMs, which the Grammian residual needs
-    mean = np.full(n, 1.0 / n)
-    row_means = meas.edms @ mean
+    n, t, pairs = meas.n_nodes, meas.timestamps, meas.pairs
     if accel is not None:
-        quartic = 0.25 * edm_from_points(accel)
-        t4 = (t**4)[:, None]
-        pairs -= t4 * quartic[..., None, iu, ju]
-        row_means -= t4 * (quartic @ mean)[..., None, :]
+        deflation = (t**4)[:, None] * (0.25 * pairs_from_points(accel))[..., None, :]
+        pairs = np.subtract(pairs, deflation, out=deflation)
     coeffs, res = _poly_lstsq(t, pairs, degree)
-    _, row_res = _poly_lstsq(t, row_means, degree)
     blocks = _double_center(coeffs, n)
     return GrammianCoefficients(
         degree,
         [blocks[..., l, :, :] for l in range(degree + 1)],
-        residual=_gram_residual(res, row_res, n),
+        residual=_gram_residual(res, _row_means(res, n), n),
     )
 
 
@@ -679,9 +702,9 @@ def _solve(
 
 
 def _one_record(meas: MeasurementSet) -> MeasurementSet:
-    if meas.edms.ndim == 4 and len(meas.edms) != 1:
+    if meas.pairs.ndim == 3 and len(meas.pairs) != 1:
         raise InvalidDimensionError(
-            f"a single estimate takes one record, got a stack of {len(meas.edms)}; "
+            f"a single estimate takes one record, got a stack of {len(meas.pairs)}; "
             "use the batch entry point"
         )
     return meas

@@ -189,16 +189,17 @@ def _simulate_chunk(config: SimConfig, record: tuple, trials: range) -> Measurem
 
     ``config`` is the K's configuration and ``record`` its
     ``_noiseless_record``.  Each trial is the record plus the noise of its
-    (K, trial) sub-seed, bit for bit what ``simulate_measurements`` gives
-    for that seed; the stack is validated once.
+    (K, trial) sub-seed, written into its row of the pair and accelerometer
+    stacks, bit for bit what ``simulate_measurements`` gives for that seed;
+    the stack is validated once.
     """
-    timestamps, _, true_edms, distances, true_accels = record
-    edms = np.broadcast_to(true_edms, (len(trials),) + true_edms.shape).copy()
+    timestamps, _, true_pairs, distances, true_accels = record
+    pairs = np.broadcast_to(true_pairs, (len(trials),) + true_pairs.shape).copy()
     accels = np.broadcast_to(true_accels, (len(trials),) + true_accels.shape).copy()
     for i, trial in enumerate(trials):
         seed = _trial_seed(config.seed, config.k_samples, trial)
-        _add_noise(config, seed, distances, edms[i], accels[i])
-    return MeasurementSet(timestamps, edms, accels)
+        _add_noise(config, seed, distances, pairs[i], accels[i])
+    return MeasurementSet(timestamps, pairs, accels)
 
 
 def _estimate_stack(
@@ -213,11 +214,11 @@ def _estimate_stack(
     """
     estimator = _ESTIMATORS[method]
     try:
-        return [(np.arange(len(meas.edms)), estimator(meas, d))]
+        return [(np.arange(len(meas.pairs)), estimator(meas, d))]
     except RelkinError:
         pieces = []
-        for i in range(len(meas.edms)):
-            one = MeasurementSet(meas.timestamps, meas.edms[i : i + 1], meas.accels[i : i + 1])
+        for i in range(len(meas.pairs)):
+            one = MeasurementSet(meas.timestamps, meas.pairs[i : i + 1], meas.accels[i : i + 1])
             try:
                 pieces.append((np.array([i]), estimator(one, d)))
             except RelkinError:

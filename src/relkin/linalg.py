@@ -19,9 +19,11 @@ __all__ = [
     "MdsResult",
     "centering_matrix",
     "classical_mds",
+    "edm_from_pairs",
     "edm_from_points",
     "gram_from_edm",
     "orthogonal_procrustes",
+    "pairs_from_points",
     "triu_indices",
     "unvech",
     "vech",
@@ -92,19 +94,40 @@ def unvech(v) -> np.ndarray:
     return out
 
 
-def edm_from_points(x) -> np.ndarray:
-    """Matrix of squared pairwise distances between the columns of ``x``.
+def pairs_from_points(x) -> np.ndarray:
+    """Squared distances (..., n(n-1)/2) between the columns of a (..., dim, n) ``x``.
 
-    ``x`` is a (dim, n) point set or a stack (..., dim, n) of them, giving
-    (n, n) or (..., n, n).  Computed from explicit coordinate differences
-    so the result is exactly symmetric with an exactly zero diagonal, and
-    each matrix of a stack equals the unstacked call bit for bit.
+    One per pair i < j in ``triu_indices(n, 1)`` order, summed one
+    coordinate at a time: numpy's reduction over that short axis is slower.
+    """
+    x = np.asarray(x, dtype=float)
+    iu, ju = triu_indices(x.shape[-1], 1)
+    diff = x[..., iu] - x[..., ju]
+    diff *= diff
+    pairs = diff[..., 0, :].copy()
+    for axis in range(1, x.shape[-2]):
+        pairs += diff[..., axis, :]
+    return pairs
+
+
+def edm_from_pairs(pairs, n: int) -> np.ndarray:
+    """The symmetric, zero-diagonal (..., n, n) matrices above whose diagonals lie ``pairs``."""
+    iu, ju = triu_indices(n, 1)
+    out = np.zeros(pairs.shape[:-1] + (n, n))
+    out[..., iu, ju] = out[..., ju, iu] = pairs
+    return out
+
+
+def edm_from_points(x) -> np.ndarray:
+    """Squared distances (n, n) between the columns of a (dim, n) ``x``, or stacked.
+
+    Exactly symmetric with an exactly zero diagonal; each matrix of a
+    (..., dim, n) stack equals the unstacked call bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise InvalidDimensionError("edm_from_points needs a (..., dim, n) array")
-    diff = x[..., :, :, None] - x[..., :, None, :]
-    return np.einsum("...dij,...dij->...ij", diff, diff)
+    return edm_from_pairs(pairs_from_points(x), x.shape[-1])
 
 
 def gram_from_edm(dk) -> np.ndarray:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isqrt
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, InvalidDimensionError, UnsupportedOrderError
-from .linalg import centering_matrix, edm_from_points, triu_indices
+from .linalg import centering_matrix, edm_from_pairs, pairs_from_points, triu_indices
 
 __all__ = [
     "MeasurementSet",
@@ -156,73 +156,96 @@ class SimConfig:
 
 @dataclass
 class MeasurementSet:
-    """Timestamps plus noisy EDM sequence and optional accelerometer data.
+    """Timestamps plus noisy squared pair distances and optional accelerometer data.
 
-    ``edms[k]`` holds squared distances at ``timestamps[k]``; ``accels[k]``
-    holds one accelerometer column per node, expressed in the (unknown)
-    sensor frame.  A set may also stack B records on the one time grid:
-    ``edms`` is then (B, K+1, n, n) and ``accels`` (B, K+1, d, n), and the
-    batch estimators solve all of them at once.  Every check runs over
-    the whole stack.  ``q_true`` is carried along for evaluation only;
-    estimators never read it.
+    ``pairs[k]`` holds the m = n(n-1)/2 squared distances at ``timestamps[k]``
+    in ``triu_indices(n, 1)`` order; ``accels[k]`` one accelerometer column
+    per node, in the (unknown) sensor frame.  B records on one time grid
+    stack as (B, K+1, m) pairs and (B, K+1, d, n) accels, which the batch
+    estimators solve at once; every check runs over the whole stack.
+    Square EDMs enter through :meth:`from_edms`, and ``edms`` builds them
+    back.  ``q_true`` is for evaluation only; estimators never read it.
     """
 
     timestamps: np.ndarray
-    edms: np.ndarray
+    pairs: np.ndarray
     accels: Optional[np.ndarray] = None
     q_true: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=float).ravel()
-        self.edms = np.asarray(self.edms, dtype=float)
+        self.pairs = np.asarray(self.pairs, dtype=float)
         if not np.all(np.isfinite(self.timestamps)):
             raise InvalidDimensionError("timestamps must be finite")
         if np.any(np.diff(self.timestamps) <= 0):
             raise InvalidDimensionError("timestamps must be strictly increasing")
-        if self.edms.ndim not in (3, 4) or self.edms.shape[-3] != self.timestamps.size:
+        if self.pairs.ndim not in (2, 3) or self.pairs.shape[-2] != self.timestamps.size:
             raise InvalidDimensionError(
-                "edms must be (K+1, n, n), or (B, K+1, n, n) for a stack, matching timestamps"
+                "pairs must be (K+1, m), or (B, K+1, m) for a stack, matching timestamps"
             )
-        if self.edms.shape[-1] != self.edms.shape[-2]:
-            raise InvalidDimensionError("each EDM must be square")
-        if self.edms.size == 0:
+        if self.pairs.size == 0:
             raise InvalidDimensionError("a measurement set needs records, samples and nodes")
-        # max() and min() propagate NaN and inf, so they check finiteness too;
-        # max(max, -min) is the largest magnitude without an abs() temporary
-        largest = max(float(self.edms.max()), -float(self.edms.min()))
-        if not np.isfinite(largest):
-            raise InvalidDimensionError("EDM entries must be finite")
-        scale = max(1.0, largest)
         n = self.n_nodes
-        iu, ju = triu_indices(n, 1)
-        asymmetry = np.abs(self.edms[..., iu, ju] - self.edms[..., ju, iu]).max(initial=0)
-        if float(asymmetry) > 1e-8 * scale:
-            raise InvalidDimensionError("each EDM must be symmetric")
-        if float(np.abs(self.edms[..., range(n), range(n)]).max()) > 1e-8 * scale:
-            raise InvalidDimensionError("each EDM must have a zero diagonal")
+        if n * (n - 1) // 2 != self.pairs.shape[-1]:
+            raise InvalidDimensionError(f"{self.pairs.shape[-1]} is not a pair count n(n-1)/2")
+        # max() and min() propagate NaN and inf, so they check finiteness too
+        lowest = float(self.pairs.min())
+        largest = max(float(self.pairs.max()), -lowest)
+        if not np.isfinite(largest):
+            raise InvalidDimensionError("squared distances must be finite")
+        if lowest < -1e-8 * max(1.0, largest):
+            raise InvalidDimensionError(f"squared distances must be nonnegative, got {lowest}")
         if self.accels is not None:
             self.accels = np.asarray(self.accels, dtype=float)
             shape = self.accels.shape
-            if len(shape) != self.edms.ndim or shape[:-2] + shape[-1:] != self.edms.shape[:-1]:
+            if shape[:-2] + shape[-1:] != self.pairs.shape[:-1] + (n,):
                 raise InvalidDimensionError(
                     "accels must be (K+1, dim, n), or (B, K+1, dim, n), matching the EDMs"
                 )
             if not np.all(np.isfinite(self.accels)):
                 raise InvalidDimensionError("accelerometer readings must be finite")
 
+    @classmethod
+    def from_edms(cls, timestamps, edms, accels=None, q_true=None) -> MeasurementSet:
+        """A set from square EDMs (K+1, n, n), or (B, K+1, n, n), checked once.
+
+        Rejects a non-finite entry, an asymmetric EDM and a nonzero diagonal
+        (to 1e-8 of the largest magnitude), then keeps the upper triangles.
+        """
+        edms = np.asarray(edms, dtype=float)
+        if edms.ndim not in (3, 4) or edms.shape[-1] != edms.shape[-2]:
+            raise InvalidDimensionError("edms must be (K+1, n, n), or (B, K+1, n, n) for a stack")
+        # max(max, -min) is the largest magnitude without an abs() temporary
+        largest = max(float(edms.max(initial=0.0)), -float(edms.min(initial=0.0)))
+        if not np.isfinite(largest):
+            raise InvalidDimensionError("EDM entries must be finite")
+        n, tolerance = edms.shape[-1], 1e-8 * max(1.0, largest)
+        iu, ju = triu_indices(n, 1)
+        pairs = edms[..., iu, ju]
+        if float(np.abs(pairs - edms[..., ju, iu]).max(initial=0.0)) > tolerance:
+            raise InvalidDimensionError("each EDM must be symmetric")
+        if float(np.abs(edms[..., range(n), range(n)]).max(initial=0.0)) > tolerance:
+            raise InvalidDimensionError("each EDM must have a zero diagonal")
+        return cls(timestamps, pairs, accels, q_true)
+
+    @property
+    def edms(self) -> np.ndarray:
+        """The square EDMs (K+1, n, n), or (B, K+1, n, n), built from ``pairs`` on each read."""
+        return edm_from_pairs(self.pairs, self.n_nodes)
+
     @property
     def n_nodes(self) -> int:
-        return self.edms.shape[-1]
+        return (1 + isqrt(1 + 8 * self.pairs.shape[-1])) // 2
 
     def as_batch(self) -> MeasurementSet:
         """This set with a leading record axis: itself if stacked, else a batch of one.
 
         The batch of one shares this set's (already validated) arrays.
         """
-        if self.edms.ndim == 4:
+        if self.pairs.ndim == 3:
             return self
         one = copy.copy(self)
-        one.edms = self.edms[None]
+        one.pairs = self.pairs[None]
         one.accels = None if self.accels is None else self.accels[None]
         return one
 
@@ -230,50 +253,46 @@ class MeasurementSet:
 def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> tuple:
     """The noise-free part of ``simulate_measurements``: one evaluation of the truth.
 
-    Returns ``(timestamps, q, edms, distances, accels)``: the K+1 instants,
-    the sensor rotation, the true EDMs (K+1, n, n), their unsquared
-    upper-triangle distances (K+1, n(n-1)/2) that distance noise is added
-    to (None when ``sigma_d`` is 0), and the mean-centered true
-    accelerations rotated into the sensor frame (K+1, d, n).
+    Returns ``(timestamps, q, pairs, distances, accels)``: the K+1
+    instants, the sensor rotation, the true squared pair distances
+    (K+1, n(n-1)/2), their square roots that distance noise is added to
+    (None when ``sigma_d`` is 0), and the mean-centered true accelerations
+    rotated into the sensor frame (K+1, d, n).
     """
     if traj.dim != config.dim or traj.n_nodes != config.n_nodes:
         raise ConfigError(
             f"trajectory shape ({traj.dim}, {traj.n_nodes}) does not match the "
             f"configured ({config.dim}, {config.n_nodes})"
         )
-    n, d = config.n_nodes, config.dim
     ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
-    q = rotation2d(config.accel_rotation_angle) if d == 2 else np.eye(d)
-    edms = edm_from_points(eval_kinematics(traj, ts, 0))
-    distances = None
-    if config.sigma_d != 0.0:
-        iu, ju = triu_indices(n, 1)
-        distances = np.sqrt(edms[:, iu, ju])
-    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(n))
-    return ts, q, edms, distances, accels
+    q = rotation2d(config.accel_rotation_angle) if config.dim == 2 else np.eye(config.dim)
+    pairs = pairs_from_points(eval_kinematics(traj, ts, 0))
+    distances = np.sqrt(pairs) if config.sigma_d != 0.0 else None
+    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(config.n_nodes))
+    return ts, q, pairs, distances, accels
 
 
 def _add_noise(
     config: SimConfig,
     seed: int,
     distances: Optional[np.ndarray],
-    edms: np.ndarray,
+    pairs: np.ndarray,
     accels: np.ndarray,
 ) -> None:
     """Add the noise draw of ``seed`` in place to one noise-free record.
 
-    ``edms`` (K+1, n, n) and ``accels`` (K+1, d, n) hold the record's true
-    EDMs and sensor-frame accelerations on entry, and ``distances`` is its
-    distance array from ``_noiseless_record``.  Only the off-diagonal EDM
-    entries are overwritten, and only when there is distance noise.
+    ``pairs`` (K+1, m) and ``accels`` (K+1, d, n) hold the record's true
+    squared pair distances and sensor-frame accelerations on entry, and
+    ``distances`` is its distance array from ``_noiseless_record``.  When
+    there is distance noise, ``pairs`` is overwritten with the squared
+    noisy distances; otherwise it is left as it is.
     """
     rng_dist, rng_accel = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     )
     if distances is not None:
-        iu, ju = triu_indices(config.n_nodes, 1)
         noisy = distances + rng_dist.normal(0.0, config.sigma_d, distances.shape)
-        edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
+        np.square(noisy, out=pairs)
     accels += rng_accel.normal(0.0, config.sigma_a, accels.shape)
 
 
@@ -281,21 +300,19 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
     """Generate a noisy measurement set on the configured time grid.
 
     The record is built whole in two steps: the noise-free stacks of
-    positions, EDMs and accelerations over the K+1 instants, then one draw
-    of each noise, with the values of K+1 draws in sequence, added to the
-    noise-free arrays in place.  Distance noise is drawn per timestamp
-    and unordered node pair, added to the *unsquared* distance, and squared
-    into the EDM, keeping the matrix exactly symmetric.  Accelerometer
+    positions, squared pair distances and accelerations over the K+1
+    instants, then one draw of each noise, with the values of K+1 draws in
+    sequence, added to the noise-free arrays in place.  Distance noise is
+    drawn per timestamp and unordered node pair, added to the *unsquared*
+    distance, and squared into that pair's entry.  Accelerometer
     readings are the mean-centered true accelerations rotated into the
     sensor frame plus white noise per entry.  The same seed reproduces the
     output bit for bit; the Monte-Carlo harness shares the first step
     between the trials of one K and takes the second once per trial.
     """
-    ts, q, edms, distances, accels = _noiseless_record(config, traj)
-    # in place: the EDM diagonal is already exactly zero, and a fresh zeroed
-    # copy would be one more large block of pages to fault in per call
-    _add_noise(config, config.seed, distances, edms, accels)
-    return MeasurementSet(timestamps=ts, edms=edms, accels=accels, q_true=q)
+    ts, q, pairs, distances, accels = _noiseless_record(config, traj)
+    _add_noise(config, config.seed, distances, pairs, accels)
+    return MeasurementSet(timestamps=ts, pairs=pairs, accels=accels, q_true=q)
 
 
 def benchmark_trajectory() -> PolynomialTrajectory:

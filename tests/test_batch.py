@@ -39,7 +39,7 @@ SINGLE = {"distance": estimate_from_distances, "accel": estimate_with_accel}
 def stack(records):
     return MeasurementSet(
         records[0].timestamps,
-        np.stack([r.edms for r in records]),
+        np.stack([r.pairs for r in records]),
         np.stack([r.accels for r in records]),
     )
 
@@ -67,14 +67,14 @@ class TestStackedValidation:
         edms = meas.edms.copy()
         edms[entry] = value
         with pytest.raises(InvalidDimensionError, match=message):
-            MeasurementSet(meas.timestamps, edms, meas.accels)
+            MeasurementSet.from_edms(meas.timestamps, edms, meas.accels)
 
     def test_non_finite_accelerometer_record_rejected(self):
         meas = stack(benchmark_records(3))
         accels = meas.accels.copy()
         accels[2, 0, 1, 5] = np.inf
         with pytest.raises(InvalidDimensionError, match="accelerometer readings must be finite"):
-            MeasurementSet(meas.timestamps, meas.edms, accels)
+            MeasurementSet(meas.timestamps, meas.pairs, accels)
 
     @pytest.mark.parametrize(
         "shape",
@@ -84,7 +84,7 @@ class TestStackedValidation:
     def test_mismatched_accel_stack_rejected(self, shape):
         meas = stack(benchmark_records(3))
         with pytest.raises(InvalidDimensionError, match="matching the EDMs"):
-            MeasurementSet(meas.timestamps, meas.edms, np.zeros(shape))
+            MeasurementSet(meas.timestamps, meas.pairs, np.zeros(shape))
 
     def test_single_estimate_rejects_a_stack(self):
         with pytest.raises(InvalidDimensionError, match="batch entry point"):
@@ -174,8 +174,8 @@ def poisoned_estimators(monkeypatch, poison, per_record):
     for method, estimator in list(harness._ESTIMATORS.items()):
 
         def injected(meas, d=2, estimator=estimator):
-            same_grid = meas.edms.shape[1:] == poison.edms.shape
-            hit = np.all(meas.edms == poison.edms, axis=(1, 2, 3)) if same_grid else np.zeros(0)
+            same_grid = meas.pairs.shape[1:] == poison.pairs.shape
+            hit = np.all(meas.pairs == poison.pairs, axis=(1, 2)) if same_grid else np.zeros(0)
             if hit.any() and not per_record:
                 raise EstimationError("stage 'synthetic': the batch holds the poisoned record")
             batch = estimator(meas, d)
@@ -297,7 +297,7 @@ def test_each_method_runs_once_per_k(monkeypatch):
     for method, estimator in list(harness._ESTIMATORS.items()):
 
         def counted(meas, d=2, method=method, estimator=estimator):
-            calls.append((method, meas.timestamps.size - 1, len(meas.edms)))
+            calls.append((method, meas.timestamps.size - 1, len(meas.pairs)))
             return estimator(meas, d)
 
         monkeypatch.setitem(harness._ESTIMATORS, method, counted)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relkin import ConfigError, KinematicEstimate, MeasurementSet, RmseEntry, RmseTable
+from relkin import ConfigError, InvalidDimensionError, KinematicEstimate, MeasurementSet
+from relkin import RmseEntry, RmseTable
 from relkin import SimConfig, TimeSweepEntry
 from relkin import benchmark_trajectory, estimate_from_distances, simulate_measurements
 from relkin.bundle_io import (
@@ -33,7 +34,7 @@ class TestBundleRoundTrip:
         write_measurement_bundle(meas, tmp_path)
         back = read_measurement_bundle(tmp_path)
         assert np.array_equal(back.timestamps, meas.timestamps)
-        assert np.array_equal(back.edms, meas.edms)
+        assert np.array_equal(back.pairs, meas.pairs)
         assert np.array_equal(back.accels, meas.accels)
 
     def test_bundle_without_accels(self, meas, tmp_path):
@@ -42,7 +43,7 @@ class TestBundleRoundTrip:
         assert not (tmp_path / ACCEL_FILE).exists()
         back = read_measurement_bundle(tmp_path)
         assert back.accels is None
-        assert np.array_equal(back.edms, meas.edms)
+        assert np.array_equal(back.pairs, meas.pairs)
 
     def test_write_is_deterministic(self, meas, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -103,6 +104,12 @@ class TestMalformedBundle:
         with pytest.raises(ConfigError, match="4 comma-separated fields"):
             read_measurement_bundle(bundle)
 
+    def test_negative_squared_distance_rejected(self, bundle):
+        negative = lambda rows: rows[:4] + [rows[4].rsplit(",", 1)[0] + ",-5.0"] + rows[5:]
+        _edit_rows(bundle / EDM_FILE, negative)
+        with pytest.raises(InvalidDimensionError, match="squared distances must be nonnegative"):
+            read_measurement_bundle(bundle)
+
     def test_deleted_timestamp_row_rejected(self, bundle):
         _edit_rows(bundle / TIMESTAMPS_FILE, lambda rows: rows[:-1])
         with pytest.raises(ConfigError, match="0 <= k < 6"):
@@ -160,14 +167,11 @@ class TestTables:
 def _hand_built_outputs():
     """A 4-node, 2-sample bundle, a small estimate and tables, with values
     whose shortest repr takes each form: 0.1, 1e-05, 2.0, 1e+20, -1e-07."""
-    upper = np.array([[1.0, 2.0, 0.1, 1e-05, 3.5, 12345.678],
+    pairs = np.array([[1.0, 2.0, 0.1, 1e-05, 3.5, 12345.678],
                       [0.30000000000000004, 2.0, 1e-05, 4.0, 0.25, 1e+20]])
-    iu, ju = np.triu_indices(4, 1)
-    edms = np.zeros((2, 4, 4))
-    edms[:, iu, ju] = edms[:, ju, iu] = upper
     accels = np.array([[[0.1, -0.5, 2.0, 1e-05], [0.0, 3.0, -1e-07, 0.7]],
                        [[1.5, 0.1, -2.0, 0.0], [1e-05, 0.2, 0.3, -4.25]]])
-    meas = MeasurementSet(timestamps=[0.0, 0.1], edms=edms, accels=accels)
+    meas = MeasurementSet(timestamps=[0.0, 0.1], pairs=pairs, accels=accels)
     est = KinematicEstimate(
         y0=np.array([[0.1, -2.0], [1e-05, 3.0]]),
         y1=np.array([[2.0, 0.0], [-0.1, 1e-05]]),
@@ -277,5 +281,5 @@ class TestGoldenText:
         meas = _hand_built_outputs()[0]
         write_measurement_bundle(meas, tmp_path)
         back = read_measurement_bundle(tmp_path)
-        for field in ("timestamps", "edms", "accels"):
+        for field in ("timestamps", "pairs", "accels"):
             assert np.array_equal(getattr(back, field), getattr(meas, field))

@@ -102,6 +102,18 @@ class TestEstimate:
         assert err.startswith("error:") and "3 axes" in err
         assert "Traceback" not in err
 
+    def test_negative_squared_distance_is_clean_error(self, bundle, tmp_path, capsys):
+        path = bundle / "edms.csv"
+        header, first, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",-5.0", *rows]) + "\n")
+        out = tmp_path / "est"
+        code = run_cli(["estimate", "--bundle", str(bundle), "--method", "distance",
+                        "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nonnegative" in err
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_k_sweep_in_output(self, tmp_path):

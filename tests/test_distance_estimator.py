@@ -370,7 +370,7 @@ class TestEstimateFromDistances:
         for draw in range(draws):
             noise = rng.standard_normal(meas.edms.shape) * (1e-15 if draws > 1 else 0.0)
             noise = noise + np.swapaxes(noise, 1, 2)
-            perturbed = MeasurementSet(meas.timestamps, meas.edms * (1.0 + noise))
+            perturbed = MeasurementSet.from_edms(meas.timestamps, meas.edms * (1.0 + noise))
             est = estimate_from_distances(perturbed)
             assert rel_err(est.y0, mds_ref) <= 1e-8
             size = np.linalg.norm(est.y0)
@@ -453,7 +453,7 @@ class TestEstimateFromDistances:
         traj = benchmark_trajectory()
         meas = simulate_measurements(SimConfig(k_samples=4, sigma_d=0.0, sigma_a=0.0), traj)
         meas.timestamps = meas.timestamps[:4]
-        meas.edms = meas.edms[:4]
+        meas.pairs = meas.pairs[:4]
         meas.accels = meas.accels[:4]
         with pytest.raises(EstimationError, match="coefficient-fit"):
             estimate_from_distances(meas)

@@ -1,10 +1,14 @@
-"""The public names: every ``__all__`` resolves, and the package exports what it imports."""
+"""The public names, and the fields of a simulated record that perfbench reads.
+
+Every ``__all__`` resolves, and the package exports what it imports.
+"""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relkin
@@ -59,3 +63,29 @@ def test_every_traced_name_is_defined_where_the_tracer_looks(key):
     owner_name, _, attr = name.rpartition(".")
     owner = getattr(module, owner_name) if owner_name else module
     assert callable(owner.__dict__.get(attr)), key
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_simulated_measurements_keep_the_fields_perfbench_reads(n):
+    # perfbench/workloads.py checks simulate_measurements(...) through
+    # .timestamps (K+1,), .edms (K+1, n, n) and .accels (K+1, d, n)
+    k, d = 10, 2
+    traj = relkin.benchmark_trajectory()
+    if n != 10:
+        rng = np.random.default_rng(n)
+        traj = relkin.PolynomialTrajectory(tuple(rng.uniform(-500, 500, (d, n)) for _ in range(3)))
+    cfg = relkin.SimConfig(n_nodes=n, k_samples=k, accel_rotation_angle=0.4)
+    meas = relkin.simulate_measurements(cfg, traj)
+    assert meas.timestamps.shape == (k + 1,)
+    assert meas.edms.shape == (k + 1, n, n)
+    assert meas.accels.shape == (k + 1, d, n)
+    assert np.array_equal(meas.edms, meas.edms.swapaxes(-1, -2))
+    assert np.array_equal(meas.edms[:, range(n), range(n)], np.zeros((k + 1, n)))
+    again = relkin.MeasurementSet.from_edms(meas.timestamps, meas.edms, meas.accels)
+    assert np.array_equal(again.pairs, meas.pairs)
+
+
+@pytest.mark.parametrize("m", [2, 44, 46])
+def test_a_pair_count_that_is_not_triangular_is_rejected(m):
+    with pytest.raises(relkin.InvalidDimensionError, match=f"{m} is not a pair count"):
+        relkin.MeasurementSet(np.arange(3.0), np.ones((3, m)))

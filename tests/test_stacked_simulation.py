@@ -46,18 +46,18 @@ def reference_simulate(config, traj):
         edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
     acc = eval_kinematics(traj, ts, 2) @ centering_matrix(n)
     accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, d, n))
-    return MeasurementSet(timestamps=ts, edms=edms, accels=accels, q_true=q)
+    return MeasurementSet.from_edms(timestamps=ts, edms=edms, accels=accels, q_true=q)
 
 
 def reference_stack(config, truth, k):
     """The per-trial loop the stacked simulation replaced: one simulation per trial."""
-    edms = np.empty((config.n_trials, k + 1, config.n_nodes, config.n_nodes))
+    pairs = np.empty((config.n_trials, k + 1, config.n_nodes * (config.n_nodes - 1) // 2))
     accels = np.empty((config.n_trials, k + 1, config.dim, config.n_nodes))
     for trial in range(config.n_trials):
         cfg = replace(config, k_samples=k, seed=harness._trial_seed(config.seed, k, trial))
         meas = reference_simulate(cfg, truth)
-        edms[trial], accels[trial] = meas.edms, meas.accels
-    return MeasurementSet(meas.timestamps, edms, accels)
+        pairs[trial], accels[trial] = meas.pairs, meas.accels
+    return MeasurementSet(meas.timestamps, pairs, accels)
 
 
 def stacked(config, truth, k, trials):
@@ -68,7 +68,7 @@ def stacked(config, truth, k, trials):
 
 def assert_same_records(got, want):
     assert np.array_equal(got.timestamps, want.timestamps)
-    assert np.array_equal(got.edms, want.edms)
+    assert np.array_equal(got.pairs, want.pairs)
     assert np.array_equal(got.accels, want.accels)
 
 
@@ -98,7 +98,7 @@ def test_stacked_simulation_equals_the_per_trial_loop(case):
     assert_same_records(stacked(config, truth, k, range(config.n_trials)), want)
     # a chunk that starts inside the K's trials keeps their global sub-seeds
     middle = stacked(config, truth, k, range(1, 3))
-    assert np.array_equal(middle.edms, want.edms[1:3])
+    assert np.array_equal(middle.pairs, want.pairs[1:3])
     assert np.array_equal(middle.accels, want.accels[1:3])
 
 
@@ -130,12 +130,12 @@ def test_truth_is_evaluated_once_per_k_and_chunk(monkeypatch):
 def poison_trial(monkeypatch, config, truth, k, trial):
     """Make any batch that holds the (K, trial) record fail as a whole, for every method."""
     cfg = replace(config, k_samples=k, seed=harness._trial_seed(config.seed, k, trial))
-    poison = reference_simulate(cfg, truth).edms
+    poison = reference_simulate(cfg, truth).pairs
     for method, estimator in list(harness._ESTIMATORS.items()):
 
         def injected(meas, d=2, estimator=estimator):
-            if meas.edms.shape[1:] == poison.shape and any(
-                np.array_equal(record, poison) for record in meas.edms
+            if meas.pairs.shape[1:] == poison.shape and any(
+                np.array_equal(record, poison) for record in meas.pairs
             ):
                 raise EstimationError("stage 'synthetic': the batch holds the poisoned record")
             return estimator(meas, d)

@@ -138,7 +138,7 @@ class TestSimConfig:
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(k_samples=np.int32(6), n_trials=np.int64(2), seed=np.uint32(3))
         meas = simulate_measurements(cfg, benchmark_trajectory())
-        assert meas.edms.shape == (7, 10, 10)
+        assert meas.pairs.shape == (7, 45)
 
 
 def _per_instant_simulation(config, traj):
@@ -150,16 +150,16 @@ def _per_instant_simulation(config, traj):
     )
     q, c = rotation2d(config.accel_rotation_angle), centering_matrix(n)
     iu, ju = np.triu_indices(n, k=1)
-    edms, accels = np.zeros((ts.size, n, n)), np.zeros((ts.size, d, n))
+    pairs, accels = np.zeros((ts.size, iu.size)), np.zeros((ts.size, d, n))
     for k, t in enumerate(ts):
         x = _kinematics_at(traj, t, 0)
         diff = x[:, :, None] - x[:, None, :]
         sq = np.einsum("dij,dij->ij", diff, diff)
         noisy = np.sqrt(sq[iu, ju]) + rng_dist.normal(0.0, config.sigma_d, iu.size)
-        edms[k, iu, ju] = edms[k, ju, iu] = noisy**2
+        pairs[k] = noisy**2
         acc = _kinematics_at(traj, t, 2) @ c
         accels[k] = q @ acc + rng_accel.normal(0.0, config.sigma_a, (d, n))
-    return ts, edms, accels
+    return ts, pairs, accels
 
 
 class TestSimulateMeasurements:
@@ -170,9 +170,9 @@ class TestSimulateMeasurements:
         cfg = SimConfig(n_nodes=n, k_samples=k_samples, sigma_d=0.01, sigma_a=0.001, seed=77,
                         accel_rotation_angle=0.4, t_start=-3.3, t_end=6.1)
         meas = simulate_measurements(cfg, traj)
-        ts, edms, accels = _per_instant_simulation(cfg, traj)
+        ts, pairs, accels = _per_instant_simulation(cfg, traj)
         assert np.array_equal(meas.timestamps, ts)
-        assert np.array_equal(meas.edms, edms)
+        assert np.array_equal(meas.pairs, pairs)
         assert np.array_equal(meas.accels, accels)
 
 
@@ -192,7 +192,7 @@ class TestSimulateMeasurements:
         q = rotation2d(0.7)
         for k, t in enumerate(meas.timestamps):
             x = eval_kinematics(traj, t, 0)
-            assert np.array_equal(meas.edms[k], edm_from_points(x))
+            assert np.array_equal(meas.pairs[k], edm_from_points(x)[np.triu_indices(10, 1)])
             assert np.array_equal(meas.accels[k], q @ (eval_kinematics(traj, t, 2) @ c))
 
     def test_same_seed_bit_identical(self):
@@ -200,7 +200,7 @@ class TestSimulateMeasurements:
         traj = benchmark_trajectory()
         a = simulate_measurements(cfg, traj)
         b = simulate_measurements(cfg, traj)
-        assert np.array_equal(a.edms, b.edms)
+        assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.accels, b.accels)
         assert np.array_equal(a.timestamps, b.timestamps)
 
@@ -209,7 +209,7 @@ class TestSimulateMeasurements:
         cfg_b = SimConfig(k_samples=12, seed=2)
         traj = benchmark_trajectory()
         assert not np.array_equal(
-            simulate_measurements(cfg_a, traj).edms, simulate_measurements(cfg_b, traj).edms
+            simulate_measurements(cfg_a, traj).pairs, simulate_measurements(cfg_b, traj).pairs
         )
 
     def test_edms_symmetric_zero_diagonal(self):
@@ -228,7 +228,7 @@ class TestSimulateMeasurements:
         samples = np.empty(1000)
         for s in range(1000):
             cfg = SimConfig(k_samples=4, sigma_d=0.01, sigma_a=0.0, seed=s)
-            samples[s] = simulate_measurements(cfg, traj).edms[0, 0, 1]
+            samples[s] = simulate_measurements(cfg, traj).pairs[0, 0]
         measured = samples.std(ddof=1)
         assert abs(measured - 2 * d01 * 0.01) <= 0.1 * (2 * d01 * 0.01)
 
@@ -237,7 +237,7 @@ class TestSimulateMeasurements:
         traj = benchmark_trajectory()
         a = simulate_measurements(SimConfig(k_samples=6, seed=9, sigma_a=0.0), traj)
         b = simulate_measurements(SimConfig(k_samples=6, seed=9, sigma_a=0.5), traj)
-        assert np.array_equal(a.edms, b.edms)
+        assert np.array_equal(a.pairs, b.pairs)
 
     def test_translation_invariance_of_edms(self, rng):
         traj = random_constant_accel_trajectory(rng, n=7)
@@ -247,7 +247,7 @@ class TestSimulateMeasurements:
         cfg = SimConfig(n_nodes=7, k_samples=6, seed=11)
         a = simulate_measurements(cfg, traj)
         b = simulate_measurements(cfg, shifted)
-        assert_allclose(a.edms, b.edms, atol=1e-9 * np.abs(a.edms).max())
+        assert_allclose(a.pairs, b.pairs, atol=1e-9 * np.abs(a.pairs).max())
 
     def test_zero_noise_grams_have_rank_dim(self):
         cfg = SimConfig(k_samples=6, sigma_d=0.0, sigma_a=0.0, seed=0)
@@ -267,29 +267,29 @@ class TestMeasurementSetInvariants:
         from relkin import InvalidDimensionError, MeasurementSet
 
         with pytest.raises(InvalidDimensionError):
-            MeasurementSet(timestamps=[0.0, 0.0], edms=np.zeros((2, 3, 3)))
+            MeasurementSet(timestamps=[0.0, 0.0], pairs=np.zeros((2, 3)))
 
     def test_asymmetric_edm_rejected(self):
         from relkin import InvalidDimensionError, MeasurementSet
 
         edms = np.zeros((1, 3, 3))
         edms[0, 0, 1] = 1.0
-        with pytest.raises(InvalidDimensionError):
-            MeasurementSet(timestamps=[0.0], edms=edms)
+        with pytest.raises(InvalidDimensionError, match="symmetric"):
+            MeasurementSet.from_edms(timestamps=[0.0], edms=edms)
 
     def test_nonzero_diagonal_rejected(self):
         from relkin import InvalidDimensionError, MeasurementSet
 
         edms = np.zeros((1, 3, 3))
         edms[0, 1, 1] = 5.0
-        with pytest.raises(InvalidDimensionError):
-            MeasurementSet(timestamps=[0.0], edms=edms)
+        with pytest.raises(InvalidDimensionError, match="zero diagonal"):
+            MeasurementSet.from_edms(timestamps=[0.0], edms=edms)
 
     def test_accel_node_count_must_match_edms(self):
         from relkin import InvalidDimensionError, MeasurementSet
 
         with pytest.raises(InvalidDimensionError, match="matching the EDMs"):
-            MeasurementSet(timestamps=[0.0, 1.0], edms=np.zeros((2, 4, 4)),
+            MeasurementSet(timestamps=[0.0, 1.0], pairs=np.zeros((2, 6)),
                            accels=np.zeros((2, 2, 5)))
 
     @pytest.mark.parametrize("field", ["timestamps", "edms", "accels"])
@@ -298,28 +298,25 @@ class TestMeasurementSetInvariants:
         from relkin import InvalidDimensionError, MeasurementSet, RelkinError
 
         meas = simulate_measurements(SimConfig(k_samples=6), benchmark_trajectory())
-        arrays = {"timestamps": meas.timestamps, "edms": meas.edms, "accels": meas.accels}
+        arrays = {"timestamps": meas.timestamps, "pairs": meas.pairs, "accels": meas.accels}
         arrays = {k: v.copy() for k, v in arrays.items()}
-        target = arrays[field]
-        if field == "edms":
-            target[3, 0, 2] = target[3, 2, 0] = bad
-        else:
-            target.flat[target.size - 1] = bad
+        target = arrays["pairs" if field == "edms" else field]
+        target.flat[target.size - 1] = bad
         with pytest.raises(InvalidDimensionError, match="finite") as info:
             MeasurementSet(**arrays)
         assert isinstance(info.value, RelkinError)
 
     @pytest.mark.parametrize(
-        "timestamps,edms",
+        "timestamps,pairs",
         [
-            (np.arange(3.0), np.zeros((0, 3, 4, 4))),
-            (np.zeros(0), np.zeros((0, 4, 4))),
-            (np.arange(3.0), np.zeros((3, 0, 0))),
+            (np.arange(3.0), np.zeros((0, 3, 6))),
+            (np.zeros(0), np.zeros((0, 6))),
+            (np.arange(3.0), np.zeros((3, 0))),
         ],
         ids=["no-records", "no-samples", "no-nodes"],
     )
-    def test_empty_set_rejected(self, timestamps, edms):
+    def test_empty_set_rejected(self, timestamps, pairs):
         from relkin import InvalidDimensionError, MeasurementSet
 
         with pytest.raises(InvalidDimensionError, match="needs records, samples and nodes"):
-            MeasurementSet(timestamps=timestamps, edms=edms)
+            MeasurementSet(timestamps=timestamps, pairs=pairs)
