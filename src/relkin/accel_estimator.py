@@ -52,13 +52,12 @@ __all__ = [
 class AccelCoefficients:
     """The acceleration coefficient fitted from accelerometer data.
 
-    ``blocks`` holds one (d, n) block, the constant acceleration expressed
-    in the sensor frame (a fixed unknown rotation of the true
-    coefficient).  A stacked fit carries the leading axes on the block
-    and on ``residual``.
+    ``block`` is the (d, n) constant acceleration expressed in the sensor
+    frame (a fixed unknown rotation of the true coefficient).  A stacked
+    fit carries the leading axes on ``block`` and on ``residual``.
     """
 
-    blocks: list[np.ndarray]
+    block: np.ndarray
     residual: float | np.ndarray = 0.0
 
 
@@ -75,7 +74,7 @@ def fit_accel_coeffs(accels, timestamps) -> AccelCoefficients:
     lead, (d, n) = accels.shape[:-2], accels.shape[-2:]
     coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0)
     block = coeffs[..., 0, :].reshape(lead[:-1] + (d, n))
-    return AccelCoefficients(blocks=[block], residual=np.sqrt(_sum_squares(residual)))
+    return AccelCoefficients(block=block, residual=np.sqrt(_sum_squares(residual)))
 
 
 def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
@@ -90,8 +89,7 @@ def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
     t = np.asarray(timestamps, dtype=float).ravel()
     if gram_vecs.ndim != 2 or gram_vecs.shape[0] != t.size:
         raise InvalidDimensionError("gram_vecs must be (K+1, m) matching timestamps")
-    block = acc.blocks[0]
-    return gram_vecs - np.outer(t**4, vech(block.T @ block) / 4)
+    return gram_vecs - np.outer(t**4, vech(acc.block.T @ acc.block) / 4)
 
 
 def fit_deflated_coeffs(deflated_vecs, timestamps) -> GrammianCoefficients:
@@ -131,14 +129,14 @@ def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate
         acc = fit_accel_coeffs(meas.accels, meas.timestamps)
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
-    sensor_accel = acc.blocks[0] @ centering_matrix(meas.n_nodes)
+    sensor_accel = acc.block @ centering_matrix(meas.n_nodes)
 
     with _stage("coefficient-fit"):
         coeffs = _fit_edm_coeffs(meas, degree=3, accel=sensor_accel)
     with _stage("mds"):
         mds0 = classical_mds(coeffs.blocks[0], d)
     notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
-    residuals = {"accel_fit": acc.residual, "gram_fit": coeffs.residual}
+    residuals = {"accel_fit": acc.residual, "edm_fit": coeffs.residual}
     conditioning = {"position_mds": mds0.eigen_gap}
     return _solve(meas, coeffs, mds0, sensor_accel, notes, residuals, conditioning)
 

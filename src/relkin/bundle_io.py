@@ -86,7 +86,10 @@ def write_measurement_bundle(meas: MeasurementSet, outdir) -> list[Path]:
 
 def _read_columns(path: Path, header: str) -> list[np.ndarray]:
     """Columns of a CSV table: integer index columns, then the float last one."""
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != header:
         raise ConfigError(f"{path}: expected header '{header}'")

@@ -169,10 +169,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
-        return 1
-    except RelkinError as exc:
+    except (OSError, RelkinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -117,7 +117,10 @@ def load_scenario(
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        text, source = path.read_text(encoding="utf-8"), str(path)
+        try:
+            text, source = path.read_text(encoding="utf-8"), str(path)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
     raw = parse_config_text(text, source)
     for key, value in (overrides or {}).items():

@@ -38,7 +38,7 @@ from .errors import (
     RelkinError,
     SingularDesignError,
 )
-from .linalg import MdsResult, classical_mds, edm_from_pairs, pairs_from_points, triu_indices
+from .linalg import MdsResult, classical_mds, edm_from_pairs, pairs_from_points
 from .linalg import unvech, vech  # noqa: F401  (perfbench's tracer test rebinds this vech)
 from .trajectory import MeasurementSet
 
@@ -90,7 +90,12 @@ class GrammianCoefficients:
     """Symmetric coefficient blocks of the fitted Grammian polynomial.
 
     For a stack of B records, ``blocks[l]`` is the (B, n, n) stack of
-    block l and ``residual`` holds the B fit residuals.
+    block l and ``residual`` holds the B fit residuals.  Each producer
+    reports the residual of the fit it solves: the estimators' pair fit
+    gives the norm over all pairs and samples of the squared-distance
+    residual (deflated on the accelerometer path), in length^2;
+    :func:`fit_gram_coeffs` gives the norm of its half-vectorized
+    Grammian residual.
     """
 
     degree: int
@@ -321,60 +326,6 @@ def _double_center(pairs, n: int) -> np.ndarray:
     return d
 
 
-def _gram_residual(res, r, n: int) -> np.ndarray:
-    """Norm of the half-vectorized Grammian-space residual, in O(K m) per record.
-
-    Row k of ``res`` (..., K+1, m) holds the upper-triangle entries of a
-    symmetric, zero-diagonal residual EDM R, and row k of ``r`` its row
-    means.  With rbar their mean,
-    ||C R C||_F^2 = ||R||_F^2 - 2n ||r||^2 + n^2 rbar^2 and
-    diag(-C R C / 2) = r - rbar / 2; vech keeps each diagonal entry and
-    each off-diagonal pair once, so ||vech G||^2 = (||G||_F^2 + ||diag G||^2) / 2.
-    """
-    rbar = r.mean(axis=-1)
-    r_sq = 2.0 * _sum_squares(res)  # each pair appears twice in R
-    crc_sq = r_sq - 2.0 * n * _sum_squares(r) + n**2 * _sum_squares(rbar, -1)
-    diag = r - 0.5 * rbar[..., None]
-    total = 0.5 * (0.25 * crc_sq + _sum_squares(diag))
-    return np.sqrt(np.maximum(total, 0.0))
-
-
-#: from this node count on, row means come from segment sums, not the incidence matmul
-_SEGMENT_NODES = 60
-
-
-@lru_cache(maxsize=16)
-def _row_mean_plan(n: int) -> tuple[np.ndarray, ...]:
-    """The cached, read-only operands of :func:`_row_means` for ``n`` nodes."""
-    iu, ju = triu_indices(n, 1)
-    if n < _SEGMENT_NODES:
-        plan = (((iu[:, None] == np.arange(n)) | (ju[:, None] == np.arange(n))) / n,)
-    else:
-        i = np.arange(n - 1)
-        plan = (i * (2 * n - i - 1) // 2, np.argsort(ju, kind="stable"), i * (i + 1) // 2)
-    for array in plan:
-        array.flags.writeable = False
-    return plan
-
-
-def _row_means(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Row means (..., n) of the EDMs above whose diagonals lie ``pairs`` (..., m).
-
-    Below ``_SEGMENT_NODES`` nodes: one matmul with the (m, n) incidence
-    matrix, 1/n where pair (i, j) meets node i or j.  From there its O(mn)
-    work loses to two segment sums: of each row's pairs (i, j > i), which
-    are contiguous, and of each column's (i < j), contiguous after one
-    take into column-major order.
-    """
-    if n < _SEGMENT_NODES:
-        return pairs @ _row_mean_plan(n)[0]
-    rows, order, columns = _row_mean_plan(n)
-    sums = np.zeros(pairs.shape[:-1] + (n,))
-    sums[..., :-1] = np.add.reduceat(pairs, rows, axis=-1)
-    sums[..., 1:] += np.add.reduceat(pairs.take(order, axis=-1), columns, axis=-1)
-    return sums / n
-
-
 def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCoefficients:
     """Grammian coefficient blocks from one polynomial fit of the pair record.
 
@@ -387,6 +338,7 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     ``meas.pairs`` is the caller's; that double-centers to the
     vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  A stacked
     ``meas`` gives stacked blocks, all from the grid's one projector.
+    The residual is the norm of the pair fit's own residual.
     """
     n, t, pairs = meas.n_nodes, meas.timestamps, meas.pairs
     if accel is not None:
@@ -397,7 +349,7 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     return GrammianCoefficients(
         degree,
         [blocks[..., l, :, :] for l in range(degree + 1)],
-        residual=_gram_residual(res, _row_means(res, n), n),
+        residual=np.sqrt(_sum_squares(res)),
     )
 
 
@@ -733,7 +685,7 @@ def estimate_from_distances_batch(meas: MeasurementSet, d: int = 2) -> BatchEsti
     ]
     conditioning = {"position_mds": mds0.eigen_gap, "acceleration_mds": mds2.eigen_gap}
     return _solve(
-        meas, coeffs, mds0, mds2.points, notes, {"gram_fit": coeffs.residual}, conditioning
+        meas, coeffs, mds0, mds2.points, notes, {"edm_fit": coeffs.residual}, conditioning
     )
 
 

@@ -53,11 +53,11 @@ class TestFitAccelCoeffs:
         acc = fit_accel_coeffs(meas.accels, meas.timestamps)
         q = rotation2d(np.pi / 6)
         expected = q @ center_coefficients(traj).coeffs[2]
-        assert rel_err(acc.blocks[0], expected) <= 1e-12
+        assert rel_err(acc.block, expected) <= 1e-12
 
     def test_zero_accelerations(self):
         acc = fit_accel_coeffs(np.zeros((9, 2, 5)), np.linspace(-5, 5, 9))
-        assert_allclose(acc.blocks[0], np.zeros((2, 5)), atol=1e-15)
+        assert_allclose(acc.block, np.zeros((2, 5)), atol=1e-15)
 
     def test_sample_mean_variance(self):
         # for constant acceleration the fit is the per-entry time average,
@@ -68,7 +68,7 @@ class TestFitAccelCoeffs:
         for s in range(trials):
             cfg = SimConfig(k_samples=40, sigma_d=0.0, sigma_a=0.001, seed=s)
             meas = simulate_measurements(cfg, traj)
-            entries[s] = fit_accel_coeffs(meas.accels, meas.timestamps).blocks[0]
+            entries[s] = fit_accel_coeffs(meas.accels, meas.timestamps).block
         var = entries.var(axis=0, ddof=1)
         expected = 0.001**2 / 41
         assert np.all(np.abs(var - expected) <= 0.35 * expected)
@@ -88,13 +88,13 @@ class TestDeflateGrams:
     def test_zero_acceleration_is_identity(self):
         vecs = np.arange(30.0).reshape(5, 6)
         ts = np.linspace(-2, 2, 5)
-        acc = AccelCoefficients(blocks=[np.zeros((2, 3))])
+        acc = AccelCoefficients(block=np.zeros((2, 3)))
         assert_allclose(deflate_grams(vecs, ts, acc), vecs)
 
     def test_time_zero_sample_unchanged(self, rng):
         vecs = rng.standard_normal((5, 10))
         ts = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        acc = AccelCoefficients(blocks=[rng.standard_normal((2, 4))])
+        acc = AccelCoefficients(block=rng.standard_normal((2, 4)))
         deflated = deflate_grams(vecs, ts, acc)
         assert_allclose(deflated[2], vecs[2])
         assert not np.allclose(deflated[0], vecs[0])
@@ -105,10 +105,8 @@ class TestDeflateGrams:
         vecs = rng.standard_normal((7, 15))
         ts = np.linspace(-5, 5, 7)
         block = rng.standard_normal((2, 5))
-        plain = deflate_grams(vecs, ts, AccelCoefficients(blocks=[block]))
-        rotated = deflate_grams(
-            vecs, ts, AccelCoefficients(blocks=[rotation2d(1.1) @ block])
-        )
+        plain = deflate_grams(vecs, ts, AccelCoefficients(block=block))
+        rotated = deflate_grams(vecs, ts, AccelCoefficients(block=rotation2d(1.1) @ block))
         assert np.abs(plain - rotated).max() <= 1e-10 * max(1.0, np.abs(plain).max())
 
 
@@ -149,7 +147,7 @@ class TestFitDeflatedCoeffs:
             vecs = gram_vecs_of(meas)
             full = fit_gram_coeffs(vecs, meas.timestamps, degree=4)
             acc = fit_accel_coeffs(meas.accels, meas.timestamps)
-            acc = AccelCoefficients(blocks=[acc.blocks[0] @ centering_matrix(10)])
+            acc = AccelCoefficients(block=acc.block @ centering_matrix(10))
             defl = fit_deflated_coeffs(
                 deflate_grams(vecs, meas.timestamps, acc), meas.timestamps
             )

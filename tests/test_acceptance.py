@@ -192,7 +192,7 @@ def test_criterion_7_accel_fit_variance():
         for s in range(trials):
             cfg = SimConfig(k_samples=k, sigma_d=0.0, sigma_a=sigma_a, seed=s)
             meas = simulate_measurements(cfg, traj)
-            entries[s] = fit_accel_coeffs(meas.accels, meas.timestamps).blocks[0]
+            entries[s] = fit_accel_coeffs(meas.accels, meas.timestamps).block
         var = entries.var(axis=0, ddof=1)
         expected = sigma_a**2 / (k + 1)
         assert np.all(np.abs(var - expected) <= 0.2 * expected)

@@ -128,14 +128,14 @@ class TestEstimateOutput:
         # 3 blocks of 2x10 plus the 2x2 rotation
         assert len(lines) - 1 == 3 * 20 + 4
         diag = (tmp_path / DIAGNOSTICS_FILE).read_text()
-        assert "residual gram_fit = " in diag
+        assert "residual edm_fit = " in diag
 
     def test_conditioning_lines_follow_residuals(self, tmp_path):
         _, est, _, _ = _hand_built_outputs()
         est.conditioning = {"position_mds": 2.5e4, "basis": float("nan")}
         write_estimate(est, tmp_path)
         assert (tmp_path / DIAGNOSTICS_FILE).read_text() == (
-            "residual gram_fit = 1e-05\n"
+            "residual edm_fit = 1e-05\n"
             "residual basis = 0.1\n"
             "conditioning position_mds = 25000.0\n"
             "conditioning basis = nan\n"
@@ -177,7 +177,7 @@ def _hand_built_outputs():
         y1=np.array([[2.0, 0.0], [-0.1, 1e-05]]),
         y2=np.array([[0.5, 0.25], [-1e-07, 2.0]]),
         rotation=np.array([[0.0, -1.0], [1.0, 0.0]]),
-        residuals={"gram_fit": 1e-05, "basis": 0.1},
+        residuals={"edm_fit": 1e-05, "basis": 0.1},
         warnings=["minimum-norm velocity"],
     )
     table = RmseTable(rows=[RmseEntry("accel", 10, "Y0", 0.1),
@@ -246,7 +246,7 @@ GOLDEN = {
         "rotation,1,1,0.0\n"
     ),
     "diagnostics.txt": (
-        "residual gram_fit = 1e-05\n"
+        "residual edm_fit = 1e-05\n"
         "residual basis = 0.1\n"
         "warning: minimum-norm velocity\n"
     ),

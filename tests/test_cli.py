@@ -114,6 +114,79 @@ class TestEstimate:
         assert err.startswith("error:") and "nonnegative" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "method,residuals,conditioning",
+        [
+            (
+                "distance",
+                ["edm_fit", "velocity_split", "acceleration_split", "basis"],
+                ["position_mds", "acceleration_mds", "velocity_split", "acceleration_split",
+                 "basis"],
+            ),
+            (
+                "accel",
+                ["accel_fit", "edm_fit", "velocity_split", "acceleration_split", "basis"],
+                ["position_mds", "velocity_split", "acceleration_split", "basis"],
+            ),
+        ],
+    )
+    def test_diagnostics_keys_are_pinned(self, bundle, tmp_path, method, residuals, conditioning):
+        # renaming, adding or reordering a diagnostic must be a deliberate edit here
+        out = tmp_path / "est"
+        code = run_cli(["estimate", "--bundle", str(bundle), "--method", method,
+                        "--output", str(out)])
+        assert code == 0
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        keys = [line.split()[:2] for line in lines if not line.startswith("warning:")]
+        assert keys == [["residual", k] for k in residuals] + [
+            ["conditioning", k] for k in conditioning
+        ]
+
+
+def _existing_file_as_output(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["simulate", "--set", "k_samples=6", "--output", str(tmp_path / "taken")]
+
+
+def _file_as_bundle(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["estimate", "--bundle", str(tmp_path / "taken"), "--output", str(tmp_path / "est")]
+
+
+def _directory_as_config(tmp_path):
+    return ["simulate", "--config", str(tmp_path), "--output", str(tmp_path / "out")]
+
+
+def _undecodable_bundle(tmp_path):
+    bundle = tmp_path / "bundle"
+    assert run_cli(["simulate", "--set", "k_samples=6", "--output", str(bundle)]) == 0
+    (bundle / "edms.csv").write_bytes(b"k,i,j,value\n0,0,1,\xff\n")
+    return ["estimate", "--bundle", str(bundle), "--output", str(tmp_path / "est")]
+
+
+def _undecodable_config(tmp_path):
+    (tmp_path / "bad.cfg").write_bytes(b"seed = \xff\n")
+    return ["simulate", "--config", str(tmp_path / "bad.cfg"), "--output", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        _existing_file_as_output,
+        _file_as_bundle,
+        _directory_as_config,
+        _undecodable_bundle,
+        _undecodable_config,
+    ],
+)
+def test_file_system_errors_are_clean(make_args, tmp_path, capsys):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
 
 class TestBenchmark:
     def test_k_sweep_in_output(self, tmp_path):

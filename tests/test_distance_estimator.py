@@ -525,3 +525,27 @@ class TestSharedSolve:
         )
         with pytest.raises(EstimationError, match=r"stage 'basis-solve': .*n >= 4"):
             estimate(meas)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: the f0 tie rows and the f2 constraint row of the basis system "
+        "carry length^2 while the other 2n + 3 rows carry length, so the weighted least "
+        "squares, and with it y1, y2 and rotation, changes with the unit of length"
+    ),
+)
+@pytest.mark.parametrize(
+    "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+)
+def test_estimate_is_unit_invariant(estimate):
+    # metres to millimetres: squared distances x1e6, accelerations x1e3
+    scale = 1e3
+    cfg = SimConfig(k_samples=20, sigma_d=0.01, seed=1)
+    meas = simulate_measurements(cfg, benchmark_trajectory())
+    scaled = MeasurementSet(meas.timestamps, meas.pairs * scale**2, meas.accels * scale)
+    want, got = estimate(meas), estimate(scaled)
+    for name in ("y0", "y1", "y2"):
+        assert rel_err(getattr(got, name) / scale, getattr(want, name)) <= 1e-9
+    assert np.abs(got.rotation - want.rotation).max() <= 1e-9
+    assert got.warnings == want.warnings

@@ -1,10 +1,9 @@
-"""The pair-form measurement record: validation, square views, row means and read-only inputs.
+"""The pair-form measurement record: validation, square views and read-only inputs.
 
 A MeasurementSet stores each record as its n(n-1)/2 squared pair
 distances.  These tests pin that the pair validation rejects what no EDM
 can hold, that pairs and squares convert into each other without loss,
-that the fit's row-mean kernels agree with the square on both sides of
-their crossover, and that no estimator writes into the caller's record.
+and that no estimator writes into the caller's record.
 The interface perfbench reads is guarded in ``test_public_api.py``.
 """
 
@@ -22,7 +21,7 @@ from relkin import (
     simulate_measurements,
 )
 from relkin.accel_estimator import estimate_with_accel_batch
-from relkin.distance_estimator import _SEGMENT_NODES, _row_means, estimate_from_distances_batch
+from relkin.distance_estimator import estimate_from_distances_batch
 from relkin.linalg import edm_from_pairs, pairs_from_points, triu_indices
 
 from conftest import random_constant_accel_trajectory
@@ -65,14 +64,6 @@ class TestPairKernels:
         assert np.array_equal(edms, edms.swapaxes(-1, -2))
         assert not edms[..., range(7), range(7)].any()
         assert np.array_equal(MeasurementSet.from_edms(np.arange(2.0), edms[0]).pairs, pairs[0])
-
-    @pytest.mark.parametrize("n", [4, 10, _SEGMENT_NODES - 1, _SEGMENT_NODES, 100])
-    def test_row_means_match_the_square_on_both_sides_of_the_crossover(self, rng, n):
-        pairs = rng.uniform(0.0, 1e6, (2, 5, n * (n - 1) // 2))
-        want = edm_from_pairs(pairs, n).mean(axis=-1)
-        got = _row_means(pairs, n)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 ESTIMATORS = {
