@@ -137,7 +137,7 @@ def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate
         mds0 = classical_mds(coeffs.blocks[0], d)
     notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
     residuals = {"accel_fit": acc.residual, "edm_fit": coeffs.residual}
-    conditioning = {"position_mds": mds0.eigen_gap}
+    conditioning = {"position_mds": mds0.kept_over_discarded}
     return _solve(meas, coeffs, mds0, sensor_accel, notes, residuals, conditioning)
 
 

@@ -168,9 +168,10 @@ class KinematicEstimate:
     ``rotation`` maps the raw acceleration factor (MDS factor or sensor
     frame) into the frame of ``y0``; it is orthogonal but may be a
     reflection.  ``coeffs`` keeps the fitted Grammian coefficient blocks
-    for diagnostic and benchmarking use.  ``conditioning`` holds the
-    eigen-gap lambda_d/|lambda_(d+1)| of each MDS (``position_mds``, and
-    ``acceleration_mds`` on the distance-only path), lambda_max/lambda_min
+    for diagnostic and benchmarking use.  ``conditioning`` holds
+    :attr:`MdsResult.kept_over_discarded` of each MDS, lambda_d over the
+    Frobenius norm of what the rank-d factor discards (``position_mds``,
+    and ``acceleration_mds`` on the distance-only path), lambda_max/lambda_min
     of each split (``velocity_split``, ``acceleration_split``) and
     s_max/s_min of the basis system (``basis``); the last two are NaN
     when the solve falls back.
@@ -683,7 +684,10 @@ def estimate_from_distances_batch(meas: MeasurementSet, d: int = 2) -> BatchEsti
         [f"position factor: {w}" for w in p] + [f"acceleration factor: {w}" for w in a]
         for p, a in zip(mds0.warnings, mds2.warnings)
     ]
-    conditioning = {"position_mds": mds0.eigen_gap, "acceleration_mds": mds2.eigen_gap}
+    conditioning = {
+        "position_mds": mds0.kept_over_discarded,
+        "acceleration_mds": mds2.kept_over_discarded,
+    }
     return _solve(
         meas, coeffs, mds0, mds2.points, notes, {"edm_fit": coeffs.residual}, conditioning
     )

@@ -509,7 +509,12 @@ class TestSharedSolve:
         good = estimate(simulate_measurements(cfg, benchmark_trajectory())).conditioning
         bad = estimate(simulate_measurements(cfg, collinear)).conditioning
         assert list(good) == keys and list(bad) == keys
-        assert all(np.isfinite(v) and v >= 1.0 for v in [*good.values(), *bad.values()])
+        # the MDS keys are lambda_d over the discarded norm, which may fall
+        # below 1; the split and basis keys are ratios of a largest to a smallest
+        mds = [k for k in keys if k.endswith("_mds")]
+        spreads = [k for k in keys if k not in mds]
+        assert all(np.isfinite(c[k]) and c[k] > 0.0 for c in (good, bad) for k in mds)
+        assert all(np.isfinite(c[k]) and c[k] >= 1.0 for c in (good, bad) for k in spreads)
         # a collinear start leaves no gap after the second eigenvalue of B0,
         # and the velocity split inherits the position factor's spread
         assert good["position_mds"] > 1e3 > 10.0 > bad["position_mds"]

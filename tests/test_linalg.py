@@ -169,14 +169,33 @@ class TestClassicalMds:
         assert_allclose(np.abs(y), [[1.0, 1.0]])
         assert_allclose(y[0, 0], -y[0, 1])
 
-    def test_eigen_gap_uses_next_eigenvalue(self):
+    def test_kept_over_discarded_uses_every_discarded_eigenvalue(self):
         q = random_orthogonal(np.random.default_rng(3), 4)
         g = q @ np.diag([9.0, 4.0, -0.5, 0.1]) @ q.T
         res = classical_mds(g, 2)
-        assert res.next_eigenvalue == pytest.approx(0.1)
-        assert res.eigen_gap == pytest.approx(40.0)
-        assert classical_mds(g, 3).eigen_gap == pytest.approx(0.1 / 0.5)
-        assert classical_mds(g, 4).eigen_gap == np.inf
+        assert res.discarded == pytest.approx(np.sqrt(0.26))
+        assert res.kept_over_discarded == pytest.approx(4.0 / np.sqrt(0.26))
+        assert classical_mds(g, 3).kept_over_discarded == pytest.approx(0.1 / 0.5)
+        # d = n discards nothing, but the kept lambda_4 = -0.5 is not positive
+        assert classical_mds(g, 4).kept_over_discarded == 0.0
+
+    @pytest.mark.parametrize(
+        "g", [np.zeros((5, 5)), np.diag([4.0, 0.0, 0.0, 0.0])], ids=["zero", "rank-one"]
+    )
+    def test_degenerate_grammian_reports_zero_conditioning(self, g):
+        res = classical_mds(g, 2)
+        assert res.warnings
+        assert res.discarded == 0.0
+        assert res.kept_over_discarded == 0.0
+
+    @pytest.mark.parametrize(
+        "g", [np.diag([4.0, 1.0, 0.0, 0.0]), np.diag([4.0, 1.0])], ids=["rank-d", "d-equals-n"]
+    )
+    def test_nothing_discarded_is_perfectly_conditioned(self, g):
+        res = classical_mds(g, 2)
+        assert not res.warnings
+        assert res.discarded == 0.0
+        assert res.kept_over_discarded == np.inf
 
     def test_zero_matrix(self):
         res = classical_mds(np.zeros((5, 5)), 2)
