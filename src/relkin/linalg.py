@@ -180,30 +180,50 @@ class MdsResult:
 #: tenants, timeit best of 9, two runs), ``eigh`` against the certified
 #: iteration in µs: n = 30: 139-213 vs 377-384; 40: 354-365 vs 354-452;
 #: 50: 430-619 vs 324-421; 60: 531-606 vs 272-343; 100: 1446-1662 vs
-#: 404-418.  A record that fails the probe pays about 140 µs at n = 100
-#: before its ``eigh``.
+#: 404-418.
 _ITERATE_FROM = 40
-#: The iteration goes on only where, after one step, the worst kept Ritz
-#: residual is at most this times max |theta|.  Wide-scene B0 (n = 40, 50,
-#: 100, 150 x 10 seeds; lambda_2 / lambda_3 about 1e5 to 3e5) read 1.9e-11
-#: to 3.5e-10; 4 B4 (lambda_2 / lambda_3 about 4 to 9) read 0.012 to 0.37
-#: and mostly goes straight to ``eigh``.
-_PROBE_RTOL = 1e-2
-#: A record is accepted only where, after the second step, the worst kept
-#: Ritz residual is at most this times max |theta|; the same B0 read
-#: 2.7e-16 to 2.1e-15.
+#: A record is accepted only where the worst kept Ritz residual is at most
+#: this times max |theta|.  Wide-scene B0 (n = 40, 50, 100, 150 x 10 seeds;
+#: lambda_2 / lambda_3 about 1e5 to 3e5) read 2.7e-16 to 2.1e-15 after the
+#: second pass.
 _ACCEPT_RTOL = 1e-13
+#: Each pass after the second applies b this many times before its QR and
+#: Rayleigh-Ritz step.  The 4 B4 of the distance path (``wide-net``, n = 100,
+#: 18 records from 6 seeds, and n = 50/100/150 x 3 seeds) have a flat bulk
+#: (lambda_3 / lambda_2 0.11 to 0.22), so their residuals shrink about that
+#: much per product; all 27 are accepted after 3 + 3 x 5 = 18 products.
+#: classical_mds of 6 of the 18, median µs (timeit, 2-vCPU VM with other
+#: tenants): 4 products per pass 1076, 5: 859, 6: 819, 7: 718.  More
+#: products between QRs lose the second direction under the first: with
+#: lambda_1 / lambda_2 = 1e4 the residual floor is 5e-16 at 5 products per
+#: pass, 1e-13 at 6 and 1e-9 at 7.
+_PASS_PRODUCTS = 5
+#: A record whose worst Ritz residual shrinks less than this factor per
+#: product of a pass has stalled and leaves for ``eigh``.  The 4 B4 above
+#: read 0.09 to 0.18 over the second pass's one product and 1e-5 to 1.5e-3
+#: over a later pass; a flat spectrum (no gap) reads about 0.9.  A slower
+#: record mostly fails the certificate anyway: lambda_d above the norm of a
+#: flat bulk of comparable eigenvalues puts lambda_(d+1) / lambda_d well
+#: below 1.
+_CONTRACTION = 0.3
+#: A record not accepted after this many passes leaves for ``eigh``: up to
+#: 3 + 5 x 5 = 28 products, enough for a residual that shrinks 0.3-fold per
+#: product to fall from 1e-1 to the acceptance bound.  At n = 100 (timeit,
+#: same VM) a record that stalls after the second pass costs 350-363 µs
+#: before its ``eigh`` (1.5 ms), a near tie rejected by the certificate
+#: after 8 products 565-617 µs, and one that runs to the cap 663-906 µs.
+_MAX_PASSES = 7
 #: lambda_d below this times lambda_1 is flagged as degenerate geometry.
 _DEGENERATE_RTOL = 1e-12
 
 
-def _rayleigh_ritz(b: np.ndarray, x: np.ndarray, d: int, rtol: float):
+def _rayleigh_ritz(b: np.ndarray, x: np.ndarray, d: int):
     """Top-d Ritz pairs of each (n, n) matrix of ``b`` on the span of its (n, p) block ``x``.
 
     Returns the Ritz values (B, d) descending, their vectors (B, n, d),
-    whether every one of their residuals ||b v - theta v|| is at most
-    ``rtol`` times the largest |theta| of the block, and b q for q an
-    orthonormal basis of the span: the next step's block.
+    the worst of their residuals ||b v - theta v||, the largest |theta|
+    of the block, and b q for q an orthonormal basis of the span: the
+    next pass's block.
     """
     q = np.linalg.qr(x).Q
     bq = b @ q
@@ -213,35 +233,64 @@ def _rayleigh_ritz(b: np.ndarray, x: np.ndarray, d: int, rtol: float):
     v = q @ w
     r = bq @ w - v * top[:, None, :]
     worst = np.sqrt(np.einsum("bip,bip->bp", r, r).max(axis=-1))
-    return top, v, worst <= rtol * np.abs(theta).max(axis=-1), bq
+    return top, v, worst, np.abs(theta).max(axis=-1), bq
 
 
 def _certified_top(b: np.ndarray, d: int):
     """Top-d eigenpairs of each (n, n) matrix of ``b`` by block subspace iteration.
 
     d + 2 columns start from the largest-norm columns of each matrix.
-    After one step the Ritz residuals decide whether to go on; after the
-    second a record is certified when its residuals are round-off and
-    theta_d > ||b - V_d Theta_d V_d^T||_F.  Every discarded eigenvalue is
-    then smaller in magnitude than theta_d, so V_d spans the algebraic
-    top d even where a negative eigenvalue dominates.  A record that
-    classical_mds would flag as degenerate is never certified.  Returns
-    None when no record goes on, else top (B, d) descending,
-    rows (B, d, n), discarded (B,) and the certified mask; the entries of
+    Each pass ends in one thin QR and one Rayleigh-Ritz step; the first
+    takes two products with b, the second one and every later one
+    ``_PASS_PRODUCTS``.  From the second pass on, a record
+    stops once its Ritz residuals are round-off: it is certified when
+    theta_d > ||b - V_d Theta_d V_d^T||_F as well.  Every discarded
+    eigenvalue is then smaller in magnitude than theta_d, so V_d spans
+    the algebraic top d even where a negative eigenvalue dominates.  A
+    record that classical_mds would flag as degenerate is never
+    certified.  A record whose residuals stop contracting, or that is
+    not done after ``_MAX_PASSES`` passes, stops uncertified.  A stopped
+    record is frozen and leaves the stack, so each record's passes are
+    the ones it takes on its own.  Returns top (B, d) descending, rows
+    (B, d, n), discarded (B,) and the certified mask; the entries of
     uncertified records are meaningless.
     """
-    cols = np.argsort(np.einsum("bij,bij->bj", b, b), axis=-1)[:, : -d - 3 : -1]
+    count, n, _ = b.shape
+    norms = np.einsum("bij,bij->bj", b, b)
+    cols = np.argsort(norms, axis=-1)[:, : -d - 3 : -1]
     x = b @ np.linalg.qr(np.take_along_axis(b, cols[:, None, :], axis=-1)).Q
-    _, _, go_on, bq = _rayleigh_ritz(b, x, d, _PROBE_RTOL)
-    if not go_on.any():
-        return None
-    top, v, converged, _ = _rayleigh_ritz(b, bq, d, _ACCEPT_RTOL)
-    left_out = (v * top[:, None, :]) @ v.swapaxes(-1, -2)
-    left_out -= b
-    discarded = np.sqrt(np.einsum("bij,bij->b", left_out, left_out))
-    last = top[:, -1]
-    certified = go_on & converged & (last > discarded) & (last >= _DEGENERATE_RTOL * top[:, 0])
-    return top, v.swapaxes(-1, -2), discarded, certified
+    top, rows = np.zeros((count, d)), np.zeros((count, d, n))
+    discarded, certified = np.zeros(count), np.zeros(count, dtype=bool)
+    live = np.arange(count)
+    for step in range(_MAX_PASSES):
+        products = 1 if step < 2 else _PASS_PRODUCTS
+        if products > 1:
+            # products scaled by 1 / ||b||_F neither overflow nor underflow
+            scale = 1.0 / np.maximum(np.sqrt(norms[live].sum(axis=-1)), np.finfo(float).tiny)
+            for _ in range(products - 1):
+                x = b @ (x * scale[:, None, None])
+        theta, v, worst, largest, x = _rayleigh_ritz(b, x, d)
+        if step == 0:
+            previous = worst
+            continue
+        converged = worst <= _ACCEPT_RTOL * largest
+        if converged.any():
+            # views, not copies, where every live record converged
+            pick = slice(None) if converged.all() else converged
+            theta_c, v_c, kept = theta[pick], v[pick], live[pick]
+            left_out = (v_c * theta_c[:, None, :]) @ v_c.swapaxes(-1, -2)
+            left_out -= b[pick]
+            top[kept], rows[kept] = theta_c, v_c.swapaxes(-1, -2)
+            discarded[kept] = np.sqrt(np.einsum("bij,bij->b", left_out, left_out))
+            last = theta_c[:, -1]
+            certified[kept] = (last > discarded[kept]) & (last >= _DEGENERATE_RTOL * theta_c[:, 0])
+        going = ~converged & (worst <= _CONTRACTION**products * previous)
+        if not going.any():
+            break
+        if not going.all():
+            live, b, x, worst = live[going], b[going], x[going], worst[going]
+        previous = worst
+    return top, rows, discarded, certified
 
 
 def _eigh_top(b: np.ndarray, d: int):
@@ -257,10 +306,7 @@ def _iterated_top(b: np.ndarray, d: int):
     """:func:`_eigh_top` through :func:`_certified_top`, with ``eigh`` for the records it leaves."""
     n = b.shape[-1]
     stack = b.reshape(-1, n, n)
-    found = _certified_top(stack, d)
-    if found is None:
-        return _eigh_top(b, d)
-    top, rows, discarded, certified = found
+    top, rows, discarded, certified = _certified_top(stack, d)
     redo = ~certified
     if redo.any():
         top[redo], rows[redo], discarded[redo] = _eigh_top(stack[redo], d)
@@ -275,18 +321,21 @@ def classical_mds(g, d: int) -> MdsResult:
     clamped to zero and recorded as a warning rather than a failure, since
     measurement noise routinely makes the input indefinite.  Each
     eigenvector's largest-magnitude entry is made positive so the factor
-    is deterministic across runs.  Below ``_ITERATE_FROM`` nodes, or for
+    is deterministic across runs.  A Grammian holding NaN or inf raises
+    InvalidDimensionError.  Below ``_ITERATE_FROM`` nodes, or for
     d > n - 3, a stack takes one stacked ``eigh``.  Otherwise each record
-    first tries the certified block subspace iteration of
-    :func:`_certified_top`, and the records it does not certify take one
-    stacked ``eigh``.  Either way each record's result depends on that
-    record alone.
+    first runs the certified block subspace iteration of
+    :func:`_certified_top` until it converges or stalls, and the records
+    it does not certify take one stacked ``eigh``.  Either way each
+    record's result depends on that record alone.
     """
     g = _as_square(g, "classical_mds", stacked=True)
     n = g.shape[-1]
     if not 1 <= d <= n:
         raise InvalidDimensionError(f"embedding dimension {d} invalid for n={n}")
     b = 0.5 * (g + g.swapaxes(-1, -2))
+    if not np.isfinite(b).all():
+        raise InvalidDimensionError("classical_mds: the Grammian must be finite")
     # the iteration needs its d + 2 columns to span a proper subspace
     wide = n >= max(_ITERATE_FROM, d + 3)
     top, rows, discarded = (_iterated_top if wide else _eigh_top)(b, d)

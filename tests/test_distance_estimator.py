@@ -531,6 +531,18 @@ class TestSharedSolve:
         with pytest.raises(EstimationError, match=r"stage 'basis-solve': .*n >= 4"):
             estimate(meas)
 
+    @pytest.mark.parametrize(
+        "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+    )
+    def test_overflowing_grammian_is_an_mds_error(self, estimate):
+        # squared distances near the float limit pass validation, but the
+        # fitted Grammian blocks overflow to inf and NaN
+        meas = simulate_measurements(SimConfig(k_samples=10, seed=1), benchmark_trajectory())
+        huge = MeasurementSet(meas.timestamps, meas.pairs * 1e301, meas.accels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EstimationError, match="stage 'mds': .*the Grammian must be finite"):
+                estimate(huge)
+
 
 @pytest.mark.xfail(
     strict=True,

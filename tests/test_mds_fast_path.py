@@ -1,18 +1,22 @@
 """The two routes of ``classical_mds``: certified subspace iteration and ``eigh``.
 
 From ``_ITERATE_FROM`` nodes on, each record first tries a block subspace
-iteration and takes ``eigh`` only when the iteration cannot certify its
-top-d eigenpairs.  These tests pin the iteration against an in-test
-``eigh`` reference on wide scenes and on adversarial spectra, check that
-a stack's records do not see each other's route, and pin the small-n
-route bit for bit to a plain ``eigh``.
+iteration, run until it converges or stalls, and takes ``eigh`` only when
+the iteration cannot certify its top-d eigenpairs.  These tests pin the
+iteration against an in-test ``eigh`` reference on wide scenes (both
+Grammians the distance path factors) and on adversarial spectra, count
+the products a rejected record costs, check that a stack's records do
+not see each other's route, and pin the small-n route bit for bit to a
+plain ``eigh``.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
-from relkin import SimConfig, estimate_from_distances, estimate_with_accel, linalg
-from relkin import simulate_measurements
+from relkin import InvalidDimensionError, SimConfig, estimate_from_distances
+from relkin import estimate_with_accel, linalg, simulate_measurements
 from relkin.linalg import _ITERATE_FROM, _certified_top, classical_mds
 
 from conftest import random_constant_accel_trajectory, random_orthogonal, rel_err
@@ -30,11 +34,38 @@ def eigh_reference(g, d=D):
     return top, points
 
 
+def symmetric_stack(g):
+    stack = np.asarray(g).reshape(-1, *np.shape(g)[-2:])
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
+
+
 def certified(g):
     """Whether the iteration certifies each record of ``g`` (one matrix or a stack)."""
-    stack = np.asarray(g).reshape(-1, *np.shape(g)[-2:])
-    found = _certified_top(0.5 * (stack + np.swapaxes(stack, -1, -2)), D)
-    return np.zeros(len(stack), dtype=bool) if found is None else found[-1]
+    return _certified_top(symmetric_stack(g), D)[-1]
+
+
+class CountingStack(np.ndarray):
+    """A stack of square matrices that counts the products ``stack @ block`` taken with it.
+
+    Records picked out of it stay counting stacks; every ufunc result is
+    a plain array.
+    """
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        first = inputs[0]
+        if ufunc is np.matmul and isinstance(first, CountingStack):
+            CountingStack.products += first.shape[-1] == first.shape[-2]
+        plain = [np.asarray(a) if isinstance(a, CountingStack) else a for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def products_taken(g):
+    """The products with ``b`` that the iteration takes on one record, and whether it certifies it."""
+    CountingStack.products = 0
+    found = _certified_top(symmetric_stack(g).view(CountingStack), D)
+    return CountingStack.products, bool(found[-1][0])
 
 
 def wide_measurements(n, seed):
@@ -66,19 +97,27 @@ def test_wide_scenes_match_the_eigh_route(monkeypatch, estimate, n):
     for seed in range(3):
         meas = wide_measurements(n, seed)
         fast = estimate(meas)
-        b0 = fast.coeffs.blocks[0]
-        assert certified(b0).all()
-        res = classical_mds(b0, D)
-        top, points = eigh_reference(b0)
-        assert np.abs(res.eigenvalues - top).max() <= 1e-13 * np.abs(top).max()
-        assert rel_err(res.points, points) <= 1e-12
-        evals = np.linalg.eigvalsh(0.5 * (b0 + b0.T))
-        assert res.discarded == pytest.approx(np.sqrt(np.sum(evals[:-D] ** 2)), rel=1e-9)
+        blocks = fast.coeffs.blocks
+        # the distance path also factors 4 B4, the acceleration Grammian
+        for g in blocks[:1] + [4.0 * b4 for b4 in blocks[4:]]:
+            assert certified(g).all()
+            assert_matches_eigh(g)
         with monkeypatch.context() as m:
             m.setattr(linalg, "_ITERATE_FROM", n + 1)
             slow = estimate(meas)
-        assert rel_err(fast.y0, slow.y0) <= 1e-12
+        for name in ("y0", "y1", "y2", "rotation"):
+            assert rel_err(getattr(fast, name), getattr(slow, name)) <= 1e-12
         assert fast.warnings == slow.warnings
+
+
+def assert_matches_eigh(g):
+    """``classical_mds(g)`` agrees with the ``eigh`` reference to round-off."""
+    res = classical_mds(g, D)
+    top, points = eigh_reference(g)
+    assert np.abs(res.eigenvalues - top).max() <= 1e-13 * np.abs(top).max()
+    assert rel_err(res.points, points) <= 1e-12
+    evals = np.linalg.eigvalsh(0.5 * (g + g.T))
+    assert res.discarded == pytest.approx(np.sqrt(np.sum(evals[:-D] ** 2)), rel=1e-9)
 
 
 def hidden_dominant(n):
@@ -94,10 +133,11 @@ def hidden_dominant(n):
 
 
 N_WIDE = _ITERATE_FROM + 20
+#: spectra the iteration must not certify: each comes out bit for bit as ``eigh`` gives it
 ADVERSARIAL = {
     "dominant-negative": spectrum_matrix(N_WIDE, [-5e3, 1e3, 5e2], seed=5),
     "near-tie": spectrum_matrix(N_WIDE, [1e3, 5e2, 5e2 * (1.0 - 1e-9)], seed=5),
-    "moderate-gap": spectrum_matrix(N_WIDE, [1e3, 5e2], seed=5),
+    "no-gap": spectrum_matrix(N_WIDE, [], seed=5),
     "hidden-dominant": hidden_dominant(N_WIDE),
     "rank-below-d": spectrum_matrix(N_WIDE, [1e3], seed=5, bulk=0.0),
     "tiny-lambda-d": spectrum_matrix(N_WIDE, [1e3, 1e-11], seed=5, bulk=0.0),
@@ -120,12 +160,60 @@ def test_adversarial_spectra_match_the_eigh_route(monkeypatch, case):
     assert bool(res.warnings) == (case in ("rank-below-d", "tiny-lambda-d", "zero"))
 
 
+def test_moderate_gap_is_certified_after_further_passes():
+    # lambda_3 / lambda_2 = 1 / 500: two passes leave residuals near 1e-8,
+    # so only the later passes bring it to round-off
+    g = spectrum_matrix(N_WIDE, [1e3, 5e2], seed=5)
+    taken, accepted = products_taken(g)
+    assert accepted and taken > 3
+    assert_matches_eigh(g)
+
+
+#: the most products the iteration takes on one record before ``eigh``
+MOST_PRODUCTS = 3 + linalg._PASS_PRODUCTS * (linalg._MAX_PASSES - 2)
+
+
+def test_a_near_tie_costs_at_most_the_pass_cap_before_eigh():
+    taken, accepted = products_taken(ADVERSARIAL["near-tie"])
+    assert not accepted and taken <= MOST_PRODUCTS
+
+
+def test_a_record_that_stops_contracting_leaves_after_the_second_pass():
+    # a flat spectrum has no gap after lambda_2: its residuals barely shrink
+    taken, accepted = products_taken(ADVERSARIAL["no-gap"])
+    assert not accepted and taken == 3
+
+
+def test_a_record_that_needs_more_passes_than_the_cap_leaves_at_the_cap(monkeypatch):
+    g = 4.0 * estimate_from_distances(wide_measurements(100, 0)).coeffs.blocks[4]
+    assert products_taken(g) == (3 + 3 * linalg._PASS_PRODUCTS, True)
+    monkeypatch.setattr(linalg, "_MAX_PASSES", 4)
+    assert products_taken(g) == (3 + 2 * linalg._PASS_PRODUCTS, False)
+    top, points = eigh_reference(g)
+    res = classical_mds(g, D)
+    assert np.array_equal(res.eigenvalues, top) and np.array_equal(res.points, points)
+
+
+@pytest.mark.parametrize("n", [10, N_WIDE], ids=["eigh", "iteration"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_grammian_is_rejected_on_both_routes(n, bad):
+    g = np.stack([np.eye(n)] * 3)
+    g[1, 0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for grammian in (g[1], g):
+            with pytest.raises(InvalidDimensionError, match="the Grammian must be finite"):
+                classical_mds(grammian, D)
+
+
 def test_each_record_of_a_mixed_stack_takes_its_own_route():
     n = 100
     coeffs = estimate_from_distances(wide_measurements(n, 7)).coeffs
     negative = spectrum_matrix(n, [-5e3, 1e3, 5e2], seed=2)
     stack = np.stack([coeffs.blocks[0], 4.0 * coeffs.blocks[4], negative])
-    assert certified(stack).tolist() == [True, False, False]
+    # B0 stops after the second pass and 4 B4 some passes later; the
+    # dominant negative eigenvalue fails the certificate
+    assert certified(stack).tolist() == [True, True, False]
     together = classical_mds(stack, D)
     for i, g in enumerate(stack):
         alone = classical_mds(g, D)
