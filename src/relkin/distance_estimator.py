@@ -196,7 +196,10 @@ class BatchEstimate:
     ``conditioning`` is a (B,) array, and ``coeffs`` holds stacked blocks.
     ``warnings[i]`` lists record i's warnings and ``errors[i]`` holds its
     stage-labelled failure, or None; the blocks of a failed record are
-    meaningless.
+    meaningless.  ``errors`` is the only channel of a record's own
+    failure: a batch entry point raises only for a cause that all the
+    records of its stack share (an invalid argument or time grid, too
+    few nodes), never because of one record's data.
     """
 
     y0: np.ndarray
@@ -340,17 +343,27 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  A stacked
     ``meas`` gives stacked blocks, all from the grid's one projector.
     The residual is the norm of the pair fit's own residual.
+
+    A record whose fit overflows float64 fails on its own: its blocks are
+    zeroed and its residual is NaN, the mark :func:`_solve` reports as
+    that record's ``coefficient-fit`` error.  The screen keeps 8|B|
+    finite for every block B, since the MDS stage reads 4 B_4 and
+    symmetrizes it by adding its transpose.
     """
     n, t, pairs = meas.n_nodes, meas.timestamps, meas.pairs
-    if accel is not None:
-        deflation = (t**4)[:, None] * (0.25 * pairs_from_points(accel))[..., None, :]
-        pairs = np.subtract(pairs, deflation, out=deflation)
-    coeffs, res = _poly_lstsq(t, pairs, degree)
-    blocks = _double_center(coeffs, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if accel is not None:
+            deflation = (t**4)[:, None] * (0.25 * pairs_from_points(accel))[..., None, :]
+            pairs = np.subtract(pairs, deflation, out=deflation)
+        coeffs, res = _poly_lstsq(t, pairs, degree)
+        blocks = _double_center(coeffs, n)
+        residual = np.sqrt(_sum_squares(res))
+        failed = ~np.isfinite(8.0 * np.abs(blocks).max(axis=(-3, -2, -1)))
+    if failed.any():
+        blocks[failed] = 0.0
+        residual = np.where(failed, np.nan, residual)
     return GrammianCoefficients(
-        degree,
-        [blocks[..., l, :, :] for l in range(degree + 1)],
-        residual=np.sqrt(_sum_squares(res)),
+        degree, [blocks[..., l, :, :] for l in range(degree + 1)], residual=residual
     )
 
 
@@ -593,6 +606,10 @@ def _solve(
         f0 = chu_decompose(coeffs.blocks[1], mds0.points)
     for i in f0.degenerate.nonzero()[0]:
         errors[i] = _stage_error("velocity-split", DegenerateGeometryError(_DEGENERATE_FACTOR))
+    # a record whose fit overflowed has zeroed blocks, so its split is degenerate too
+    for i in np.isnan(coeffs.residual).nonzero()[0]:
+        overflow = InvalidDimensionError("the squared distances overflow the fitted blocks")
+        errors[i] = _stage_error("coefficient-fit", overflow)
     _note(notes, f0.repeated, f"velocity split: {_REPEATED}")
     residuals["velocity_split"] = f0.residual
     conditioning["velocity_split"] = _ratio(f0.lam)

@@ -202,30 +202,6 @@ def _simulate_chunk(config: SimConfig, record: tuple, trials: range) -> Measurem
     return MeasurementSet(timestamps, pairs, accels)
 
 
-def _estimate_stack(
-    method: str, meas: MeasurementSet, d: int
-) -> list[tuple[np.ndarray, BatchEstimate]]:
-    """``method`` on every record of ``meas``, as (record positions, batch) pieces.
-
-    One batch call does the work and gives one piece.  Only if that call
-    fails as a whole is each record retried as a batch of one, so that a
-    failure costs only the records that fail; a record that fails alone
-    has no piece.
-    """
-    estimator = _ESTIMATORS[method]
-    try:
-        return [(np.arange(len(meas.pairs)), estimator(meas, d))]
-    except RelkinError:
-        pieces = []
-        for i in range(len(meas.pairs)):
-            one = MeasurementSet(meas.timestamps, meas.pairs[i : i + 1], meas.accels[i : i + 1])
-            try:
-                pieces.append((np.array([i]), estimator(one, d)))
-            except RelkinError:
-                pass
-        return pieces
-
-
 def run_monte_carlo(
     config: SimConfig,
     truth: PolynomialTrajectory,
@@ -247,13 +223,13 @@ def run_monte_carlo(
     sweep, aligned with the same transform.  Trials where any method
     fails are excluded from all methods to keep the comparison paired
     and counted in ``failure_counts`` per K; a K with no surviving trial
-    has no RMSE or time-sweep rows.  A batch call that fails as a whole
-    is retried one trial at a time, so only the failing trials are
-    lost.  Judging the failure rate is left to the caller.  Both tables
-    come from one mean per (method, K) over the kept trials in index
-    order; trial indices and sub-seeds are global over the K's chunks,
-    so neither table depends on the chunk size (unless a chunk is
-    retried one trial at a time, which may round differently).
+    has no RMSE or time-sweep rows.  A record's failure is its slot of
+    the batch's ``errors``; a batch call raises only for a cause that
+    all its records share, and then every trial of the chunk fails.
+    Judging the failure rate is left to the caller.  Both tables come
+    from one mean per (method, K) over the kept trials in index order;
+    trial indices and sub-seeds are global over the K's chunks, so
+    neither table depends on the chunk size.
 
     ``methods`` and ``k_values`` must be non-empty and free of repeats.
     """
@@ -275,33 +251,33 @@ def run_monte_carlo(
         for start in range(0, config.n_trials, _CHUNK_TRIALS):
             chunk = range(start, min(start + _CHUNK_TRIALS, config.n_trials))
             stack = _simulate_chunk(config_k, record, chunk)
-            results = {m: _estimate_stack(m, stack, d) for m in methods}
+            batches = {}
             # paired: a trial counts only if every method estimated it
             ok = np.ones(len(chunk), dtype=bool)
-            for pieces in results.values():
-                estimated = np.zeros(len(chunk), dtype=bool)
-                for index, batch in pieces:
-                    estimated[index] = [error is None for error in batch.errors]
-                ok &= estimated
+            for method in methods:
+                try:
+                    batches[method] = _ESTIMATORS[method](stack, d)
+                except RelkinError:
+                    # a batch call raises only for a cause that all its records share
+                    ok[:] = False
+                    continue
+                ok &= [error is None for error in batches[method].errors]
             kept[start : chunk.stop] = ok
-            for method, pieces in results.items():
-                for index, batch in pieces:
-                    keep = ok[index]
-                    if not keep.any():
-                        continue
-                    aligned = align_to_truth(batch.select(keep.nonzero()[0]), truth)
-                    blocks = (aligned.y0, aligned.y1, aligned.y2)
-                    # the coefficient blocks are exactly symmetric, so vech is a gather
-                    errors = [
-                        _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2)
-                        for l in range(3)
-                    ]
-                    errors += [
-                        ((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)
-                    ]
-                    positions = _positions(blocks, time_grid)
-                    errors.append(((positions - truth_positions) ** 2).sum(axis=(2, 3)).T)
-                    scores[method][:, start + index[keep]] = np.vstack(errors)
+            if not ok.any():
+                continue
+            index = ok.nonzero()[0]
+            for method, batch in batches.items():
+                aligned = align_to_truth(batch.select(index), truth)
+                blocks = (aligned.y0, aligned.y1, aligned.y2)
+                # the coefficient blocks are exactly symmetric, so vech is a gather
+                errors = [
+                    _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2)
+                    for l in range(3)
+                ]
+                errors += [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
+                positions = _positions(blocks, time_grid)
+                errors.append(((positions - truth_positions) ** 2).sum(axis=(2, 3)).T)
+                scores[method][:, start + index] = np.vstack(errors)
         failure_counts[k] = config.n_trials - int(kept.sum())
         if kept.any():
             for m in methods:

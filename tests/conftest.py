@@ -5,7 +5,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from relkin import PolynomialTrajectory, center_coefficients
+import relkin.harness as harness
+from relkin import EstimationError, PolynomialTrajectory, center_coefficients
 
 
 def random_constant_accel_trajectory(
@@ -37,6 +38,23 @@ def gram_poly_blocks(traj, degree):
             )
         out.append(b)
     return out
+
+
+def poison_record(monkeypatch, pairs):
+    """Make every harness method fail on the record whose pairs equal ``pairs``.
+
+    The failure lands in that record's slot of the batch's ``errors``.
+    """
+    for method, estimator in list(harness._ESTIMATORS.items()):
+
+        def injected(meas, d=2, estimator=estimator):
+            batch = estimator(meas, d)
+            if meas.pairs.shape[1:] == pairs.shape:
+                for i in np.all(meas.pairs == pairs, axis=(1, 2)).nonzero()[0]:
+                    batch.errors[i] = EstimationError("stage 'synthetic': poisoned record")
+            return batch
+
+        monkeypatch.setitem(harness._ESTIMATORS, method, injected)
 
 
 def rel_err(actual, expected):

@@ -7,6 +7,7 @@ were alone, and that the batched harness reproduces the per-trial loop
 it replaced.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,8 @@ from relkin import (
 )
 from relkin.accel_estimator import estimate_with_accel_batch
 from relkin.distance_estimator import estimate_from_distances_batch
+
+from conftest import poison_record, random_constant_accel_trajectory
 
 BATCH = {"distance": estimate_from_distances_batch, "accel": estimate_with_accel_batch}
 SINGLE = {"distance": estimate_from_distances, "accel": estimate_with_accel}
@@ -165,50 +168,46 @@ def test_each_record_of_a_stack_is_estimated_as_if_alone(method):
     assert outcomes == ["solved", "error", "fallback"]
 
 
-def poisoned_estimators(monkeypatch, poison, per_record):
-    """Make every method fail on the record equal to ``poison``.
+@pytest.mark.parametrize("method", ["distance", "accel"])
+def test_an_overflowing_record_fails_alone(method):
+    records = benchmark_records(3)
+    huge = MeasurementSet(records[1].timestamps, records[1].pairs * 1e301, records[1].accels)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = BATCH[method](stack([records[0], huge, records[2]]))
+        alone = [BATCH[method](records[i]) for i in (0, 2)]
+    assert [str(w.message) for w in caught] == []
+    assert [error is None for error in batch.errors] == [True, False, True]
+    assert str(batch.errors[1]).startswith("stage 'coefficient-fit': ")
+    assert np.isnan(batch.residuals["edm_fit"][1])
+    for i, solo in zip((0, 2), alone):
+        assert batch.warnings[i] == solo.warnings[0]
+        for field in ("y0", "y1", "y2", "rotation"):
+            assert np.array_equal(getattr(batch, field)[i], getattr(solo, field)[0]), field
+        for table in ("residuals", "conditioning"):
+            got, want = getattr(batch, table), getattr(solo, table)
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[key][i], want[key][0]) for key in want), table
+        for got, want in zip(batch.coeffs.blocks, solo.coeffs.blocks):
+            assert np.array_equal(got[i], want[0])
 
-    With ``per_record`` the failure lands in that record's error slot;
-    otherwise any batch holding the record fails as a whole.
-    """
-    for method, estimator in list(harness._ESTIMATORS.items()):
 
-        def injected(meas, d=2, estimator=estimator):
-            same_grid = meas.pairs.shape[1:] == poison.pairs.shape
-            hit = np.all(meas.pairs == poison.pairs, axis=(1, 2)) if same_grid else np.zeros(0)
-            if hit.any() and not per_record:
-                raise EstimationError("stage 'synthetic': the batch holds the poisoned record")
-            batch = estimator(meas, d)
-            for i in hit.nonzero()[0]:
-                batch.errors[i] = EstimationError("stage 'synthetic': poisoned record")
-            return batch
-
-        monkeypatch.setitem(harness._ESTIMATORS, method, injected)
-
-
-def test_a_whole_batch_failure_costs_only_the_failing_trial(monkeypatch):
+def test_a_record_failure_costs_only_its_trial(monkeypatch):
     traj, cfg = benchmark_trajectory(), SimConfig(n_trials=6, seed=8, accel_rotation_angle=0.5)
     k_values = (8, 12)
+    # the last trial of K = 12, so the trials kept are those of a 5-trial run
     poison = simulate_measurements(
-        replace(cfg, k_samples=12, seed=harness._trial_seed(cfg.seed, 12, 4)), traj
+        replace(cfg, k_samples=12, seed=harness._trial_seed(cfg.seed, 12, 5)), traj
     )
-    results = []
-    for per_record in (True, False):
-        with monkeypatch.context() as patch:
-            poisoned_estimators(patch, poison, per_record)
-            results.append(run_monte_carlo(cfg, traj, k_values=k_values))
-    slot, retried = results
-    assert retried.failure_counts == slot.failure_counts == {8: 0, 12: 1}
-    want = {(r.method, r.k, r.block): r.rmse for r in slot.rmse_table.rows}
-    got = {(r.method, r.k, r.block): r.rmse for r in retried.rmse_table.rows}
-    assert got.keys() == want.keys()
-    assert all(abs(got[key] - want[key]) <= 1e-12 * want[key] for key in want)
-    assert [(e.method, e.k, e.t) for e in retried.time_sweep] == [
-        (e.method, e.k, e.t) for e in slot.time_sweep
-    ]
-    assert all(
-        abs(a.rmse - b.rmse) <= 1e-12 * b.rmse for a, b in zip(retried.time_sweep, slot.time_sweep)
-    )
+    with monkeypatch.context() as patch:
+        poison_record(patch, poison.pairs)
+        poisoned = run_monte_carlo(cfg, traj, k_values=k_values)
+    assert poisoned.failure_counts == {8: 0, 12: 1}
+    clean = run_monte_carlo(cfg, traj, k_values=(8,))
+    short = run_monte_carlo(replace(cfg, n_trials=5), traj, k_values=(12,))
+    for k, alone in ((8, clean), (12, short)):
+        assert [r for r in poisoned.rmse_table.rows if r.k == k] == alone.rmse_table.rows
+        assert [e for e in poisoned.time_sweep if e.k == k] == alone.time_sweep
 
 
 def per_trial_oracle(config, truth, methods, k_values):
@@ -292,7 +291,8 @@ def test_batched_harness_matches_the_per_trial_oracle():
         assert abs(got.rmse - want.rmse) <= 1e-9 * want.rmse
 
 
-def test_each_method_runs_once_per_k(monkeypatch):
+def counted_calls(monkeypatch):
+    """Record (method, K, records) of every estimator call the harness makes."""
     calls = []
     for method, estimator in list(harness._ESTIMATORS.items()):
 
@@ -301,10 +301,26 @@ def test_each_method_runs_once_per_k(monkeypatch):
             return estimator(meas, d)
 
         monkeypatch.setitem(harness._ESTIMATORS, method, counted)
+    return calls
+
+
+def test_each_method_runs_once_per_k(monkeypatch):
+    calls = counted_calls(monkeypatch)
     cfg = SimConfig(n_trials=4, seed=1)
     result = run_monte_carlo(cfg, benchmark_trajectory(), k_values=(6, 9, 12))
     assert result.failure_counts == {6: 0, 9: 0, 12: 0}
     assert sorted(calls) == sorted((m, k, 4) for m in ("distance", "accel") for k in (6, 9, 12))
+
+
+def test_a_cause_every_record_shares_costs_one_call_per_method(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    # three nodes give too few equations for any record, so every batch call raises
+    truth = random_constant_accel_trajectory(np.random.default_rng(2), n=3)
+    cfg = SimConfig(n_nodes=3, n_trials=6, seed=1)
+    result = run_monte_carlo(cfg, truth, k_values=(10,))
+    assert result.failure_counts == {10: 6}
+    assert result.rmse_table.rows == [] and result.time_sweep == []
+    assert sorted(calls) == [("accel", 10, 6), ("distance", 10, 6)]
 
 
 def test_batch_of_one_equals_single_estimate():

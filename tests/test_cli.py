@@ -1,10 +1,18 @@
 """CLI subcommands: outputs, determinism, precedence and error handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import relkin.harness as harness
-from relkin import EstimationError, benchmark_trajectory
+from relkin import (
+    EstimationError,
+    MeasurementSet,
+    SimConfig,
+    benchmark_trajectory,
+    simulate_measurements,
+)
 from relkin.bundle_io import read_measurement_bundle, write_measurement_bundle
 from relkin.cli import main
 from relkin.config import load_scenario
@@ -112,6 +120,26 @@ class TestEstimate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nonnegative" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["distance", "accel"])
+    def test_overflowing_bundle_is_one_clean_error(self, tmp_path, capsys, method):
+        meas = simulate_measurements(SimConfig(k_samples=10, seed=1), benchmark_trajectory())
+        bundle = tmp_path / "huge"
+        write_measurement_bundle(
+            MeasurementSet(meas.timestamps, meas.pairs * 1e301, meas.accels), bundle
+        )
+        out = tmp_path / "est"
+        # a warning that reached the CLI would print its own lines to stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                ["estimate", "--bundle", str(bundle), "--method", method, "--output", str(out)]
+            )
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: stage 'coefficient-fit': ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

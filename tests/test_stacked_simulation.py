@@ -16,7 +16,6 @@ import relkin.harness as harness
 import relkin.trajectory as trajectory
 from relkin import (
     ConfigError,
-    EstimationError,
     MeasurementSet,
     SimConfig,
     benchmark_trajectory,
@@ -28,7 +27,7 @@ from relkin import (
 )
 from relkin.linalg import triu_indices
 
-from conftest import random_constant_accel_trajectory
+from conftest import poison_record, random_constant_accel_trajectory
 
 
 def reference_simulate(config, traj):
@@ -128,19 +127,9 @@ def test_truth_is_evaluated_once_per_k_and_chunk(monkeypatch):
 
 
 def poison_trial(monkeypatch, config, truth, k, trial):
-    """Make any batch that holds the (K, trial) record fail as a whole, for every method."""
+    """Make every method fail on the (K, trial) record, in that record's error slot."""
     cfg = replace(config, k_samples=k, seed=harness._trial_seed(config.seed, k, trial))
-    poison = reference_simulate(cfg, truth).pairs
-    for method, estimator in list(harness._ESTIMATORS.items()):
-
-        def injected(meas, d=2, estimator=estimator):
-            if meas.pairs.shape[1:] == poison.shape and any(
-                np.array_equal(record, poison) for record in meas.pairs
-            ):
-                raise EstimationError("stage 'synthetic': the batch holds the poisoned record")
-            return estimator(meas, d)
-
-        monkeypatch.setitem(harness._ESTIMATORS, method, injected)
+    poison_record(monkeypatch, reference_simulate(cfg, truth).pairs)
 
 
 def run_chunked(monkeypatch, chunk, config, truth, k_values, poison=None):
@@ -181,8 +170,8 @@ def test_a_failure_in_the_third_chunk_is_counted_once(monkeypatch):
     whole, _ = run_chunked(monkeypatch, 128, config, truth, k_values, poison=(20, 4))
     chunked, _ = run_chunked(monkeypatch, 2, config, truth, k_values, poison=(20, 4))
     assert chunked.failure_counts == whole.failure_counts == {10: 0, 20: 1}
-    # unchunked, every K = 20 record is retried alone; chunked, only trial 4 is
     assert chunked.rmse_table.rows == whole.rmse_table.rows
+    assert chunked.time_sweep == whole.time_sweep
 
 
 def test_trajectory_shape_mismatch_still_raises():
