@@ -52,14 +52,22 @@ FAILURES_FILE = "failures.csv"
 def _write_table(path, header: str, *columns) -> Path:
     """Write a CSV table with one row per entry of the broadcast ``columns``.
 
-    Each column is raveled in C order after broadcasting; ``str`` of a
-    Python float is its shortest round-trip repr, so values read back bit
-    for bit.
+    Rows run in C order over the broadcast shape.  Each column is formatted
+    once at its own shape and its strings are broadcast, so an index grid
+    costs one ``str`` per distinct index; ``str`` of a Python float is its
+    shortest round-trip repr, so values read back bit for bit.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cells = [map(str, np.ravel(c).tolist()) for c in np.broadcast_arrays(*columns)]
-    path.write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n", encoding="utf-8")
+    arrays = [np.asarray(c) for c in columns]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    cells = np.empty((*shape, 2 * len(arrays)), dtype=object)
+    for col, a in enumerate(arrays):
+        strings = np.array(list(map(str, a.ravel().tolist())), dtype=object)
+        cells[..., 2 * col] = strings.reshape(a.shape)
+    cells[..., 1::2] = ","
+    cells[..., -1] = "\n"
+    path.write_text("".join([header, "\n", *cells.ravel().tolist()]), encoding="utf-8")
     return path
 
 
@@ -85,7 +93,12 @@ def write_measurement_bundle(meas: MeasurementSet, outdir) -> list[Path]:
 
 
 def _read_columns(path: Path, header: str) -> list[np.ndarray]:
-    """Columns of a CSV table: integer index columns, then the float last one."""
+    """Columns of a CSV table: integer index columns, then the float last one.
+
+    Blank and whitespace-only lines are skipped; the first other line must
+    be ``header``.  The rows are parsed by one ``np.loadtxt`` call, so an
+    index must be a plain integer and a value a plain float literal.
+    """
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -93,15 +106,17 @@ def _read_columns(path: Path, header: str) -> list[np.ndarray]:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0] != header:
         raise ConfigError(f"{path}: expected header '{header}'")
-    width = header.count(",") + 1
-    rows = [line.split(",") for line in lines[1:]]
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    if np.any(widths != width):
-        raise ConfigError(f"{path}: every row needs {width} comma-separated fields")
-    cols = list(zip(*rows)) if rows else [()] * width
+    *index_names, value_name = header.split(",")
+    rows = lines[1:]
+    if not rows:  # loadtxt would warn that the input holds no data
+        return [np.empty(0, dtype=np.int64) for _ in index_names] + [np.empty(0)]
+    dtype = [(name, np.int64) for name in index_names] + [(value_name, float)]
     try:
-        return [np.array(c, dtype=np.int64) for c in cols[:-1]] + [np.array(cols[-1], dtype=float)]
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
     except ValueError as exc:
+        if any(row.count(",") != len(index_names) for row in rows):
+            width = len(dtype)
+            raise ConfigError(f"{path}: every row needs {width} comma-separated fields") from exc
         raise ConfigError(f"{path}: {exc}") from exc
 
 

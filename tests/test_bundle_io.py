@@ -1,5 +1,7 @@
 """CSV bundle round-trips and table serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from relkin.bundle_io import (
     EDM_FILE,
     ESTIMATE_FILE,
     TIMESTAMPS_FILE,
+    _write_table,
     read_measurement_bundle,
     write_estimate,
     write_failure_counts,
@@ -64,6 +67,16 @@ class TestBundleRoundTrip:
         with pytest.raises(ConfigError, match="pairwise"):
             read_measurement_bundle(tmp_path)
 
+    def test_blank_lines_and_crlf_read(self, meas, tmp_path):
+        write_measurement_bundle(meas, tmp_path)
+        for name in (TIMESTAMPS_FILE, EDM_FILE, ACCEL_FILE):
+            lines = (tmp_path / name).read_text().splitlines()
+            spaced = ["", "  \t"] + [x for line in lines for x in (line, " ")] + [""]
+            (tmp_path / name).write_bytes("\r\n".join(spaced).encode())
+        back = read_measurement_bundle(tmp_path)
+        for field in ("timestamps", "pairs", "accels"):
+            assert np.array_equal(getattr(back, field), getattr(meas, field))
+
 
 def _edit_rows(path, edit):
     """Rewrite a bundle file with ``edit`` applied to its data rows."""
@@ -114,6 +127,35 @@ class TestMalformedBundle:
         _edit_rows(bundle / TIMESTAMPS_FILE, lambda rows: rows[:-1])
         with pytest.raises(ConfigError, match="0 <= k < 6"):
             read_measurement_bundle(bundle)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[:3] + ["# a comment"] + rows[3:],
+        lambda rows: [rows[0] + ","] + rows[1:],
+    ], ids=["hash-line", "trailing-comma"])
+    def test_malformed_row_names_field_count(self, bundle, edit):
+        _edit_rows(bundle / EDM_FILE, edit)
+        with pytest.raises(ConfigError, match="every row needs 4 comma-separated fields"):
+            read_measurement_bundle(bundle)
+
+    @pytest.mark.parametrize("index", ["1.5", "1e0", "", "99999999999999999999"])
+    def test_index_must_be_an_int64_literal(self, bundle, index):
+        _edit_rows(bundle / EDM_FILE, lambda rows: [index + rows[0][1:]] + rows[1:])
+        with pytest.raises(ConfigError, match=EDM_FILE):
+            read_measurement_bundle(bundle)
+
+    @pytest.mark.parametrize("value", ["", "1_000.5"])
+    def test_value_must_be_a_plain_float_literal(self, bundle, value):
+        _edit_rows(bundle / EDM_FILE, lambda rows: [rows[0].rsplit(",", 1)[0] + "," + value]
+                   + rows[1:])
+        with pytest.raises(ConfigError, match=EDM_FILE):
+            read_measurement_bundle(bundle)
+
+    def test_header_only_accels_is_one_clean_error(self, bundle):
+        (bundle / ACCEL_FILE).write_text("k,node,axis,value\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no accelerometer readings"):
+                read_measurement_bundle(bundle)
 
 
 class TestEstimateOutput:
@@ -283,3 +325,78 @@ class TestGoldenText:
         back = read_measurement_bundle(tmp_path)
         for field in ("timestamps", "pairs", "accels"):
             assert np.array_equal(getattr(back, field), getattr(meas, field))
+
+
+def _row_join_oracle(header, *columns):
+    """The table text built row by row: broadcast, ravel, ``str`` each cell, join."""
+    cells = [map(str, np.ravel(c).tolist()) for c in np.broadcast_arrays(*columns)]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
+
+
+def _random_floats(rng, shape):
+    """Floats of every repr form: fixed and exponent notation, both signs, ±0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    values.flat[::7] = 0.0
+    values.flat[3::11] = -0.0
+    return values
+
+
+def _layouts(rng):
+    kk, m = rng.integers(1, 8), rng.integers(1, 12)
+    names = rng.choice(["distance", "accel", "Y0", "rotation"], size=m)
+    return {
+        "scalar-column": (7, np.arange(m), _random_floats(rng, m)),
+        "grid-against-indices": (
+            np.arange(kk)[:, None], rng.integers(0, 50, m), rng.integers(0, 50, m),
+            _random_floats(rng, (kk, m)),
+        ),
+        "string-columns": (names, tuple(str(x) for x in rng.integers(0, 9, m)),
+                           _random_floats(rng, m)),
+        "full-size": (rng.integers(-5, 5, (kk, m)), _random_floats(rng, (kk, m))),
+    }
+
+
+class TestWriteTableOracle:
+    """``_write_table`` against the row-by-row join on random broadcast layouts."""
+
+    @pytest.mark.parametrize(
+        "layout", ["scalar-column", "grid-against-indices", "string-columns", "full-size"]
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bytes_match_row_join(self, tmp_path, layout, seed):
+        columns = _layouts(np.random.default_rng(seed))[layout]
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        path = _write_table(tmp_path / "t.csv", header, *columns)
+        assert path.read_bytes() == _row_join_oracle(header, *columns).encode()
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        path = _write_table(tmp_path / "t.csv", "a,b", np.arange(3)[:, None], np.empty(0))
+        assert path.read_bytes() == b"a,b\n" == _row_join_oracle("a,b", np.arange(3)[:, None],
+                                                                  np.empty(0)).encode()
+
+
+class TestWideRoundTrip:
+    """n = 30, K = 60, with values whose repr takes each form, -0.0 included."""
+
+    @pytest.fixture
+    def wide(self):
+        rng = np.random.default_rng(11)
+        pairs = rng.random((61, 435)) * 10.0 ** rng.integers(-8, 8, (61, 435))
+        pairs.flat[[5, 77, 400, 9000]] = [5e-324, 1e+20, 1e-05, 0.30000000000000004]
+        accels = _random_floats(rng, (61, 2, 30))
+        accels.flat[[0, 17, 3000]] = [-0.0, 5e-324, -1e+20]
+        return MeasurementSet(np.linspace(-3.0, 3.0, 61), pairs, accels)
+
+    def test_write_read_is_bit_identical(self, wide, tmp_path):
+        write_measurement_bundle(wide, tmp_path)
+        back = read_measurement_bundle(tmp_path)
+        assert back.pairs.shape == (61, 435) and back.accels.shape == (61, 2, 30)
+        for field in ("timestamps", "pairs", "accels"):
+            assert np.array_equal(getattr(back, field).view(np.uint64),
+                                  getattr(wide, field).view(np.uint64))
+
+    def test_write_read_write_is_byte_identical(self, wide, tmp_path):
+        write_measurement_bundle(wide, tmp_path / "a")
+        write_measurement_bundle(read_measurement_bundle(tmp_path / "a"), tmp_path / "b")
+        for name in (TIMESTAMPS_FILE, EDM_FILE, ACCEL_FILE):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
