@@ -10,6 +10,7 @@ entry of a set's ``pairs``, which the reader fills straight from the rows.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import astuple
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -55,19 +56,18 @@ def _write_table(path, header: str, *columns) -> Path:
     Rows run in C order over the broadcast shape.  Each column is formatted
     once at its own shape and its strings are broadcast, so an index grid
     costs one ``str`` per distinct index; ``str`` of a Python float is its
-    shortest round-trip repr, so values read back bit for bit.
+    shortest round-trip repr, so values read back bit for bit.  No columns,
+    or an empty one, write the header alone.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    cells = np.empty((*shape, 2 * len(arrays)), dtype=object)
-    for col, a in enumerate(arrays):
-        strings = np.array(list(map(str, a.ravel().tolist())), dtype=object)
-        cells[..., 2 * col] = strings.reshape(a.shape)
-    cells[..., 1::2] = ","
-    cells[..., -1] = "\n"
-    path.write_text("".join([header, "\n", *cells.ravel().tolist()]), encoding="utf-8")
+    cells = []
+    for a in arrays:
+        strings = np.array(list(map(str, a.ravel().tolist())), dtype=object).reshape(a.shape)
+        cells.append(np.broadcast_to(strings, shape).ravel().tolist())
+    path.write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n", encoding="utf-8")
     return path
 
 
@@ -112,8 +112,12 @@ def _read_columns(path: Path, header: str) -> list[np.ndarray]:
         return [np.empty(0, dtype=np.int64) for _ in index_names] + [np.empty(0)]
     dtype = [(name, np.int64) for name in index_names] + [(value_name, float)]
     try:
-        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            # numpy releases that still parse an integer field via a float
+            # ('1.5' read as 1) only warn; here that is a malformed index.
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
+    except (ValueError, DeprecationWarning) as exc:
         if any(row.count(",") != len(index_names) for row in rows):
             width = len(dtype)
             raise ConfigError(f"{path}: every row needs {width} comma-separated fields") from exc

@@ -150,6 +150,24 @@ class TestMalformedBundle:
         with pytest.raises(ConfigError, match=EDM_FILE):
             read_measurement_bundle(bundle)
 
+    def test_index_parsed_via_a_float_is_rejected(self, bundle, monkeypatch):
+        """A numpy whose loadtxt reads int field '1.0' as 1 with only a warning."""
+        loadtxt = np.loadtxt
+
+        def lenient_loadtxt(rows, **kwargs):
+            truncated = [row.replace(",1.0,", ",1,", 1) for row in rows]
+            if truncated != rows:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            return loadtxt(truncated, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        _edit_rows(bundle / EDM_FILE, lambda rows: [rows[0].replace(",1,", ",1.0,", 1)]
+                   + rows[1:])
+        assert (bundle / EDM_FILE).read_text().splitlines()[1].startswith("0,0,1.0,")
+        with pytest.raises(ConfigError, match=f"{EDM_FILE}: .*integer via a float"):
+            read_measurement_bundle(bundle)
+
     def test_header_only_accels_is_one_clean_error(self, bundle):
         (bundle / ACCEL_FILE).write_text("k,node,axis,value\n\n")
         with warnings.catch_warnings():
@@ -204,6 +222,14 @@ class TestTables:
         entries = [TimeSweepEntry("accel", 20, -5.0, 0.5)]
         path = write_time_sweep(entries, tmp_path / "sweep.csv")
         assert path.read_text() == "method,k,t,rmse\naccel,20,-5.0,0.5\n"
+
+
+    def test_empty_tables_are_header_only(self, tmp_path):
+        assert write_rmse_table(RmseTable(rows=[]), tmp_path / "r.csv").read_text() == (
+            "method,k,block,rmse\n")
+        assert write_time_sweep([], tmp_path / "s.csv").read_text() == "method,k,t,rmse\n"
+        path = write_failure_counts({}, 10, tmp_path / "f.csv")
+        assert path.read_text() == "k,failures,n_trials\n"
 
 
 def _hand_built_outputs():
@@ -373,6 +399,11 @@ class TestWriteTableOracle:
         path = _write_table(tmp_path / "t.csv", "a,b", np.arange(3)[:, None], np.empty(0))
         assert path.read_bytes() == b"a,b\n" == _row_join_oracle("a,b", np.arange(3)[:, None],
                                                                   np.empty(0)).encode()
+
+
+    def test_no_columns_is_header_only(self, tmp_path):
+        path = _write_table(tmp_path / "t.csv", "a,b")
+        assert path.read_bytes() == b"a,b\n" == _row_join_oracle("a,b").encode()
 
 
 class TestWideRoundTrip:
