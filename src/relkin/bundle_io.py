@@ -103,7 +103,7 @@ def _read_columns(path: Path, header: str) -> list[np.ndarray]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines or lines[0] != header:
         raise ConfigError(f"{path}: expected header '{header}'")
     *index_names, value_name = header.split(",")

@@ -13,11 +13,16 @@ Output directory resolution: ``--output`` flag, else the
 ``RELKIN_OUTPUT_DIR`` environment variable, else ``./relkin_out``.
 Override precedence: CLI flags beat the config file, which beats the
 built-in defaults.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused by every later call; each call still parses into a
+fresh namespace, so no option carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -113,6 +118,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     return 1 if over else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relkin",

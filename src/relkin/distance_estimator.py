@@ -253,7 +253,9 @@ def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, n
     projector R^-1 Q^T.  The time axis is rescaled to [-1, 1] before
     factorization and the coefficients are unscaled by the powers
     afterwards, which leaves the minimizer unchanged but keeps the factor
-    well conditioned.  The arrays are read-only and cached per grid and
+    well conditioned; a grid whose largest |t| raised to ``degree``
+    falls below the smallest normal float cannot be unscaled and is
+    rejected.  The arrays are read-only and cached per grid and
     degree: every record of a sweep's K shares one grid, and so does
     every single estimate at that K.
     """
@@ -263,6 +265,12 @@ def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, n
             f"need at least {degree + 1} samples for a degree-{degree} fit, got {t.size}"
         )
     scale = float(np.abs(t).max()) or 1.0
+    # only a grid inside (-1, 1) can underflow; above 1, float ** raises OverflowError
+    if scale < 1.0 and scale**degree < _TINY:
+        raise SingularDesignError(
+            f"time grid too short for a degree-{degree} fit: its largest |t| is {scale!r}, "
+            f"whose power {degree} underflows float64"
+        )
     a = np.vander(t / scale, degree + 1, increasing=True)
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))

@@ -192,6 +192,28 @@ def test_an_overflowing_record_fails_alone(method):
             assert np.array_equal(got[i], want[0])
 
 
+# |t|^degree below the smallest normal float; the accel path's degree-3 fit
+# still unscales at 1e-100
+@pytest.mark.parametrize(
+    "method,degree,span", [("distance", 4, 1e-300), ("distance", 4, 1e-100), ("accel", 3, 1e-300)]
+)
+def test_a_time_grid_too_short_to_unscale_rejects_the_stack(method, degree, span):
+    cfg = SimConfig(k_samples=10, t_start=-span, t_end=span, accel_rotation_angle=0.5)
+    records = [simulate_measurements(replace(cfg, seed=s), benchmark_trajectory()) for s in (1, 2)]
+    message = (
+        f"^stage 'coefficient-fit': time grid too short for a degree-{degree} fit: "
+        f"its largest \\|t\\| is {span!r}"
+    )
+    # the grid is every record's, so the whole batch raises rather than failing record by record
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EstimationError, match=message):
+            BATCH[method](stack(records))
+        with pytest.raises(EstimationError, match=message):
+            SINGLE[method](records[0])
+    assert [str(w.message) for w in caught] == []
+
+
 def test_a_record_failure_costs_only_its_trial(monkeypatch):
     traj, cfg = benchmark_trajectory(), SimConfig(n_trials=6, seed=8, accel_rotation_angle=0.5)
     k_values = (8, 12)

@@ -14,6 +14,7 @@ from relkin import (
     simulate_measurements,
 )
 from relkin.bundle_io import read_measurement_bundle, write_measurement_bundle
+from relkin import cli
 from relkin.cli import main
 from relkin.config import load_scenario
 
@@ -140,6 +141,26 @@ class TestEstimate:
         assert [str(w.message) for w in caught] == []
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: stage 'coefficient-fit': ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,degree", [("distance", 4), ("accel", 3)])
+    def test_too_short_time_grid_is_one_clean_error(self, tmp_path, capsys, method, degree):
+        bundle = tmp_path / "short"
+        grid = ["--set", "t_start=-1e-300", "--set", "t_end=1e-300"]
+        assert run_cli(["simulate", "--output", str(bundle), *grid]) == 0
+        capsys.readouterr()
+        out = tmp_path / "est"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                ["estimate", "--bundle", str(bundle), "--method", method, "--output", str(out)]
+            )
+        assert code == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: stage 'coefficient-fit': time grid too short for a degree-{degree} fit: "
+            f"its largest |t| is 1e-300, whose power {degree} underflows float64"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -388,3 +409,33 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in flags:
             assert flag in text
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; no call sees another's flags."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        assert run_cli(["simulate", "--seed", "7", "--set", "k_samples=6",
+                        "--output", str(tmp_path / "first")]) == 0
+        assert run_cli(["simulate", "--output", str(tmp_path / "after")]) == 0
+        cli._build_parser.cache_clear()  # the second call alone, on a parser of its own
+        assert run_cli(["simulate", "--output", str(tmp_path / "alone")]) == 0
+        for name in ("timestamps.csv", "edms.csv", "accels.csv"):
+            after = (tmp_path / "after" / name).read_bytes()
+            assert after == (tmp_path / "alone" / name).read_bytes(), name
+            assert after != (tmp_path / "first" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [(["simulate", "--help"], 0), (["simulate", "--seed", "x"], 2), (["estimate"], 2)],
+        ids=["help", "bad-seed", "missing-bundle"],
+    )
+    def test_next_call_succeeds_after_an_exit(self, argv, status, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        assert run_cli(["simulate", "--set", "k_samples=6", "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "edms.csv").exists()
