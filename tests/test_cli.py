@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import relkin.cli as cli
 import relkin.harness as harness
 from relkin import (
     EstimationError,
@@ -14,7 +15,6 @@ from relkin import (
     simulate_measurements,
 )
 from relkin.bundle_io import read_measurement_bundle, write_measurement_bundle
-from relkin import cli
 from relkin.cli import main
 from relkin.config import load_scenario
 
