@@ -13,6 +13,11 @@ acceleration that is negligible over the record (a static network),
 rank deficient, or admits no solvable basis system leaves the velocity
 at its minimum-norm completion and the rotation at identity, with a
 warning.
+
+Only the fit (:func:`fit_with_accel`) differs from the distance-only
+path: it returns the same kind of ``FittedStack``, carrying the centered
+sensor block as the acceleration factor, and the shared
+``distance_estimator.finish_batch`` does the rest.
 """
 
 from __future__ import annotations
@@ -23,19 +28,21 @@ import numpy as np
 
 from .distance_estimator import (
     BatchEstimate,
+    FittedStack,
     GrammianCoefficients,
     KinematicEstimate,
-    _fit_edm_coeffs,
+    _fit_input,
+    _fitted_stack,
+    _norm,
     _one_record,
     _poly_lstsq,
-    _solve,
     _stage,
-    _sum_squares,
+    finish_batch,
     fit_gram_coeffs,
 )
 from .distance_estimator import chu_decompose  # noqa: F401  (perfbench's tracer rebinds this copy)
 from .errors import ConfigError, InvalidDimensionError
-from .linalg import centering_matrix, classical_mds, vech
+from .linalg import centering_matrix, vech
 from .trajectory import MeasurementSet
 
 __all__ = [
@@ -45,6 +52,7 @@ __all__ = [
     "estimate_with_accel_batch",
     "fit_accel_coeffs",
     "fit_deflated_coeffs",
+    "fit_with_accel",
 ]
 
 
@@ -74,7 +82,7 @@ def fit_accel_coeffs(accels, timestamps) -> AccelCoefficients:
     lead, (d, n) = accels.shape[:-2], accels.shape[-2:]
     coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0)
     block = coeffs[..., 0, :].reshape(lead[:-1] + (d, n))
-    return AccelCoefficients(block=block, residual=np.sqrt(_sum_squares(residual)))
+    return AccelCoefficients(block=block, residual=_norm(residual))
 
 
 def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
@@ -102,43 +110,42 @@ def fit_deflated_coeffs(deflated_vecs, timestamps) -> GrammianCoefficients:
     return fit_gram_coeffs(deflated_vecs, timestamps, degree=3)
 
 
-def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:
-    """Accelerometer-fused estimates of every record of ``meas`` (a stack, or one record).
+def fit_with_accel(meas: MeasurementSet, d: int = 2) -> FittedStack:
+    """The accelerometer-fused fit of every record of ``meas`` (a stack, or one record).
 
-    Steps: fit sensor-frame acceleration coefficients, deflate every
-    pair's squared-distance series by its quartic term and fit it at
-    degree 3, double-center the coefficient blocks, recover the position
-    factor by MDS, then jointly solve for the velocity and the sensor-frame
-    rotation (the shared ``distance_estimator._solve``) with the centered
-    acceleration coefficients as the acceleration factor.  Outputs of
-    order >= 2 are the sensor-frame coefficients mapped through the
-    recovered rotation, so all blocks share the position factor's frame.
-    Each stage is one stacked call over all records.
+    Steps: fit sensor-frame acceleration coefficients and center them,
+    the acceleration factor; deflate every pair's squared-distance series
+    by its quartic term, fit it at degree 3 and double-center the
+    coefficient blocks.  ``distance_estimator.finish_batch`` then
+    recovers the position factor by MDS and jointly solves for the
+    velocity and the sensor-frame rotation.  Raises only for a cause that
+    every record shares (the dimension, missing accelerometer data, fewer
+    than four nodes, the time grid).
     """
-    if d != 2:
-        raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
+    meas = _fit_input(meas, d)
     if meas.accels is None:
         raise ConfigError("accelerometer fusion needs accelerometer data in the bundle")
     if meas.accels.shape[-2] != d:
         raise InvalidDimensionError(
             f"accelerometer data has {meas.accels.shape[-2]} axes, but dim = {d}"
         )
-    meas = meas.as_batch()
-
     with _stage("accelerometer-fit"):
         acc = fit_accel_coeffs(meas.accels, meas.timestamps)
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
     sensor_accel = acc.block @ centering_matrix(meas.n_nodes)
+    return _fitted_stack(meas, d, 3, sensor_accel, {"accel_fit": acc.residual})
 
-    with _stage("coefficient-fit"):
-        coeffs = _fit_edm_coeffs(meas, degree=3, accel=sensor_accel)
-    with _stage("mds"):
-        mds0 = classical_mds(coeffs.blocks[0], d)
-    notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
-    residuals = {"accel_fit": acc.residual, "edm_fit": coeffs.residual}
-    conditioning = {"position_mds": mds0.kept_over_discarded}
-    return _solve(meas, coeffs, mds0, sensor_accel, notes, residuals, conditioning)
+
+def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:
+    """Accelerometer-fused estimates of every record of ``meas`` (a stack, or one record).
+
+    The finish of its fit: ``finish_batch(fit_with_accel(meas, d))``.
+    Outputs of order >= 2 are the sensor-frame coefficients mapped
+    through the recovered rotation, so all blocks share the position
+    factor's frame.
+    """
+    return finish_batch(fit_with_accel(meas, d))
 
 
 def estimate_with_accel(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:

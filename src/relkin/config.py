@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional, get_type_hints
 
 import numpy as np
@@ -109,20 +111,21 @@ def load_scenario(
 
     Precedence (lowest to highest): built-in defaults, the config file
     (the bundled default scenario when ``config_path`` is None), then
-    ``overrides`` given as raw strings.
+    ``overrides`` given as raw strings.  The bundled scenario is read and
+    parsed once per process; each call overrides a copy of its values and
+    builds its own ``SimConfig`` and trajectory.
     """
     if config_path is None:
-        text, source = default_config_text(), "<bundled default_scenario.cfg>"
+        raw = dict(_bundled_values())
     else:
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            text, source = path.read_text(encoding="utf-8"), str(path)
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-    raw = parse_config_text(text, source)
+        raw = parse_config_text(text, str(path))
     for key, value in (overrides or {}).items():
         if key not in _SCALAR_TYPES and key != "k_sweep" and not _MATRIX_KEY.match(key):
             raise ConfigError(f"unknown override key '{key}'")
@@ -142,6 +145,14 @@ def load_scenario(
     return ScenarioSettings(sim=sim, trajectory=trajectory, k_sweep=tuple(typed["k_sweep"]))
 
 
+@cache
 def default_config_text() -> str:
-    """Text of the bundled default scenario file."""
+    """Text of the bundled default scenario file, read once per process."""
     return resources.files("relkin").joinpath("default_scenario.cfg").read_text("utf-8")
+
+
+@cache
+def _bundled_values() -> Mapping[str, str]:
+    """The raw key = value map of the bundled scenario; callers copy it before changing it."""
+    text = default_config_text()
+    return MappingProxyType(parse_config_text(text, "<bundled default_scenario.cfg>"))

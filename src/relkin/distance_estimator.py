@@ -14,19 +14,25 @@ negligible over the record, rank deficient, or admits no solvable basis
 system, the velocity takes its minimum-norm completion, the rotation is
 fixed to identity and a warning says so.
 
-Every stage works on a stack of records that share one time grid: the
-batch entry points estimate all of a stacked MeasurementSet at once, and
-a single estimate is the batch of one.  The choices a record needs of
-its own (reflection retry, fallback, a degenerate split) are per-record
+Each estimate runs in two stages.  The fit (:func:`fit_from_distances`
+here, ``accel_estimator.fit_with_accel`` with accelerometers) is the
+only stage that sees the time grid: it turns a stack of records on one
+grid into a :class:`FittedStack` of n-by-n coefficient blocks.  The
+finish (:func:`finish_batch`, shared by both methods) runs the MDS and
+the solve on those blocks, which have the same shape for every grid, so
+stacks fitted on different grids join (:func:`join_fitted`) and finish
+in one call.  The batch entry points are a finish of one fit, and a
+single estimate is the batch of one.  The choices a record needs of its
+own (reflection retry, fallback, a degenerate split) are per-record
 masks, so each record comes out as it would alone.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
-from typing import Optional, TypeVar
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,13 +52,17 @@ __all__ = [
     "BasisSystem",
     "BatchEstimate",
     "ChuFactors",
+    "FittedStack",
     "GrammianCoefficients",
     "KinematicEstimate",
     "build_and_solve_basis",
     "chu_decompose",
     "estimate_from_distances",
     "estimate_from_distances_batch",
+    "finish_batch",
+    "fit_from_distances",
     "fit_gram_coeffs",
+    "join_fitted",
     "recover_position_acceleration",
     "recover_velocity",
 ]
@@ -70,6 +80,7 @@ _NEGLIGIBLE_ACCEL = 1e-10
 _EYE = np.eye(2)
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 _DEGENERATE_FACTOR = "factor is rank deficient; the Lyapunov-like split cannot proceed"
 _RANK_DEFICIENT_BASIS = (
@@ -130,9 +141,9 @@ class ChuFactors:
     repeated: np.ndarray
     degenerate: np.ndarray
 
-    @property
+    @cached_property
     def known(self) -> np.ndarray:
-        """N with both free entries set to zero, (..., 2, n)."""
+        """N with both free entries set to zero, (..., 2, n); computed once per split."""
         return self.z1_diag[..., :, None] * self.vt + self.z2
 
 
@@ -244,6 +255,57 @@ class BatchEstimate:
         )
 
 
+@dataclass
+class FittedStack:
+    """What the fit stage of either method hands the shared finish, for a stack of B records.
+
+    ``coeffs`` holds the (B, n, n) Grammian coefficient blocks and the B
+    pair-fit residuals; a record whose fit overflowed has zeroed blocks,
+    a NaN residual and its ``coefficient-fit`` error in ``errors``.
+    ``factor`` is the (B, d, n) acceleration factor of the accelerometer
+    path (its centered sensor block), or None on the distance-only path,
+    whose finish takes the MDS of 4 B_4 instead.  ``residuals`` maps each
+    fit's name to its (B,) residuals and ``t_max`` holds each record's
+    largest |t|, the only thing the finish reads of a time grid.
+    """
+
+    dim: int
+    coeffs: GrammianCoefficients
+    factor: Optional[np.ndarray]
+    residuals: dict[str, np.ndarray]
+    t_max: np.ndarray
+    errors: list[Optional[EstimationError]]
+
+
+def join_fitted(parts: Sequence[FittedStack]) -> FittedStack:
+    """One stack of the records of ``parts``, in order, whatever time grids they were fitted on.
+
+    The parts must come from one method's fit of one node count.
+    """
+    first = parts[0]
+    if len(parts) == 1:
+        return first
+    kinds = {
+        (p.dim, p.coeffs.degree, p.coeffs.blocks[0].shape[1:], p.factor is None, tuple(p.residuals))
+        for p in parts
+    }
+    if len(kinds) != 1:
+        raise InvalidDimensionError("only stacks from one fit of one node count can be joined")
+    blocks = [np.concatenate(stacks) for stacks in zip(*(p.coeffs.blocks for p in parts))]
+    return FittedStack(
+        dim=first.dim,
+        coeffs=GrammianCoefficients(
+            first.coeffs.degree, blocks, np.concatenate([p.coeffs.residual for p in parts])
+        ),
+        factor=None if first.factor is None else np.concatenate([p.factor for p in parts]),
+        residuals={
+            key: np.concatenate([p.residuals[key] for p in parts]) for key in first.residuals
+        },
+        t_max=np.concatenate([p.t_max for p in parts]),
+        errors=[error for p in parts for error in p.errors],
+    )
+
+
 @lru_cache(maxsize=32)
 def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design, projector and unscaling powers of a degree-``degree`` fit.
@@ -321,6 +383,27 @@ def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     return np.add.reduce(x * x, axis=axis)
 
 
+def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Euclidean norm over ``axis`` of each record of ``x``, without overflow.
+
+    Each norm is the root of :func:`_sum_squares`.  Only when some sum
+    overflows are the records whose sum does recomputed scaled by their
+    largest |entry|, so every other record keeps its plain norm bit for
+    bit.  The check reads the norms, not ``x``, so it costs the same at
+    any record size.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_sum_squares(x, axis))
+        # one sum tells whether every norm is finite
+        if math.isfinite(np.add.reduce(norm, axis=None)):
+            return norm
+    scale = np.abs(x).max(axis=axis, keepdims=True)
+    # a zero record divides 0 by 0 here, but keeps its plain norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.squeeze(scale, axis) * np.sqrt(_sum_squares(x / scale, axis))
+    return np.where(np.isfinite(norm), norm, scaled)
+
+
 def _double_center(pairs, n: int) -> np.ndarray:
     """-C D C / 2 of each EDM D whose upper-triangle entries are a row of ``pairs``.
 
@@ -353,8 +436,8 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     The residual is the norm of the pair fit's own residual.
 
     A record whose fit overflows float64 fails on its own: its blocks are
-    zeroed and its residual is NaN, the mark :func:`_solve` reports as
-    that record's ``coefficient-fit`` error.  The screen keeps 8|B|
+    zeroed and its residual is NaN, the mark :func:`_fitted_stack` reports
+    as that record's ``coefficient-fit`` error.  The screen keeps 8|B|
     finite for every block B, since the MDS stage reads 4 B_4 and
     symmetrizes it by adding its transpose.
     """
@@ -365,8 +448,8 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
             pairs = np.subtract(pairs, deflation, out=deflation)
         coeffs, res = _poly_lstsq(t, pairs, degree)
         blocks = _double_center(coeffs, n)
-        residual = np.sqrt(_sum_squares(res))
         failed = ~np.isfinite(8.0 * np.abs(blocks).max(axis=(-3, -2, -1)))
+    residual = _norm(res)
     if failed.any():
         blocks[failed] = 0.0
         residual = np.where(failed, np.nan, residual)
@@ -384,11 +467,20 @@ def recover_position_acceleration(
     four times the quartic block is the Grammian of the accelerations.
     Both factors inherit zero row sums from the double-centered data, and
     each is known only up to its own orthogonal transform.  Stacked
-    blocks give stacked factors.
+    blocks give stacked factors.  Both come from one ``classical_mds``
+    call, whose records never interact.
     """
     if coeffs.degree < 4:
         raise InvalidDimensionError("position/acceleration recovery needs a degree-4 fit")
-    return classical_mds(coeffs.blocks[0], d), classical_mds(4.0 * coeffs.blocks[4], d)
+    both = classical_mds(np.stack([coeffs.blocks[0], 4.0 * coeffs.blocks[4]]), d)
+    if coeffs.blocks[0].ndim == 2:
+        notes, discarded = both.warnings, both.discarded.tolist()
+    else:
+        half = len(both.warnings) // 2
+        notes, discarded = [both.warnings[:half], both.warnings[half:]], both.discarded
+    return tuple(
+        MdsResult(both.points[i], both.eigenvalues[i], notes[i], discarded[i]) for i in (0, 1)
+    )
 
 
 def chu_decompose(bhat, yhat) -> ChuFactors:
@@ -418,7 +510,7 @@ def chu_decompose(bhat, yhat) -> ChuFactors:
     bp = bhat - bv @ vt  # B P
     vbp = vt @ bp
     # ||P B P||, not ||B||^2 - ||vt B||^2, which cancels at zero noise
-    residual = np.sqrt(_sum_squares(bp - vtt @ vbp))
+    residual = _norm(bp - vtt @ vbp)
     return ChuFactors(
         u=u, vt=vt, lam=lam, z1_diag=lead.diagonal(0, -2, -1) / (2.0 * safe),
         z2=vbp / safe[..., None], c=lead[..., 0, 1], residual=residual,
@@ -506,18 +598,20 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     h = phi[..., :2] / np.maximum(h_norm, _TINY)[..., None]
     return BasisSystem(
         w=w, rhs=b, phi=phi, h=h, u=h[..., :1] * phi[..., 2:4] + h[..., 1:] * phi[..., 4:],
-        residual=np.sqrt(_sum_squares(gap, -1)), rank=rank,
+        residual=_norm(gap, -1), rank=rank,
         condition=_ratio(sv), h_norm=h_norm, solvable=(rank == 6) & (h_norm >= 1e-8),
     )
 
 
 def _ratio(s: np.ndarray) -> np.ndarray:
-    """s[..., 0] / s[..., -1] of nonnegative ``s``.
+    """s[..., 0] / s[..., -1] of nonnegative ``s``, capped near the largest float.
 
-    Only flagged members of a stack can have s[..., -1] = 0; their ratio
-    is finite and never reported.
+    The divisor is raised to at least s[..., 0] / _HUGE (and _TINY), so
+    the quotient cannot overflow; a divisor that needs the raise belongs
+    to a flagged member of a stack, whose ratio is never reported.
     """
-    return s[..., 0] / np.maximum(s[..., -1], _TINY)
+    top = s[..., 0]
+    return top / np.maximum(s[..., -1], np.maximum(top / _HUGE, _TINY))
 
 
 def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
@@ -536,13 +630,25 @@ def _stage_error(label: str, exc: Exception) -> EstimationError:
     return err
 
 
-@contextmanager
-def _stage(label: str):
-    """Re-raise pipeline errors, numpy's LinAlgError included, with the stage prepended."""
-    try:
-        yield
-    except (RelkinError, np.linalg.LinAlgError) as exc:
-        raise _stage_error(label, exc) from exc
+class _stage:
+    """Re-raise pipeline errors, numpy's LinAlgError included, with the stage prepended.
+
+    A class rather than a ``contextmanager`` generator: an estimate enters
+    several stages, and this costs a third as much per entry.
+    """
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if isinstance(exc, (RelkinError, np.linalg.LinAlgError)):
+            raise _stage_error(self.label, exc) from exc
+        return False
 
 
 def _merge(mask: np.ndarray, first: T, second: T) -> T:
@@ -574,50 +680,48 @@ def _candidate_failure(f2: ChuFactors, basis: BasisSystem, negligible, i: int) -
 
 
 def _solve(
-    meas: MeasurementSet,
-    coeffs: GrammianCoefficients,
+    fitted: FittedStack,
     mds0: MdsResult,
     accel_factor: np.ndarray,
     notes: list[list[str]],
-    residuals: dict[str, np.ndarray],
     conditioning: dict[str, np.ndarray],
 ) -> BatchEstimate:
-    """Joint velocity/rotation solve shared by both data models, for a stack of records.
+    """Joint velocity/rotation solve shared by both data models, for a fitted stack.
 
-    The methods differ only in where ``coeffs`` and the acceleration
-    factor F (MDS factor of the quartic block, or centered sensor
-    coefficients) come from.  MDS and an uncalibrated sensor frame fix F
-    only up to an orthogonal transform, while the basis parameterization
-    covers rotations only: F and its first-row-negated reflection are
-    both tried, and the original is kept unless its residual exceeds ten
-    times the reflected one's.  Both candidates share one split of F:
-    _FLIP @ F has the SVD (_FLIP @ u) diag(lam) vt, so the reflection is
-    a sign on the split's ``u``, and F alone decides the fallback flags.
+    The methods differ only in where ``fitted.coeffs`` and the
+    acceleration factor F (MDS factor of the quartic block, or centered
+    sensor coefficients) come from.  MDS and an uncalibrated sensor frame
+    fix F only up to an orthogonal transform, while the basis
+    parameterization covers rotations only: F and its first-row-negated
+    reflection are both tried, and the original is kept unless its
+    residual exceeds ten times the reflected one's.  Both candidates share
+    one split of F: _FLIP @ F has the SVD (_FLIP @ u) diag(lam) vt, so the
+    reflection is a sign on the split's ``u``, and F alone decides the
+    fallback flags.
 
     One fallback rule: if F is negligible next to the positions over the
     record (s_min(F)^2 t_max^4 <= _NEGLIGIBLE_ACCEL lambda_max(B0), e.g. a
     static network), rank deficient, or neither candidate gives a
     solvable basis system, the velocity is set to the minimum-norm
     completion of the first split and the rotation to identity, with a
-    warning.
+    warning.  The negligible test compares s_min(F) t_max^2 with the root
+    of the right side, so it cannot overflow; ``fitted.t_max`` gives each
+    record its own t_max.
 
     Every stage runs once on the whole stack; the retry, the fallback
     and a degenerate velocity split are per-record masks, so one record's
     outcome never depends on the others.  No stage raises on a
-    degenerate record: the splits and the basis systems flag it.
-    Warning strings are built only for the records they concern.
+    degenerate record: the splits and the basis systems flag it.  A
+    record keeps the error its fit gave it.  Warning strings are built
+    only for the records they concern.
     """
-    errors: list[Optional[EstimationError]] = [None] * len(notes)
-    with _stage("basis-solve"):
-        _require_four_nodes(meas.n_nodes)
+    coeffs, errors, residuals = fitted.coeffs, list(fitted.errors), dict(fitted.residuals)
     with _stage("velocity-split"):
         f0 = chu_decompose(coeffs.blocks[1], mds0.points)
-    for i in f0.degenerate.nonzero()[0]:
-        errors[i] = _stage_error("velocity-split", DegenerateGeometryError(_DEGENERATE_FACTOR))
     # a record whose fit overflowed has zeroed blocks, so its split is degenerate too
-    for i in np.isnan(coeffs.residual).nonzero()[0]:
-        overflow = InvalidDimensionError("the squared distances overflow the fitted blocks")
-        errors[i] = _stage_error("coefficient-fit", overflow)
+    for i in f0.degenerate.nonzero()[0]:
+        if errors[i] is None:
+            errors[i] = _stage_error("velocity-split", DegenerateGeometryError(_DEGENERATE_FACTOR))
     _note(notes, f0.repeated, f"velocity split: {_REPEATED}")
     residuals["velocity_split"] = f0.residual
     conditioning["velocity_split"] = _ratio(f0.lam)
@@ -625,9 +729,8 @@ def _solve(
     with _stage("basis-solve"):
         f2 = chu_decompose(2.0 * coeffs.blocks[3], accel_factor)
         bases = [build_and_solve_basis(f0, f) for f in (f2, replace(f2, u=_FLIP @ f2.u))]
-    t_max = float(np.abs(meas.timestamps).max())
-    floor = _NEGLIGIBLE_ACCEL * mds0.eigenvalues[..., 0]
-    negligible = ~f2.degenerate & (f2.lam[..., -1] ** 2 * t_max**4 <= floor)
+    floor = np.sqrt(np.maximum(_NEGLIGIBLE_ACCEL * mds0.eigenvalues[..., 0], 0.0))
+    negligible = ~f2.degenerate & (f2.lam[..., -1] * fitted.t_max**2 <= floor)
     ok = [~f2.degenerate & ~negligible & basis.solvable for basis in bases]
     fallback = ~(ok[0] | ok[1])
     reflected = ok[1] & (~ok[0] | (bases[0].residual > 10.0 * bases[1].residual))
@@ -679,6 +782,36 @@ def _solve(
     )
 
 
+def finish_batch(fitted: FittedStack) -> BatchEstimate:
+    """Estimates of every record of a fitted stack, from either method's fit and any grids.
+
+    Steps: MDS of the constant block, and of four times the quartic
+    block when the stack carries no acceleration factor (the distance-only
+    path, where a static network's round-off quartic block takes the
+    fallback), then the shared velocity/rotation solve (:func:`_solve`).
+    Each stage is one stacked call over all records; none reads a time
+    grid, so stacks fitted at different K finish together (see
+    :func:`join_fitted`).
+    """
+    coeffs, d, factor = fitted.coeffs, fitted.dim, fitted.factor
+    with _stage("mds"):
+        if factor is None:
+            mds0, mds2 = recover_position_acceleration(coeffs, d)
+        else:
+            mds0 = classical_mds(coeffs.blocks[0], d)
+    conditioning = {"position_mds": mds0.kept_over_discarded}
+    if factor is None:
+        notes = [
+            [f"position factor: {w}" for w in p] + [f"acceleration factor: {w}" for w in a]
+            for p, a in zip(mds0.warnings, mds2.warnings)
+        ]
+        conditioning["acceleration_mds"] = mds2.kept_over_discarded
+        factor = mds2.points
+    else:
+        notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
+    return _solve(fitted, mds0, factor, notes, conditioning)
+
+
 def _one_record(meas: MeasurementSet) -> MeasurementSet:
     if meas.pairs.ndim == 3 and len(meas.pairs) != 1:
         raise InvalidDimensionError(
@@ -688,34 +821,52 @@ def _one_record(meas: MeasurementSet) -> MeasurementSet:
     return meas
 
 
+def _fit_input(meas: MeasurementSet, d: int) -> MeasurementSet:
+    """``meas`` as a stack, once the causes every record of it shares are ruled out."""
+    if d != 2:
+        raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
+    with _stage("basis-solve"):
+        _require_four_nodes(meas.n_nodes)
+    return meas.as_batch()
+
+
+def _fitted_stack(
+    meas: MeasurementSet, d: int, degree: int, factor=None, residuals=None
+) -> FittedStack:
+    """The degree-``degree`` pair fit of the stack ``meas``, deflated by ``factor`` if given.
+
+    A record whose fit overflowed gets its ``coefficient-fit`` error here;
+    ``residuals`` are the method's earlier fit residuals, which
+    ``edm_fit`` follows.
+    """
+    with _stage("coefficient-fit"):
+        coeffs = _fit_edm_coeffs(meas, degree, accel=factor)
+    errors: list[Optional[EstimationError]] = [None] * len(coeffs.residual)
+    for i in np.isnan(coeffs.residual).nonzero()[0]:
+        overflow = InvalidDimensionError("the squared distances overflow the fitted blocks")
+        errors[i] = _stage_error("coefficient-fit", overflow)
+    t_max = np.full(len(errors), float(np.abs(meas.timestamps).max()))
+    residuals = {**(residuals or {}), "edm_fit": coeffs.residual}
+    return FittedStack(d, coeffs, factor, residuals, t_max, errors)
+
+
+def fit_from_distances(meas: MeasurementSet, d: int = 2) -> FittedStack:
+    """The distance-only fit of every record of ``meas`` (a stack, or one record).
+
+    A degree-4 fit of the pair records and double centering of their
+    coefficient blocks; :func:`finish_batch` does the rest.  Raises only
+    for a cause that every record shares (the dimension, fewer than four
+    nodes, the time grid).
+    """
+    return _fitted_stack(_fit_input(meas, d), d, degree=4)
+
+
 def estimate_from_distances_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:
     """Distance-only estimates of every record of ``meas`` (a stack, or one record).
 
-    Steps: degree-4 fit of the EDM records, double centering of their
-    coefficient blocks, MDS of the constant and quartic blocks, then the
-    shared velocity/rotation solve (:func:`_solve`) with the quartic
-    block's factor as the acceleration factor.  A static network, whose
-    quartic block is round-off, takes the solve's minimum-norm fallback.
-    Each stage is one stacked call over all records.
+    The finish of its fit: ``finish_batch(fit_from_distances(meas, d))``.
     """
-    if d != 2:
-        raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
-    meas = meas.as_batch()
-    with _stage("coefficient-fit"):
-        coeffs = _fit_edm_coeffs(meas, degree=4)
-    with _stage("mds"):
-        mds0, mds2 = recover_position_acceleration(coeffs, d)
-    notes = [
-        [f"position factor: {w}" for w in p] + [f"acceleration factor: {w}" for w in a]
-        for p, a in zip(mds0.warnings, mds2.warnings)
-    ]
-    conditioning = {
-        "position_mds": mds0.kept_over_discarded,
-        "acceleration_mds": mds2.kept_over_discarded,
-    }
-    return _solve(
-        meas, coeffs, mds0, mds2.points, notes, {"edm_fit": coeffs.residual}, conditioning
-    )
+    return finish_batch(fit_from_distances(meas, d))
 
 
 def estimate_from_distances(meas: MeasurementSet, d: int = 2) -> KinematicEstimate:

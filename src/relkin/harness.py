@@ -8,14 +8,22 @@ squared errors into RMSE tables per method, sample count and block.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from math import factorial
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .accel_estimator import estimate_with_accel_batch
-from .distance_estimator import BatchEstimate, KinematicEstimate, estimate_from_distances_batch
+from .accel_estimator import fit_with_accel
+from .distance_estimator import (
+    BatchEstimate,
+    FittedStack,
+    KinematicEstimate,
+    finish_batch,
+    fit_from_distances,
+    join_fitted,
+)
 from .errors import InvalidDimensionError, RelkinError
 from .linalg import centering_matrix, orthogonal_procrustes, triu_indices, vech
 from .trajectory import (
@@ -41,13 +49,15 @@ E = TypeVar("E", KinematicEstimate, BatchEstimate)
 #: the scored blocks in RMSE row order: the low-order Grammian coefficients, then the kinematics
 BLOCKS = ("B0", "B1", "B2", "Y0", "Y1", "Y2")
 
-#: the methods by name: each maps a (stacked) MeasurementSet and the dimension to a BatchEstimate
-_ESTIMATORS: dict[str, Callable[..., BatchEstimate]] = {
-    "distance": estimate_from_distances_batch,
-    "accel": estimate_with_accel_batch,
+#: the methods by name: each maps a (stacked) MeasurementSet and the dimension to its
+#: FittedStack, which the shared ``finish_batch`` turns into a BatchEstimate
+_ESTIMATORS: dict[str, Callable[..., FittedStack]] = {
+    "distance": fit_from_distances,
+    "accel": fit_with_accel,
 }
 
-#: trials of one K simulated, estimated and scored together; bounds a sweep's memory
+#: trials of one K simulated and fitted together, and the fewest fitted records (of any
+#: K) that are finished and scored together; bounds a sweep's memory
 _CHUNK_TRIALS = 128
 
 #: instants of the time sweep, spread evenly over [t_start, t_end]
@@ -202,6 +212,27 @@ def _simulate_chunk(config: SimConfig, record: tuple, trials: range) -> Measurem
     return MeasurementSet(timestamps, pairs, accels)
 
 
+def _score(batch: BatchEstimate, truth: PolynomialTrajectory, time_grid: np.ndarray) -> np.ndarray:
+    """Squared errors of each record of ``batch``, one column per record, once aligned to ``truth``.
+
+    The rows are the errors of ``BLOCKS``, then those of the positions at
+    the ``time_grid`` instants, aligned with the same transform.
+    """
+    truth_blocks = _centered_blocks(truth)
+    truth_vecs = _truth_coeff_vecs(truth)
+    iu, ju = triu_indices(truth.n_nodes)
+    aligned = align_to_truth(batch, truth)
+    blocks = (aligned.y0, aligned.y1, aligned.y2)
+    # the coefficient blocks are exactly symmetric, so vech is a gather
+    errors = [
+        _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2) for l in range(3)
+    ]
+    errors += [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
+    positions = _positions(blocks, time_grid) - _positions(truth_blocks, time_grid)
+    errors.append((positions**2).sum(axis=(2, 3)).T)
+    return np.vstack(errors)
+
+
 def run_monte_carlo(
     config: SimConfig,
     truth: PolynomialTrajectory,
@@ -213,77 +244,109 @@ def run_monte_carlo(
     For every K, the noise-free record is simulated once, and each
     trial adds the noise of its deterministic (K, trial) sub-seed, so
     every trial is what ``simulate_measurements`` gives for that seed.
-    The K's trials run in chunks of ``_CHUNK_TRIALS``, which bounds the
-    memory whatever ``n_trials`` is: a chunk's records are stacked on
-    their shared time grid, and each requested method estimates the
-    whole stack in one batch call, so methods see bit-identical noise.
-    Each estimate is aligned to the truth, and its trial's column of
-    the (method, K) score matrix gets the squared errors of ``BLOCKS``
-    and of the positions at the ``_TIME_GRID`` instants of the time
-    sweep, aligned with the same transform.  Trials where any method
-    fails are excluded from all methods to keep the comparison paired
-    and counted in ``failure_counts`` per K; a K with no surviving trial
-    has no RMSE or time-sweep rows.  A record's failure is its slot of
-    the batch's ``errors``; a batch call raises only for a cause that
-    all its records share, and then every trial of the chunk fails.
-    Judging the failure rate is left to the caller.  Both tables come
-    from one mean per (method, K) over the kept trials in index order;
-    trial indices and sub-seeds are global over the K's chunks, so
-    neither table depends on the chunk size.
+    The K's trials run in chunks of ``_CHUNK_TRIALS``: a chunk's records
+    are stacked on their shared time grid and each requested method fits
+    the whole stack in one call, so methods see bit-identical noise.
+    Only the fit sees the grid.  The fitted chunks, of one K or several,
+    are held until they reach ``_CHUNK_TRIALS`` records or the sweep
+    ends; then each method joins its fitted chunks and finishes them in
+    one ``finish_batch`` call (MDS and the velocity/rotation solve), and
+    one alignment scores them.  That bounds the memory whatever
+    ``n_trials`` is.  Each estimate is aligned to the truth, and its
+    trial's column of the (method, K) score matrix gets the squared
+    errors of ``BLOCKS`` and of the positions at the ``_TIME_GRID``
+    instants of the time sweep, aligned with the same transform.
+
+    Trials where any method fails are excluded from all methods to keep
+    the comparison paired and counted in ``failure_counts`` per K; a K
+    with no surviving trial has no RMSE or time-sweep rows.  A record's
+    failure is its slot of the finished batch's ``errors``.  A fit raises
+    a RelkinError only for a cause that all its records share, and the
+    trials of its (K, chunk) fail and no other; any other exception from
+    a fit fails the same trials with a warning naming it.  A finish that
+    raises fails every trial it holds.  Judging the failure rate is left to the
+    caller.  Both tables come from one mean per (method, K) over the kept
+    trials in index order; trial indices and sub-seeds are global over
+    the K's chunks and records never interact, so neither table depends
+    on the chunk size or on which chunks finish together.
 
     ``methods`` and ``k_values`` must be non-empty and free of repeats.
     """
     _check_sweep(methods, k_values)
     time_grid = np.linspace(config.t_start, config.t_end, _TIME_GRID)
-    truth_blocks = _centered_blocks(truth)
-    truth_vecs = _truth_coeff_vecs(truth)
-    truth_positions = _positions(truth_blocks, time_grid)
     n, d = truth.n_nodes, truth.dim
-    iu, ju = triu_indices(n)
+    scores = {
+        (m, k): np.empty((len(BLOCKS) + _TIME_GRID, config.n_trials))
+        for m in methods
+        for k in k_values
+    }
+    kept = {k: np.zeros(config.n_trials, dtype=bool) for k in k_values}
+    # fitted chunks awaiting their finish: (K, trials, FittedStack per method)
+    held: list[tuple[int, range, dict[str, FittedStack]]] = []
 
-    mean_sq: dict[tuple[str, int], np.ndarray] = {}
-    failure_counts: dict[int, int] = {}
+    def finish_held() -> None:
+        size = sum(len(chunk) for _, chunk, _ in held)
+        batches = {}
+        # paired: a trial counts only if every method estimated it
+        ok = np.ones(size, dtype=bool)
+        for method in methods:
+            try:
+                batches[method] = finish_batch(join_fitted([fits[method] for *_, fits in held]))
+            except RelkinError:
+                ok[:] = False
+                continue
+            ok &= [error is None for error in batches[method].errors]
+        index = ok.nonzero()[0]
+        columns = {m: np.empty((len(BLOCKS) + _TIME_GRID, size)) for m in batches}
+        if index.size:
+            for method, batch in batches.items():
+                columns[method][:, index] = _score(batch.select(index), truth, time_grid)
+        start = 0
+        for k, chunk, _ in held:
+            stop = start + len(chunk)
+            kept[k][chunk.start : chunk.stop] = ok[start:stop]
+            for method, cols in columns.items():
+                scores[(method, k)][:, chunk.start : chunk.stop] = cols[:, start:stop]
+            start = stop
+        held.clear()
+
     for k in k_values:
         config_k = replace(config, k_samples=k)
         record = _noiseless_record(config_k, truth)
-        scores = {m: np.empty((len(BLOCKS) + _TIME_GRID, config.n_trials)) for m in methods}
-        kept = np.zeros(config.n_trials, dtype=bool)
         for start in range(0, config.n_trials, _CHUNK_TRIALS):
             chunk = range(start, min(start + _CHUNK_TRIALS, config.n_trials))
             stack = _simulate_chunk(config_k, record, chunk)
-            batches = {}
-            # paired: a trial counts only if every method estimated it
-            ok = np.ones(len(chunk), dtype=bool)
+            fits = {}
             for method in methods:
                 try:
-                    batches[method] = _ESTIMATORS[method](stack, d)
+                    fits[method] = _ESTIMATORS[method](stack, d)
                 except RelkinError:
-                    # a batch call raises only for a cause that all its records share
-                    ok[:] = False
+                    # a fit raises only for a cause that all its records share
                     continue
-                ok &= [error is None for error in batches[method].errors]
-            kept[start : chunk.stop] = ok
-            if not ok.any():
-                continue
-            index = ok.nonzero()[0]
-            for method, batch in batches.items():
-                aligned = align_to_truth(batch.select(index), truth)
-                blocks = (aligned.y0, aligned.y1, aligned.y2)
-                # the coefficient blocks are exactly symmetric, so vech is a gather
-                errors = [
-                    _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2)
-                    for l in range(3)
-                ]
-                errors += [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
-                positions = _positions(blocks, time_grid)
-                errors.append(((positions - truth_positions) ** 2).sum(axis=(2, 3)).T)
-                scores[method][:, start + index] = np.vstack(errors)
-        failure_counts[k] = config.n_trials - int(kept.sum())
-        if kept.any():
+                except Exception as exc:
+                    # a fit that breaks that contract, such as a stand-in for one, still
+                    # costs only its chunk, but says what it raised
+                    warnings.warn(
+                        f"method '{method}' raised {exc!r} on the K = {k} chunk of trials "
+                        f"{chunk.start}-{chunk.stop - 1}; they count as failed",
+                        stacklevel=2,
+                    )
+            # a chunk that a fit failed is lost to every method, and never finished
+            if len(fits) == len(methods):
+                held.append((k, chunk, fits))
+            if sum(len(c) for _, c, _ in held) >= _CHUNK_TRIALS:
+                finish_held()
+    if held:
+        finish_held()
+
+    mean_sq: dict[tuple[str, int], np.ndarray] = {}
+    failure_counts = {k: config.n_trials - int(kept[k].sum()) for k in k_values}
+    for k in k_values:
+        if kept[k].any():
             for m in methods:
                 # unlike a boolean gather, compress keeps each row contiguous, so each mean is
                 # summed pairwise, as np.mean of the per-trial list was
-                mean_sq[(m, k)] = np.compress(kept, scores[m], axis=1).mean(axis=1)
+                mean_sq[(m, k)] = np.compress(kept[k], scores[(m, k)], axis=1).mean(axis=1)
 
     sweep = [
         TimeSweepEntry(m, k, float(t), float(np.sqrt(mean_sq[(m, k)][len(BLOCKS) + i])) / (n * d))

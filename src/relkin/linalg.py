@@ -225,7 +225,7 @@ def _rayleigh_ritz(b: np.ndarray, x: np.ndarray, d: int):
     of the block, and b q for q an orthonormal basis of the span: the
     next pass's block.
     """
-    q = np.linalg.qr(x).Q
+    q = np.linalg.qr(x)[0]  # indexed: numpy before 2.0 returns a plain tuple, without .Q
     bq = b @ q
     h = q.swapaxes(-1, -2) @ bq
     theta, w = np.linalg.eigh(0.5 * (h + h.swapaxes(-1, -2)))
@@ -258,7 +258,7 @@ def _certified_top(b: np.ndarray, d: int):
     count, n, _ = b.shape
     norms = np.einsum("bij,bij->bj", b, b)
     cols = np.argsort(norms, axis=-1)[:, : -d - 3 : -1]
-    x = b @ np.linalg.qr(np.take_along_axis(b, cols[:, None, :], axis=-1)).Q
+    x = b @ np.linalg.qr(np.take_along_axis(b, cols[:, None, :], axis=-1))[0]
     top, rows = np.zeros((count, d)), np.zeros((count, d, n))
     discarded, certified = np.zeros(count), np.zeros(count, dtype=bool)
     live = np.arange(count)

@@ -2,11 +2,13 @@
 
 A MeasurementSet may stack B records on one time grid; the batch entry
 points estimate all of them at once, and a single estimate is the batch
-of one.  These tests pin that every record of a stack is judged as if it
-were alone, and that the batched harness reproduces the per-trial loop
-it replaced.
+of one.  Each batch is a finish of a fit, and fitted stacks of several
+grids finish together.  These tests pin that every record of a stack is
+judged as if it were alone, and that the batched harness reproduces the
+per-trial loop it replaced, whichever K it finishes together.
 """
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -24,6 +26,7 @@ from relkin import (
     TimeSweepEntry,
     align_to_truth,
     benchmark_trajectory,
+    centering_matrix,
     estimate_from_distances,
     estimate_with_accel,
     run_monte_carlo,
@@ -31,7 +34,15 @@ from relkin import (
     vech,
 )
 from relkin.accel_estimator import estimate_with_accel_batch
-from relkin.distance_estimator import estimate_from_distances_batch
+from relkin.distance_estimator import (
+    GrammianCoefficients,
+    estimate_from_distances_batch,
+    finish_batch,
+    fit_from_distances,
+    join_fitted,
+    recover_position_acceleration,
+)
+from relkin.linalg import classical_mds
 
 from conftest import poison_record, random_constant_accel_trajectory
 
@@ -168,6 +179,22 @@ def test_each_record_of_a_stack_is_estimated_as_if_alone(method):
     assert outcomes == ["solved", "error", "fallback"]
 
 
+def test_one_mds_call_factors_both_blocks_of_each_record():
+    coeffs = fit_from_distances(stack(mixed_stack("distance"))).coeffs
+    collinear = GrammianCoefficients(4, [block[1] for block in coeffs.blocks])
+    for c in (coeffs, collinear):
+        got = recover_position_acceleration(c, 2)
+        want = (classical_mds(c.blocks[0], 2), classical_mds(4.0 * c.blocks[4], 2))
+        for mine, ref in zip(got, want, strict=True):
+            assert np.array_equal(mine.points, ref.points)
+            assert np.array_equal(mine.eigenvalues, ref.eigenvalues)
+            assert np.array_equal(mine.discarded, ref.discarded)
+            assert type(mine.discarded) is type(ref.discarded)
+            assert mine.warnings == ref.warnings
+    # the collinear record's position factor, and only it, is flagged degenerate
+    assert got[0].warnings and not got[1].warnings
+
+
 @pytest.mark.parametrize("method", ["distance", "accel"])
 def test_an_overflowing_record_fails_alone(method):
     records = benchmark_records(3)
@@ -190,6 +217,47 @@ def test_an_overflowing_record_fails_alone(method):
             assert all(np.array_equal(got[key][i], want[key][0]) for key in want), table
         for got, want in zip(batch.coeffs.blocks, solo.coeffs.blocks):
             assert np.array_equal(got[i], want[0])
+
+
+def assert_same_estimate(got, want):
+    """Two KinematicEstimates equal bit for bit, NaN marks included."""
+    for name in ("y0", "y1", "y2", "rotation"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for table in ("residuals", "conditioning"):
+        mine, ref = getattr(got, table), getattr(want, table)
+        assert list(mine) == list(ref), table
+        assert all(np.array_equal(mine[key], ref[key], equal_nan=True) for key in ref), table
+    assert got.warnings == want.warnings
+    assert got.coeffs.degree == want.coeffs.degree
+    assert all(np.array_equal(a, b) for a, b in zip(got.coeffs.blocks, want.coeffs.blocks))
+    assert np.array_equal(got.coeffs.residual, want.coeffs.residual, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["distance", "accel"])
+@pytest.mark.parametrize(
+    "pairs_scale,accels_scale",
+    [(1e200, 1.0), (1.0, 1e100), (1.0, 1e160)],
+    ids=["pairs-1e200", "accels-1e100", "accels-1e160"],
+)
+def test_an_overflow_after_the_fit_stays_in_its_record(method, pairs_scale, accels_scale):
+    records = benchmark_records(3)
+    mid = records[1]
+    huge = MeasurementSet(mid.timestamps, mid.pairs * pairs_scale, mid.accels * accels_scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = BATCH[method](stack([records[0], huge, records[2]]))
+        alone = {i: SINGLE[method](records[i]) for i in (0, 2)}
+    for i, solo in alone.items():
+        assert_same_estimate(batch.estimate(i), solo)
+    if batch.errors[1] is not None:
+        assert re.match(r"stage '[a-z-]+': ", str(batch.errors[1]))
+        return
+    residuals = {key: value[1] for key, value in batch.residuals.items()}
+    # NaN marks only the two spreads of a record that took the fallback
+    fell_back = any("minimum-norm completion" in w for w in batch.warnings[1])
+    marked = {"acceleration_split", "basis"} if fell_back else set()
+    assert all(np.isnan(residuals[key]) for key in marked)
+    assert all(np.isfinite(value) for key, value in residuals.items() if key not in marked)
 
 
 # |t|^degree below the smallest normal float; the accel path's degree-3 fit
@@ -314,7 +382,7 @@ def test_batched_harness_matches_the_per_trial_oracle():
 
 
 def counted_calls(monkeypatch):
-    """Record (method, K, records) of every estimator call the harness makes."""
+    """Record (method, K, records) of every fit call the harness makes."""
     calls = []
     for method, estimator in list(harness._ESTIMATORS.items()):
 
@@ -366,3 +434,132 @@ def test_stacked_alignment_equals_one_at_a_time():
         alone = align_to_truth(estimate_with_accel(record), traj)
         for field in ("y0", "y1", "y2", "rotation"):
             assert close(getattr(aligned, field)[i], getattr(alone, field))
+
+
+def counted_finishes(monkeypatch):
+    """Record (method, records) of every finish the harness makes."""
+    calls = []
+    finish = harness.finish_batch
+
+    def counted(fitted):
+        calls.append(("distance" if fitted.factor is None else "accel", len(fitted.errors)))
+        return finish(fitted)
+
+    monkeypatch.setattr(harness, "finish_batch", counted)
+    return calls
+
+
+def test_a_five_k_sweep_finishes_once_per_method(monkeypatch):
+    fits, finishes = counted_calls(monkeypatch), counted_finishes(monkeypatch)
+    k_values = (10, 20, 30, 40, 50)
+    cfg = SimConfig(n_trials=5, seed=1)
+    result = run_monte_carlo(cfg, benchmark_trajectory(), k_values=k_values)
+    assert result.failure_counts == dict.fromkeys(k_values, 0)
+    assert sorted(fits) == sorted((m, k, 5) for m in ("distance", "accel") for k in k_values)
+    assert sorted(finishes) == [("accel", 25), ("distance", 25)]
+
+
+def rows_at(result, k):
+    return (
+        [row for row in result.rmse_table.rows if row.k == k],
+        [entry for entry in result.time_sweep if entry.k == k],
+    )
+
+
+def test_one_finish_across_k_equals_a_run_per_k(monkeypatch):
+    traj, cfg = benchmark_trajectory(), SimConfig(n_trials=5, seed=6, accel_rotation_angle=0.5)
+    finishes = counted_finishes(monkeypatch)
+    joint = run_monte_carlo(cfg, traj, k_values=(6, 9, 12))
+    assert sorted(finishes) == [("accel", 15), ("distance", 15)]
+    assert joint.failure_counts == {6: 0, 9: 0, 12: 0}
+    for k in (6, 9, 12):
+        alone = run_monte_carlo(cfg, traj, k_values=(k,))
+        assert alone.failure_counts == {k: 0}
+        assert rows_at(joint, k) == (alone.rmse_table.rows, alone.time_sweep)
+
+
+def test_a_poisoned_record_and_a_failed_fit_count_only_at_their_k(monkeypatch):
+    traj, cfg = benchmark_trajectory(), SimConfig(n_trials=5, seed=6, accel_rotation_angle=0.5)
+    # the last trial of K = 9, so the trials kept are those of a 4-trial run
+    poison = simulate_measurements(
+        replace(cfg, k_samples=9, seed=harness._trial_seed(cfg.seed, 9, 4)), traj
+    )
+    with monkeypatch.context() as patch:
+        poison_record(patch, poison.pairs)
+        fit = harness._ESTIMATORS["accel"]
+
+        def fails_at_k12(meas, d=2):
+            if meas.timestamps.size == 13:
+                raise EstimationError("stage 'synthetic': injected failure")
+            return fit(meas, d)
+
+        patch.setitem(harness._ESTIMATORS, "accel", fails_at_k12)
+        finishes = counted_finishes(patch)
+        result = run_monte_carlo(cfg, traj, k_values=(6, 9, 12))
+    # K = 12 never reaches a finish; K = 6 and 9 finish together
+    assert sorted(finishes) == [("accel", 10), ("distance", 10)]
+    assert result.failure_counts == {6: 0, 9: 1, 12: 5}
+    assert rows_at(result, 12) == ([], [])
+    for k, config in ((6, cfg), (9, replace(cfg, n_trials=4))):
+        alone = run_monte_carlo(config, traj, k_values=(k,))
+        assert rows_at(result, k) == (alone.rmse_table.rows, alone.time_sweep)
+
+
+def grid_records():
+    """Two records on [-5, 5] s, then two on [-1, 1] s, of one trajectory.
+
+    Its acceleration is scaled so that the accelerometer path's factor is
+    negligible (s_min(F)^2 t_max^4 <= 1e-10 lambda_max(B0)) at t_max = 1 s
+    and not at t_max = 5 s, with a factor of 25 to spare either way.
+    """
+    y0, y1, y2 = benchmark_trajectory().coeffs
+    c = centering_matrix(y0.shape[1])
+    lam0 = np.linalg.svd(y0 @ c, compute_uv=False)[0] ** 2
+    s_min = np.linalg.svd(y2 @ c, compute_uv=False)[-1]
+    traj = PolynomialTrajectory((y0, y1, y2 * np.sqrt(1e-10 * lam0) / (5.0 * s_min)))
+    grids = [dict(k_samples=10), dict(k_samples=14, t_start=-1.0, t_end=1.0)]
+    return [
+        simulate_measurements(
+            SimConfig(seed=s, sigma_a=0.0, accel_rotation_angle=0.5, **grid), traj
+        )
+        for grid in grids
+        for s in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("method", ["distance", "accel"])
+def test_a_finish_across_time_grids_equals_each_solo_estimate(method):
+    records = grid_records()
+    fit = harness._ESTIMATORS[method]
+    fitted = join_fitted([fit(stack(records[:2])), fit(stack(records[2:]))])
+    assert np.array_equal(fitted.t_max, [5.0, 5.0, 1.0, 1.0])
+    batch = finish_batch(fitted)
+    for i, record in enumerate(records):
+        assert_same_estimate(batch.estimate(i), SINGLE[method](record))
+    if method == "accel":
+        # each record's own t_max decides the fallback
+        negligible = [any("negligible" in w for w in notes) for notes in batch.warnings]
+        assert negligible == [False, False, True, True]
+
+
+def test_only_stacks_of_one_fit_join():
+    records = benchmark_records(2)
+    fits = [harness._ESTIMATORS[m](stack(records)) for m in ("distance", "accel")]
+    with pytest.raises(InvalidDimensionError, match="joined"):
+        join_fitted(fits)
+
+
+def test_a_fit_that_breaks_its_contract_fails_only_its_chunk(monkeypatch):
+    fit = harness._ESTIMATORS["distance"]
+
+    def broken(meas, d=2):
+        if meas.timestamps.size == 10:
+            raise TypeError("not a fitted stack")
+        return fit(meas, d)
+
+    monkeypatch.setitem(harness._ESTIMATORS, "distance", broken)
+    message = r"method 'distance' raised TypeError\('not a fitted stack'\) on the K = 9 chunk"
+    cfg = SimConfig(n_trials=5, seed=6)
+    with pytest.warns(UserWarning, match=message):
+        result = run_monte_carlo(cfg, benchmark_trajectory(), k_values=(6, 9, 12))
+    assert result.failure_counts == {6: 0, 9: 5, 12: 0}

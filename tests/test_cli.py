@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import relkin.cli as cli
+import relkin.config as config
 import relkin.harness as harness
 from relkin import (
     EstimationError,
@@ -354,6 +355,26 @@ class TestConfigHandling:
             assert np.array_equal(got, want)
         assert scenario.sim.seed == 42
         assert scenario.k_sweep == (10, 20, 30, 40, 50)
+
+    def test_a_call_never_reaches_the_next_bundled_scenario(self, monkeypatch):
+        parsed = []
+        parse = config.parse_config_text
+        monkeypatch.setattr(config, "parse_config_text", lambda *a: parsed.append(a) or parse(*a))
+        fresh = load_scenario(None)
+        changed = load_scenario(None, {"seed": "9", "k_sweep": "6,8", "Y0.0.0": "123.5"})
+        assert (changed.sim.seed, changed.k_sweep) == (9, (6, 8))
+        assert changed.trajectory.coeffs[0][0, 0] == 123.5
+        # mutate everything the call returned
+        changed.sim.seed = 11
+        changed.trajectory.coeffs[1][:] = 0.0
+        again = load_scenario(None)
+        assert again.sim == fresh.sim and again.sim.seed == 42
+        assert again.k_sweep == fresh.k_sweep == (10, 20, 30, 40, 50)
+        for got, want in zip(again.trajectory.coeffs, benchmark_trajectory().coeffs):
+            assert np.array_equal(got, want)
+        assert again.trajectory is not fresh.trajectory and again.sim is not fresh.sim
+        # the bundled file is parsed at most once per process, by the first of these calls
+        assert len(parsed) <= 1
 
     def test_override_precedence(self, tmp_path):
         # defaults < file < CLI

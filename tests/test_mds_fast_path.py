@@ -241,3 +241,19 @@ def test_full_rank_embedding_at_wide_n_discards_nothing():
     res = classical_mds(g, n)
     assert res.discarded == 0.0
     assert res.kept_over_discarded == np.inf
+
+
+def test_a_qr_without_named_fields_gives_the_same_factor(monkeypatch):
+    """numpy before 2.0 returns a plain (q, r) tuple from ``np.linalg.qr``, without ``.Q``."""
+    rng = np.random.default_rng(11)
+    n = _ITERATE_FROM + 20
+    y = rng.uniform(-500.0, 500.0, (3, D, n))
+    g = symmetric_stack(np.swapaxes(y, -1, -2) @ y + rng.normal(0.0, 1e-3, (3, n, n)))
+    want = classical_mds(g, D)
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": tuple(qr(a, mode)))
+    got = classical_mds(g, D)
+    assert certified(g).any()
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.discarded, want.discarded)

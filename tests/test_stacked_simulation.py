@@ -150,12 +150,14 @@ def run_chunked(monkeypatch, chunk, config, truth, k_values, poison=None):
 
 @pytest.mark.parametrize("seed", [3, 4, 17])
 def test_chunks_change_neither_rmse_rows_nor_failure_counts(monkeypatch, seed):
-    truth, k_values = benchmark_trajectory(), (10, 20)
+    truth, k_values = benchmark_trajectory(), (10, 15, 20)
     config = SimConfig(n_trials=5, seed=seed, accel_rotation_angle=0.4)
     whole, whole_sizes = run_chunked(monkeypatch, 128, config, truth, k_values)
-    assert whole_sizes == [(10, 5), (20, 5)]
-    assert whole.failure_counts == {10: 0, 20: 0}
-    for chunk, chunk_sizes in ((2, (2, 2, 1)), (3, (3, 2))):
+    assert whole_sizes == [(10, 5), (15, 5), (20, 5)]
+    assert whole.failure_counts == {10: 0, 15: 0, 20: 0}
+    # each chunk size finishes records of several K together: 128 all 15 at the end,
+    # 7 those of K = 10 and 15, 3 the last two of K = 10 and the first three of 15
+    for chunk, chunk_sizes in ((2, (2, 2, 1)), (3, (3, 2)), (7, (5,))):
         chunked, sizes = run_chunked(monkeypatch, chunk, config, truth, k_values)
         assert sizes == [(k, size) for k in k_values for size in chunk_sizes]
         assert chunked.failure_counts == whole.failure_counts
