@@ -29,7 +29,6 @@ masks, so each record comes out as it would alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, TypeVar
@@ -386,17 +385,17 @@ def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
 def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     """Euclidean norm over ``axis`` of each record of ``x``, without overflow.
 
-    Each norm is the root of :func:`_sum_squares`.  Only when some sum
-    overflows are the records whose sum does recomputed scaled by their
-    largest |entry|, so every other record keeps its plain norm bit for
-    bit.  The check reads the norms, not ``x``, so it costs the same at
-    any record size.
+    Each norm is the root of :func:`_sum_squares`.  ``np.vdot(x, x)``
+    bounds every record's sum of squares from above, and it reports no
+    overflow, since it is a BLAS dot product rather than a ufunc.  Only
+    when that bound comes near the largest float are the records whose
+    plain sum overflows recomputed scaled by their largest |entry|, so
+    every other record keeps its plain norm bit for bit.
     """
+    if np.vdot(x, x) < 0.5 * _HUGE:
+        return np.sqrt(_sum_squares(x, axis))
     with np.errstate(over="ignore"):
         norm = np.sqrt(_sum_squares(x, axis))
-        # one sum tells whether every norm is finite
-        if math.isfinite(np.add.reduce(norm, axis=None)):
-            return norm
     scale = np.abs(x).max(axis=axis, keepdims=True)
     # a zero record divides 0 by 0 here, but keeps its plain norm
     with np.errstate(over="ignore", invalid="ignore"):
