@@ -134,7 +134,7 @@ def fit_with_accel(meas: MeasurementSet, d: int = 2) -> FittedStack:
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
     sensor_accel = acc.block @ centering_matrix(meas.n_nodes)
-    return _fitted_stack(meas, d, 3, sensor_accel, {"accel_fit": acc.residual})
+    return _fitted_stack(meas, 3, sensor_accel, {"accel_fit": acc.residual})
 
 
 def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:

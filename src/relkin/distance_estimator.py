@@ -29,6 +29,7 @@ masks, so each record comes out as it would alone.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence, TypeVar
@@ -153,7 +154,8 @@ class BasisSystem:
     ``phi`` solves rows @ phi ~ rhs in least squares for the basis vector
     (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2); ``h`` is the normalized rotation
     pair, ``h_norm`` its length before normalization, and ``u`` the
-    recovered free entries.  ``condition`` is s_max/s_min of ``w``.
+    recovered free entries.  ``condition`` is s_max/s_min of ``w``, NaN
+    below rank 6.
     ``solvable`` flags a usable solution: ``rank`` 6 and ``h_norm`` at
     least 1e-8.  The system of a stack of splits carries its leading axes
     on every field.
@@ -261,14 +263,13 @@ class FittedStack:
     ``coeffs`` holds the (B, n, n) Grammian coefficient blocks and the B
     pair-fit residuals; a record whose fit overflowed has zeroed blocks,
     a NaN residual and its ``coefficient-fit`` error in ``errors``.
-    ``factor`` is the (B, d, n) acceleration factor of the accelerometer
+    ``factor`` is the (B, 2, n) acceleration factor of the accelerometer
     path (its centered sensor block), or None on the distance-only path,
     whose finish takes the MDS of 4 B_4 instead.  ``residuals`` maps each
     fit's name to its (B,) residuals and ``t_max`` holds each record's
     largest |t|, the only thing the finish reads of a time grid.
     """
 
-    dim: int
     coeffs: GrammianCoefficients
     factor: Optional[np.ndarray]
     residuals: dict[str, np.ndarray]
@@ -285,14 +286,13 @@ def join_fitted(parts: Sequence[FittedStack]) -> FittedStack:
     if len(parts) == 1:
         return first
     kinds = {
-        (p.dim, p.coeffs.degree, p.coeffs.blocks[0].shape[1:], p.factor is None, tuple(p.residuals))
+        (p.coeffs.degree, p.coeffs.blocks[0].shape[1:], p.factor is None, tuple(p.residuals))
         for p in parts
     }
     if len(kinds) != 1:
         raise InvalidDimensionError("only stacks from one fit of one node count can be joined")
     blocks = [np.concatenate(stacks) for stacks in zip(*(p.coeffs.blocks for p in parts))]
     return FittedStack(
-        dim=first.dim,
         coeffs=GrammianCoefficients(
             first.coeffs.degree, blocks, np.concatenate([p.coeffs.residual for p in parts])
         ),
@@ -589,6 +589,7 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     uw, sv, vwt = np.linalg.svd(w, full_matrices=False)
     kept = sv > _EPS * max(w.shape[-2], 6) * sv[..., :1]
     rank = kept.sum(axis=-1)
+    full = rank == 6
     # singular values under the cutoff contribute nothing, as in lstsq
     scaled = (uw.swapaxes(-1, -2) @ b[..., None])[..., 0] / np.where(kept, sv, np.inf)
     phi = (vwt.swapaxes(-1, -2) @ scaled[..., None])[..., 0]
@@ -598,19 +599,19 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     return BasisSystem(
         w=w, rhs=b, phi=phi, h=h, u=h[..., :1] * phi[..., 2:4] + h[..., 1:] * phi[..., 4:],
         residual=_norm(gap, -1), rank=rank,
-        condition=_ratio(sv), h_norm=h_norm, solvable=(rank == 6) & (h_norm >= 1e-8),
+        condition=_ratio(sv, full), h_norm=h_norm, solvable=full & (h_norm >= 1e-8),
     )
 
 
-def _ratio(s: np.ndarray) -> np.ndarray:
-    """s[..., 0] / s[..., -1] of nonnegative ``s``, capped near the largest float.
+def _ratio(s: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """s[..., 0] / s[..., -1] of nonnegative, descending ``s``; NaN where ``kept`` is False.
 
-    The divisor is raised to at least s[..., 0] / _HUGE (and _TINY), so
-    the quotient cannot overflow; a divisor that needs the raise belongs
-    to a flagged member of a stack, whose ratio is never reported.
+    ``kept`` flags the records whose s[..., -1] passed a relative rank
+    test, so it is positive and the quotient is finite: it cannot
+    overflow.  The other records are flagged members of a stack, whose
+    ratio is never reported.
     """
-    top = s[..., 0]
-    return top / np.maximum(s[..., -1], np.maximum(top / _HUGE, _TINY))
+    return s[..., 0] / np.where(kept, s[..., -1], np.nan)
 
 
 def recover_velocity(f0: ChuFactors, u) -> np.ndarray:
@@ -629,25 +630,13 @@ def _stage_error(label: str, exc: Exception) -> EstimationError:
     return err
 
 
-class _stage:
-    """Re-raise pipeline errors, numpy's LinAlgError included, with the stage prepended.
-
-    A class rather than a ``contextmanager`` generator: an estimate enters
-    several stages, and this costs a third as much per entry.
-    """
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, kind, exc, tb) -> bool:
-        if isinstance(exc, (RelkinError, np.linalg.LinAlgError)):
-            raise _stage_error(self.label, exc) from exc
-        return False
+@contextmanager
+def _stage(label: str):
+    """Re-raise pipeline errors, numpy's LinAlgError included, with the stage prepended."""
+    try:
+        yield
+    except (RelkinError, np.linalg.LinAlgError) as exc:
+        raise _stage_error(label, exc) from exc
 
 
 def _merge(mask: np.ndarray, first: T, second: T) -> T:
@@ -723,7 +712,7 @@ def _solve(
             errors[i] = _stage_error("velocity-split", DegenerateGeometryError(_DEGENERATE_FACTOR))
     _note(notes, f0.repeated, f"velocity split: {_REPEATED}")
     residuals["velocity_split"] = f0.residual
-    conditioning["velocity_split"] = _ratio(f0.lam)
+    conditioning["velocity_split"] = _ratio(f0.lam, ~f0.degenerate)
 
     with _stage("basis-solve"):
         f2 = chu_decompose(2.0 * coeffs.blocks[3], accel_factor)
@@ -766,7 +755,7 @@ def _solve(
         rotation[fallback] = _EYE
     residuals["acceleration_split"] = f2.residual + mark
     residuals["basis"] = basis.residual + mark
-    conditioning["acceleration_split"] = _ratio(f2.lam) + mark
+    conditioning["acceleration_split"] = _ratio(f2.lam, ~f2.degenerate) + mark
     conditioning["basis"] = basis.condition + mark
     return BatchEstimate(
         y0=mds0.points,
@@ -792,12 +781,13 @@ def finish_batch(fitted: FittedStack) -> BatchEstimate:
     grid, so stacks fitted at different K finish together (see
     :func:`join_fitted`).
     """
-    coeffs, d, factor = fitted.coeffs, fitted.dim, fitted.factor
+    coeffs, factor = fitted.coeffs, fitted.factor
+    # every fit admits only dim = 2
     with _stage("mds"):
         if factor is None:
-            mds0, mds2 = recover_position_acceleration(coeffs, d)
+            mds0, mds2 = recover_position_acceleration(coeffs, 2)
         else:
-            mds0 = classical_mds(coeffs.blocks[0], d)
+            mds0 = classical_mds(coeffs.blocks[0], 2)
     conditioning = {"position_mds": mds0.kept_over_discarded}
     if factor is None:
         notes = [
@@ -830,7 +820,7 @@ def _fit_input(meas: MeasurementSet, d: int) -> MeasurementSet:
 
 
 def _fitted_stack(
-    meas: MeasurementSet, d: int, degree: int, factor=None, residuals=None
+    meas: MeasurementSet, degree: int, factor=None, residuals=None
 ) -> FittedStack:
     """The degree-``degree`` pair fit of the stack ``meas``, deflated by ``factor`` if given.
 
@@ -846,7 +836,7 @@ def _fitted_stack(
         errors[i] = _stage_error("coefficient-fit", overflow)
     t_max = np.full(len(errors), float(np.abs(meas.timestamps).max()))
     residuals = {**(residuals or {}), "edm_fit": coeffs.residual}
-    return FittedStack(d, coeffs, factor, residuals, t_max, errors)
+    return FittedStack(coeffs, factor, residuals, t_max, errors)
 
 
 def fit_from_distances(meas: MeasurementSet, d: int = 2) -> FittedStack:
@@ -857,7 +847,7 @@ def fit_from_distances(meas: MeasurementSet, d: int = 2) -> FittedStack:
     for a cause that every record shares (the dimension, fewer than four
     nodes, the time grid).
     """
-    return _fitted_stack(_fit_input(meas, d), d, degree=4)
+    return _fitted_stack(_fit_input(meas, d), degree=4)
 
 
 def estimate_from_distances_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:

@@ -8,7 +8,6 @@ squared errors into RMSE tables per method, sample count and block.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from math import factorial
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -262,9 +261,8 @@ def run_monte_carlo(
     with no surviving trial has no RMSE or time-sweep rows.  A record's
     failure is its slot of the finished batch's ``errors``.  A fit raises
     a RelkinError only for a cause that all its records share, and the
-    trials of its (K, chunk) fail and no other; any other exception from
-    a fit fails the same trials with a warning naming it.  A finish that
-    raises fails every trial it holds.  Judging the failure rate is left to the
+    trials of its (K, chunk) fail and no other.  A finish that raises
+    fails every trial it holds.  Judging the failure rate is left to the
     caller.  Both tables come from one mean per (method, K) over the kept
     trials in index order; trial indices and sub-seeds are global over
     the K's chunks and records never interact, so neither table depends
@@ -323,14 +321,6 @@ def run_monte_carlo(
                 except RelkinError:
                     # a fit raises only for a cause that all its records share
                     continue
-                except Exception as exc:
-                    # a fit that breaks that contract, such as a stand-in for one, still
-                    # costs only its chunk, but says what it raised
-                    warnings.warn(
-                        f"method '{method}' raised {exc!r} on the K = {k} chunk of trials "
-                        f"{chunk.start}-{chunk.stop - 1}; they count as failed",
-                        stacklevel=2,
-                    )
             # a chunk that a fit failed is lost to every method, and never finished
             if len(fits) == len(methods):
                 held.append((k, chunk, fits))

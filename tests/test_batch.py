@@ -547,19 +547,3 @@ def test_only_stacks_of_one_fit_join():
     fits = [harness._ESTIMATORS[m](stack(records)) for m in ("distance", "accel")]
     with pytest.raises(InvalidDimensionError, match="joined"):
         join_fitted(fits)
-
-
-def test_a_fit_that_breaks_its_contract_fails_only_its_chunk(monkeypatch):
-    fit = harness._ESTIMATORS["distance"]
-
-    def broken(meas, d=2):
-        if meas.timestamps.size == 10:
-            raise TypeError("not a fitted stack")
-        return fit(meas, d)
-
-    monkeypatch.setitem(harness._ESTIMATORS, "distance", broken)
-    message = r"method 'distance' raised TypeError\('not a fitted stack'\) on the K = 9 chunk"
-    cfg = SimConfig(n_trials=5, seed=6)
-    with pytest.warns(UserWarning, match=message):
-        result = run_monte_carlo(cfg, benchmark_trajectory(), k_values=(6, 9, 12))
-    assert result.failure_counts == {6: 0, 9: 5, 12: 0}
