@@ -388,14 +388,25 @@ def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     Each norm is the root of :func:`_sum_squares`.  ``np.vdot(x, x)``
     bounds every record's sum of squares from above, and it reports no
     overflow, since it is a BLAS dot product rather than a ufunc.  Only
-    when that bound comes near the largest float are the records whose
-    plain sum overflows recomputed scaled by their largest |entry|, so
-    every other record keeps its plain norm bit for bit.
+    when that bound comes near the largest float does
+    :func:`_finite_norm` look at the plain norms.
     """
     if np.vdot(x, x) < 0.5 * _HUGE:
         return np.sqrt(_sum_squares(x, axis))
     with np.errstate(over="ignore"):
         norm = np.sqrt(_sum_squares(x, axis))
+    return _finite_norm(x, norm, axis)
+
+
+def _finite_norm(x: np.ndarray, norm: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """``norm``, the plain norm of each record of ``x``, where it is finite.
+
+    The records whose plain norm is not finite are recomputed scaled by
+    their largest |entry|, so every other record keeps its plain norm bit
+    for bit.
+    """
+    if np.isfinite(norm).all():
+        return norm
     scale = np.abs(x).max(axis=axis, keepdims=True)
     # a zero record divides 0 by 0 here, but keeps its plain norm
     with np.errstate(over="ignore", invalid="ignore"):
@@ -448,7 +459,8 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
         coeffs, res = _poly_lstsq(t, pairs, degree)
         blocks = _double_center(coeffs, n)
         failed = ~np.isfinite(8.0 * np.abs(blocks).max(axis=(-3, -2, -1)))
-    residual = _norm(res)
+        # the residual is as large as the data, so this errstate covers its sum too
+        residual = _finite_norm(res, np.sqrt(_sum_squares(res)))
     if failed.any():
         blocks[failed] = 0.0
         residual = np.where(failed, np.nan, residual)

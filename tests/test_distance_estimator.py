@@ -273,6 +273,8 @@ class TestBasisSolve:
         assert not sol.solvable
         assert sol.h_norm < 1e-8
         assert (sol.rank < 6) == rank_deficient
+        # a system below rank 6 has no condition number to report
+        assert np.isnan(sol.condition) == rank_deficient
         assert np.all(np.isfinite(sol.h)) and np.all(np.isfinite(sol.u))
 
     def test_noiseless_rotation_recovery(self):
