@@ -33,7 +33,6 @@ from .distance_estimator import (
     KinematicEstimate,
     _fit_input,
     _fitted_stack,
-    _norm,
     _one_record,
     _poly_lstsq,
     _stage,
@@ -42,7 +41,7 @@ from .distance_estimator import (
 )
 from .distance_estimator import chu_decompose  # noqa: F401  (perfbench's tracer rebinds this copy)
 from .errors import ConfigError, InvalidDimensionError
-from .linalg import centering_matrix, vech
+from .linalg import _norm, centering_matrix, vech
 from .trajectory import MeasurementSet
 
 __all__ = [

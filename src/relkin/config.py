@@ -33,6 +33,10 @@ DEFAULTS: dict[str, object] = {f.name: f.default for f in _SIM_FIELDS}
 DEFAULTS["k_sweep"] = (10, 20, 30, 40, 50)
 
 
+def _known_key(key: str) -> bool:
+    return key in _SCALAR_TYPES or key == "k_sweep" or bool(_MATRIX_KEY.match(key))
+
+
 @dataclass
 class ScenarioSettings:
     """Typed view of one scenario: simulation config plus ground truth."""
@@ -54,7 +58,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key '{key}'")
-        if key not in _SCALAR_TYPES and key != "k_sweep" and not _MATRIX_KEY.match(key):
+        if not _known_key(key):
             raise ConfigError(f"{source}:{lineno}: unknown key '{key}'")
         values[key] = value
     return values
@@ -127,7 +131,7 @@ def load_scenario(
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
         raw = parse_config_text(text, str(path))
     for key, value in (overrides or {}).items():
-        if key not in _SCALAR_TYPES and key != "k_sweep" and not _MATRIX_KEY.match(key):
+        if not _known_key(key):
             raise ConfigError(f"unknown override key '{key}'")
         raw[key] = value
 

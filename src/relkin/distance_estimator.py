@@ -45,6 +45,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linalg import MdsResult, classical_mds, edm_from_pairs, pairs_from_points
+from .linalg import _TINY, _finite_norm, _norm, _sum_squares
 from .linalg import unvech, vech  # noqa: F401  (perfbench's tracer test rebinds this vech)
 from .trajectory import MeasurementSet
 
@@ -79,8 +80,6 @@ _GENERATORS = np.stack([np.eye(2), _J])
 _NEGLIGIBLE_ACCEL = 1e-10
 _EYE = np.eye(2)
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
-_HUGE = float(np.finfo(float).max)
 
 _DEGENERATE_FACTOR = "factor is rank deficient; the Lyapunov-like split cannot proceed"
 _RANK_DEFICIENT_BASIS = (
@@ -375,43 +374,6 @@ def fit_gram_coeffs(gram_vecs, timestamps, degree: int) -> GrammianCoefficients:
     coeffs, residual = _poly_lstsq(timestamps, gram_vecs, degree)
     blocks = [unvech(row) for row in coeffs]
     return GrammianCoefficients(degree, blocks, residual=float(np.linalg.norm(residual)))
-
-
-def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """Sum of squares over ``axis``, by default the last two axes of ``x``."""
-    return np.add.reduce(x * x, axis=axis)
-
-
-def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """Euclidean norm over ``axis`` of each record of ``x``, without overflow.
-
-    Each norm is the root of :func:`_sum_squares`.  ``np.vdot(x, x)``
-    bounds every record's sum of squares from above, and it reports no
-    overflow, since it is a BLAS dot product rather than a ufunc.  Only
-    when that bound comes near the largest float does
-    :func:`_finite_norm` look at the plain norms.
-    """
-    if np.vdot(x, x) < 0.5 * _HUGE:
-        return np.sqrt(_sum_squares(x, axis))
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(_sum_squares(x, axis))
-    return _finite_norm(x, norm, axis)
-
-
-def _finite_norm(x: np.ndarray, norm: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """``norm``, the plain norm of each record of ``x``, where it is finite.
-
-    The records whose plain norm is not finite are recomputed scaled by
-    their largest |entry|, so every other record keeps its plain norm bit
-    for bit.
-    """
-    if np.isfinite(norm).all():
-        return norm
-    scale = np.abs(x).max(axis=axis, keepdims=True)
-    # a zero record divides 0 by 0 here, but keeps its plain norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.squeeze(scale, axis) * np.sqrt(_sum_squares(x / scale, axis))
-    return np.where(np.isfinite(norm), norm, scaled)
 
 
 def _double_center(pairs, n: int) -> np.ndarray:

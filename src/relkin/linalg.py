@@ -31,6 +31,45 @@ __all__ = [
 
 #: relative tolerance used when checking that an input matrix is symmetric
 SYMMETRY_RTOL = 1e-9
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
+
+def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Sum of squares over ``axis``, by default the last two axes of ``x``."""
+    return np.add.reduce(x * x, axis=axis)
+
+
+def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Euclidean norm over ``axis`` of each record of ``x``, without overflow.
+
+    Each norm is the root of :func:`_sum_squares`.  ``np.vdot(x, x)``
+    bounds every record's sum of squares from above, and it reports no
+    overflow, since it is a BLAS dot product rather than a ufunc.  Only
+    when that bound comes near the largest float does
+    :func:`_finite_norm` look at the plain norms.
+    """
+    if np.vdot(x, x) < 0.5 * _HUGE:
+        return np.sqrt(_sum_squares(x, axis))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_sum_squares(x, axis))
+    return _finite_norm(x, norm, axis)
+
+
+def _finite_norm(x: np.ndarray, norm: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """``norm``, the plain norm of each record of ``x``, where it is finite.
+
+    The records whose plain norm is not finite are recomputed scaled by
+    their largest |entry|, so every other record keeps its plain norm bit
+    for bit.
+    """
+    if np.isfinite(norm).all():
+        return norm
+    scale = np.abs(x).max(axis=axis, keepdims=True)
+    # a zero record divides 0 by 0 here, but keeps its plain norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.squeeze(scale, axis) * np.sqrt(_sum_squares(x / scale, axis))
+    return np.where(np.isfinite(norm), norm, scaled)
 
 
 def _as_square(m, op: str, stacked: bool = False) -> np.ndarray:
@@ -176,43 +215,43 @@ class MdsResult:
 
 
 #: n from which classical_mds tries block subspace iteration before ``eigh``.
-#: One classical_mds of a wide-scene B0 (K = 10, 2-vCPU VM with other
-#: tenants, timeit best of 9, two runs), ``eigh`` against the certified
-#: iteration in µs: n = 30: 139-213 vs 377-384; 40: 354-365 vs 354-452;
-#: 50: 430-619 vs 324-421; 60: 531-606 vs 272-343; 100: 1446-1662 vs
-#: 404-418.
+#: One classical_mds of a wide-scene B0 (K = 10), ``eigh`` against the
+#: certified iteration, median µs of 21 interleaved rounds (single BLAS
+#: thread, 2-vCPU Xeon VM with other tenants), two runs: n = 30: 222-258
+#: vs 277-363; 40: 376-433 vs 322-419; 50: 509-597 vs 356-450; 60: 639-766
+#: vs 356-468; 100: 1636-1816 vs 491-575.
 _ITERATE_FROM = 40
 #: A record is accepted only where the worst kept Ritz residual is at most
 #: this times max |theta|.  Wide-scene B0 (n = 40, 50, 100, 150 x 10 seeds;
-#: lambda_2 / lambda_3 about 1e5 to 3e5) read 2.7e-16 to 2.1e-15 after the
-#: second pass.
+#: lambda_2 / lambda_3 about 1e5 to 3e5) read 1.9e-16 to 2.3e-14 after the
+#: first pass.
 _ACCEPT_RTOL = 1e-13
-#: Each pass after the second applies b this many times before its QR and
-#: Rayleigh-Ritz step.  The 4 B4 of the distance path (``wide-net``, n = 100,
-#: 18 records from 6 seeds, and n = 50/100/150 x 3 seeds) have a flat bulk
-#: (lambda_3 / lambda_2 0.11 to 0.22), so their residuals shrink about that
-#: much per product; all 27 are accepted after 3 + 3 x 5 = 18 products.
-#: classical_mds of 6 of the 18, median µs (timeit, 2-vCPU VM with other
-#: tenants): 4 products per pass 1076, 5: 859, 6: 819, 7: 718.  More
-#: products between QRs lose the second direction under the first: with
-#: lambda_1 / lambda_2 = 1e4 the residual floor is 5e-16 at 5 products per
-#: pass, 1e-13 at 6 and 1e-9 at 7.
+#: Each pass applies b this many times: all but the last product before its
+#: QR, the last one in its Rayleigh-Ritz step.  The 4 B4 of the distance
+#: path (n = 100 x 6 seeds and n = 50/150 x 3 seeds) have a flat bulk
+#: (lambda_3 / lambda_2 0.11 to 0.22); all 12 are accepted after 3 or 4
+#: passes.  classical_mds of the six n = 100 records, median µs per record
+#: over 40 interleaved rounds (same VM): 4 products per pass 557, 5: 523,
+#: 6: 483, 7: 530.  More products between QRs lose the second direction
+#: under the first: with lambda_1 / lambda_2 = 1e4 the residual floor is
+#: 1.9e-16 at 5 products per pass, 2.5e-13 at 6 (above ``_ACCEPT_RTOL``)
+#: and 3.4e-10 at 7.
 _PASS_PRODUCTS = 5
 #: A record whose worst Ritz residual shrinks less than this factor per
-#: product of a pass has stalled and leaves for ``eigh``.  The 4 B4 above
-#: read 0.09 to 0.18 over the second pass's one product and 1e-5 to 1.5e-3
-#: over a later pass; a flat spectrum (no gap) reads about 0.9.  A slower
-#: record mostly fails the certificate anyway: lambda_d above the norm of a
-#: flat bulk of comparable eigenvalues puts lambda_(d+1) / lambda_d well
-#: below 1.
+#: product, ``_CONTRACTION`` ** ``_PASS_PRODUCTS`` over a pass, has stalled
+#: and leaves for ``eigh``.  The 4 B4 above shrink 1.2e-5 to 3.2e-4 over
+#: each pass before the one that accepts them; a flat spectrum (no gap)
+#: reads about 0.9.  A slower record mostly fails the certificate anyway:
+#: lambda_d above the norm of a flat bulk of comparable eigenvalues puts
+#: lambda_(d+1) / lambda_d well below 1.
 _CONTRACTION = 0.3
-#: A record not accepted after this many passes leaves for ``eigh``: up to
-#: 3 + 5 x 5 = 28 products, enough for a residual that shrinks 0.3-fold per
-#: product to fall from 1e-1 to the acceptance bound.  At n = 100 (timeit,
-#: same VM) a record that stalls after the second pass costs 350-363 µs
-#: before its ``eigh`` (1.5 ms), a near tie rejected by the certificate
-#: after 8 products 565-617 µs, and one that runs to the cap 663-906 µs.
-_MAX_PASSES = 7
+#: A record not accepted after this many passes leaves for ``eigh``: 5 x 5
+#: = 25 products, enough for a residual that shrinks 0.3-fold per product
+#: to fall from 1e-1 to the acceptance bound (23 products).  At n = 100
+#: (same VM, median) a record that stalls after the second pass costs
+#: 0.55 ms before its ``eigh`` (1.8 ms), a near tie rejected by the
+#: certificate after one pass 0.43 ms, and one that runs to the cap 1.1 ms.
+_MAX_PASSES = 5
 #: lambda_d below this times lambda_1 is flagged as degenerate geometry.
 _DEGENERATE_RTOL = 1e-12
 
@@ -239,58 +278,56 @@ def _rayleigh_ritz(b: np.ndarray, x: np.ndarray, d: int):
 def _certified_top(b: np.ndarray, d: int):
     """Top-d eigenpairs of each (n, n) matrix of ``b`` by block subspace iteration.
 
-    d + 2 columns start from the largest-norm columns of each matrix.
-    Each pass ends in one thin QR and one Rayleigh-Ritz step; the first
-    takes two products with b, the second one and every later one
-    ``_PASS_PRODUCTS``.  From the second pass on, a record
-    stops once its Ritz residuals are round-off: it is certified when
+    Each record is first divided by a power of two near its largest
+    |entry|, which keeps every product, norm and residual of the
+    iteration far from overflow and underflow for any finite b; its top
+    and discarded are scaled back.  The iteration starts from the d + 2
+    largest-norm columns, as they are.  Every pass has one shape:
+    ``_PASS_PRODUCTS`` - 1 products with b, then one thin QR, the last
+    product and one Rayleigh-Ritz step (:func:`_rayleigh_ritz`).  A
+    record stops once its Ritz residuals are round-off: it is certified when
     theta_d > ||b - V_d Theta_d V_d^T||_F as well.  Every discarded
     eigenvalue is then smaller in magnitude than theta_d, so V_d spans
     the algebraic top d even where a negative eigenvalue dominates.  A
     record that classical_mds would flag as degenerate is never
-    certified.  A record whose residuals stop contracting, or that is
-    not done after ``_MAX_PASSES`` passes, stops uncertified.  A stopped
+    certified.  A record whose worst residual shrinks less than
+    ``_CONTRACTION`` ** ``_PASS_PRODUCTS`` over a pass, or that is not
+    done after ``_MAX_PASSES`` passes, stops uncertified.  A stopped
     record is frozen and leaves the stack, so each record's passes are
     the ones it takes on its own.  Returns top (B, d) descending, rows
     (B, d, n), discarded (B,) and the certified mask; the entries of
     uncertified records are meaningless.
     """
     count, n, _ = b.shape
-    norms = np.einsum("bij,bij->bj", b, b)
-    cols = np.argsort(norms, axis=-1)[:, : -d - 3 : -1]
-    x = b @ np.linalg.qr(np.take_along_axis(b, cols[:, None, :], axis=-1))[0]
+    big = np.maximum(b.max(axis=(-2, -1)), -b.min(axis=(-2, -1)))
+    # no smaller than the least normal float, so 2**-shift stays finite
+    shift = np.frexp(np.maximum(big, _TINY))[1]
+    b = b * np.ldexp(1.0, -shift)[:, None, None]
+    cols = np.argsort(np.einsum("bij,bij->bj", b, b), axis=-1)[:, : -d - 3 : -1]
+    x = np.take_along_axis(b, cols[:, None, :], axis=-1)
     top, rows = np.zeros((count, d)), np.zeros((count, d, n))
     discarded, certified = np.zeros(count), np.zeros(count, dtype=bool)
-    live = np.arange(count)
-    for step in range(_MAX_PASSES):
-        products = 1 if step < 2 else _PASS_PRODUCTS
-        if products > 1:
-            # products scaled by 1 / ||b||_F neither overflow nor underflow
-            scale = 1.0 / np.maximum(np.sqrt(norms[live].sum(axis=-1)), np.finfo(float).tiny)
-            for _ in range(products - 1):
-                x = b @ (x * scale[:, None, None])
+    live, previous = np.arange(count), np.inf
+    for _ in range(_MAX_PASSES):
+        for _ in range(_PASS_PRODUCTS - 1):
+            x = b @ x
         theta, v, worst, largest, x = _rayleigh_ritz(b, x, d)
-        if step == 0:
-            previous = worst
-            continue
         converged = worst <= _ACCEPT_RTOL * largest
         if converged.any():
-            # views, not copies, where every live record converged
-            pick = slice(None) if converged.all() else converged
-            theta_c, v_c, kept = theta[pick], v[pick], live[pick]
+            theta_c, v_c, kept = theta[converged], v[converged], live[converged]
             left_out = (v_c * theta_c[:, None, :]) @ v_c.swapaxes(-1, -2)
-            left_out -= b[pick]
+            left_out -= b[converged]
             top[kept], rows[kept] = theta_c, v_c.swapaxes(-1, -2)
-            discarded[kept] = np.sqrt(np.einsum("bij,bij->b", left_out, left_out))
+            discarded[kept] = np.sqrt(_sum_squares(left_out))
             last = theta_c[:, -1]
             certified[kept] = (last > discarded[kept]) & (last >= _DEGENERATE_RTOL * theta_c[:, 0])
-        going = ~converged & (worst <= _CONTRACTION**products * previous)
+        going = ~converged & (worst <= _CONTRACTION**_PASS_PRODUCTS * previous)
         if not going.any():
             break
         if not going.all():
             live, b, x, worst = live[going], b[going], x[going], worst[going]
         previous = worst
-    return top, rows, discarded, certified
+    return np.ldexp(top, shift[:, None]), rows, np.ldexp(discarded, shift), certified
 
 
 def _eigh_top(b: np.ndarray, d: int):
@@ -299,7 +336,8 @@ def _eigh_top(b: np.ndarray, d: int):
     top = evals[..., : -d - 1 : -1]  # descending
     rows = evecs.swapaxes(-1, -2)[..., : -d - 1 : -1, :]  # their eigenvectors, (..., d, n)
     rest = evals[..., :-d]
-    return top, rows, np.sqrt(np.einsum("...i,...i->...", rest, rest))
+    # only a record whose plain (einsum) norm overflows is recomputed
+    return top, rows, _finite_norm(rest, np.sqrt(np.einsum("...i,...i->...", rest, rest)), -1)
 
 
 def _iterated_top(b: np.ndarray, d: int):
@@ -325,9 +363,11 @@ def classical_mds(g, d: int) -> MdsResult:
     InvalidDimensionError.  Below ``_ITERATE_FROM`` nodes, or for
     d > n - 3, a stack takes one stacked ``eigh``.  Otherwise each record
     first runs the certified block subspace iteration of
-    :func:`_certified_top` until it converges or stalls, and the records
-    it does not certify take one stacked ``eigh``.  Either way each
-    record's result depends on that record alone.
+    :func:`_certified_top`, in passes of ``_PASS_PRODUCTS`` products, one
+    thin QR and one Rayleigh-Ritz step, until it converges or stalls; the
+    records it does not certify take one stacked ``eigh``.  Either way
+    each record's result depends on that record alone, and a huge but
+    finite Grammian gets a finite ``discarded``.
     """
     g = _as_square(g, "classical_mds", stacked=True)
     n = g.shape[-1]

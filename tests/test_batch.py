@@ -42,7 +42,7 @@ from relkin.distance_estimator import (
     join_fitted,
     recover_position_acceleration,
 )
-from relkin.linalg import classical_mds
+from relkin.linalg import _ITERATE_FROM, _certified_top, classical_mds
 
 from conftest import poison_record, random_constant_accel_trajectory
 
@@ -258,6 +258,33 @@ def test_an_overflow_after_the_fit_stays_in_its_record(method, pairs_scale, acce
     marked = {"acceleration_split", "basis"} if fell_back else set()
     assert all(np.isnan(residuals[key]) for key in marked)
     assert all(np.isfinite(value) for key, value in residuals.items() if key not in marked)
+
+
+@pytest.mark.parametrize("method", ["distance", "accel"])
+@pytest.mark.parametrize("n", [10, _ITERATE_FROM + 20], ids=["eigh", "iteration"])
+def test_huge_finite_pairs_keep_their_mds_conditioning(method, n):
+    if n == 10:
+        traj = benchmark_trajectory()
+    else:
+        traj = random_constant_accel_trajectory(np.random.default_rng(4), n=n)
+    cfg = SimConfig(n_nodes=n, k_samples=40, accel_rotation_angle=0.5)
+    records = [simulate_measurements(replace(cfg, seed=s), traj) for s in (1, 2, 3)]
+    mid = records[1]
+    # the middle scene stretched 1e100-fold: its MDS ratios do not change
+    huge = MeasurementSet(mid.timestamps, mid.pairs * 1e200, mid.accels * 1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = BATCH[method](stack([records[0], huge, records[2]]))
+        alone = [SINGLE[method](record) for record in records]
+    for i in (0, 2):
+        assert_same_estimate(batch.estimate(i), alone[i])
+    assert batch.errors[1] is None
+    ratios = {key: value for key, value in alone[1].conditioning.items() if key.endswith("_mds")}
+    assert len(ratios) == (2 if method == "distance" else 1)
+    for key, unit_scale in ratios.items():
+        assert batch.conditioning[key][1] == pytest.approx(unit_scale, rel=1e-9), key
+    if n >= _ITERATE_FROM:
+        assert _certified_top(batch.coeffs.blocks[0][1:2], 2)[-1].all()
 
 
 # |t|^degree below the smallest normal float; the accel path's degree-3 fit

@@ -392,6 +392,14 @@ class TestConfigHandling:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    @pytest.mark.parametrize("override", ["bogus=1", "n_nodes=5"])
+    def test_unknown_override_key_is_one_clean_error(self, tmp_path, capsys, command, override):
+        code = run_cli([command, "--output", str(tmp_path / "out"), "--set", override])
+        assert code == 1
+        key = override.split("=")[0]
+        assert capsys.readouterr().err == f"error: unknown override key '{key}'\n"
+
     def test_matrix_override_via_set(self, tmp_path):
         out = tmp_path / "sim"
         code = run_cli(

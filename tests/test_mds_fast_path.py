@@ -2,12 +2,14 @@
 
 From ``_ITERATE_FROM`` nodes on, each record first tries a block subspace
 iteration, run until it converges or stalls, and takes ``eigh`` only when
-the iteration cannot certify its top-d eigenpairs.  These tests pin the
-iteration against an in-test ``eigh`` reference on wide scenes (both
-Grammians the distance path factors) and on adversarial spectra, count
-the products a rejected record costs, check that a stack's records do
-not see each other's route, and pin the small-n route bit for bit to a
-plain ``eigh``.
+the iteration cannot certify its top-d eigenpairs.  Every pass of the
+iteration has one shape: ``_PASS_PRODUCTS`` products with the matrix and
+one thin QR.  These tests pin the iteration against an in-test ``eigh``
+reference on wide scenes (both Grammians the distance path factors) and
+on adversarial spectra, count the products a rejected record costs and
+the QRs a wide scene's records take, check that a stack's records do not
+see each other's route, and pin the small-n route bit for bit to a plain
+``eigh``.
 """
 
 import warnings
@@ -47,18 +49,20 @@ def certified(g):
 class CountingStack(np.ndarray):
     """A stack of square matrices that counts the products ``stack @ block`` taken with it.
 
-    Records picked out of it stay counting stacks; every ufunc result is
-    a plain array.
+    Records picked out of it, and the stack times its records' scales,
+    stay counting stacks; every other ufunc result is a plain array.
     """
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         first = inputs[0]
-        if ufunc is np.matmul and isinstance(first, CountingStack):
+        counting = isinstance(first, CountingStack)
+        if ufunc is np.matmul and counting:
             CountingStack.products += first.shape[-1] == first.shape[-2]
         plain = [np.asarray(a) if isinstance(a, CountingStack) else a for a in inputs]
-        return getattr(ufunc, method)(*plain, **kwargs)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result.view(CountingStack) if ufunc is np.multiply and counting else result
 
 
 def products_taken(g):
@@ -161,16 +165,33 @@ def test_adversarial_spectra_match_the_eigh_route(monkeypatch, case):
 
 
 def test_moderate_gap_is_certified_after_further_passes():
-    # lambda_3 / lambda_2 = 1 / 500: two passes leave residuals near 1e-8,
-    # so only the later passes bring it to round-off
-    g = spectrum_matrix(N_WIDE, [1e3, 5e2], seed=5)
+    # lambda_3 / lambda_2 up to 1 / 10: one pass leaves residuals far above
+    # round-off, so only the later passes bring it there
+    g = spectrum_matrix(N_WIDE, [1e3, 5e2], seed=5, bulk=50.0)
     taken, accepted = products_taken(g)
-    assert accepted and taken > 3
+    assert accepted and taken > linalg._PASS_PRODUCTS
     assert_matches_eigh(g)
 
 
 #: the most products the iteration takes on one record before ``eigh``
-MOST_PRODUCTS = 3 + linalg._PASS_PRODUCTS * (linalg._MAX_PASSES - 2)
+MOST_PRODUCTS = linalg._PASS_PRODUCTS * linalg._MAX_PASSES
+
+
+def qrs_taken(monkeypatch, g):
+    """The thin QRs the iteration takes on one record, and whether it certifies it."""
+    calls, qr = [], np.linalg.qr
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", lambda a, mode="reduced": calls.append(a) or qr(a, mode))
+        found = certified(g)
+    return len(calls), bool(found[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_pass_takes_one_qr(monkeypatch, seed):
+    blocks = estimate_from_distances(wide_measurements(100, seed)).coeffs.blocks
+    assert qrs_taken(monkeypatch, blocks[0]) == (1, True)
+    taken, accepted = qrs_taken(monkeypatch, 4.0 * blocks[4])
+    assert accepted and taken <= 4
 
 
 def test_a_near_tie_costs_at_most_the_pass_cap_before_eigh():
@@ -181,14 +202,14 @@ def test_a_near_tie_costs_at_most_the_pass_cap_before_eigh():
 def test_a_record_that_stops_contracting_leaves_after_the_second_pass():
     # a flat spectrum has no gap after lambda_2: its residuals barely shrink
     taken, accepted = products_taken(ADVERSARIAL["no-gap"])
-    assert not accepted and taken == 3
+    assert not accepted and taken == 2 * linalg._PASS_PRODUCTS
 
 
 def test_a_record_that_needs_more_passes_than_the_cap_leaves_at_the_cap(monkeypatch):
     g = 4.0 * estimate_from_distances(wide_measurements(100, 0)).coeffs.blocks[4]
-    assert products_taken(g) == (3 + 3 * linalg._PASS_PRODUCTS, True)
-    monkeypatch.setattr(linalg, "_MAX_PASSES", 4)
-    assert products_taken(g) == (3 + 2 * linalg._PASS_PRODUCTS, False)
+    assert products_taken(g) == (4 * linalg._PASS_PRODUCTS, True)
+    monkeypatch.setattr(linalg, "_MAX_PASSES", 3)
+    assert products_taken(g) == (3 * linalg._PASS_PRODUCTS, False)
     top, points = eigh_reference(g)
     res = classical_mds(g, D)
     assert np.array_equal(res.eigenvalues, top) and np.array_equal(res.points, points)
@@ -221,6 +242,18 @@ def test_each_record_of_a_mixed_stack_takes_its_own_route():
         assert np.array_equal(together.eigenvalues[i], alone.eigenvalues)
         assert together.discarded[i] == alone.discarded
         assert together.warnings[i] == alone.warnings
+
+
+def test_records_certified_in_one_pass_match_their_solo_runs():
+    stack = np.stack(
+        [estimate_from_distances(wide_measurements(100, s)).coeffs.blocks[0] for s in range(3)]
+    )
+    together = classical_mds(stack, D)
+    for i, g in enumerate(stack):
+        alone = classical_mds(g, D)
+        assert np.array_equal(together.points[i], alone.points)
+        assert np.array_equal(together.eigenvalues[i], alone.eigenvalues)
+        assert together.discarded[i] == alone.discarded
 
 
 @pytest.mark.parametrize("records", [None, 128], ids=["single", "stack"])
