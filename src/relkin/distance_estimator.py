@@ -22,9 +22,13 @@ finish (:func:`finish_batch`, shared by both methods) runs the MDS and
 the solve on those blocks, which have the same shape for every grid, so
 stacks fitted on different grids join (:func:`join_fitted`) and finish
 in one call.  The batch entry points are a finish of one fit, and a
-single estimate is the batch of one.  The choices a record needs of its
-own (reflection retry, fallback, a degenerate split) are per-record
-masks, so each record comes out as it would alone.
+single estimate is the batch of one.  Each stage of the finish is one
+stacked call: one MDS (of both factors on the distance-only path), one
+split of both Lyapunov-like equations and one basis solve of both
+reflection candidates.  The
+choices a record needs of its own (reflection retry, fallback, a
+degenerate split) are per-record masks, so each record comes out as it
+would alone.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, TypeVar
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +95,6 @@ _REPEATED = (
     "nearly repeated singular values; the SVD frame is ill determined and the "
     "basis solve relies on its residual check"
 )
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -526,7 +528,11 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     onto h, which avoids dividing by near-zero rotation components.
     Stacked splits give a stack of systems solved by one stacked SVD; a
     system without a usable solution is flagged in ``solvable``, not
-    raised.
+    raised.  ``f2.u`` may carry leading axes that the rest of both splits
+    lacks, such as the reflection candidates (u, _FLIP @ u) of one
+    factor: the systems then carry those axes too, every candidate shares
+    ``f0``'s tie rows and the right-hand side, and each system is solved
+    as it would be alone.
     """
     n = f0.vt.shape[-1]
     if f2.vt.shape[-1] != n:
@@ -552,7 +558,8 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
             lead.diagonal(0, -2, -1).swapaxes(-1, -2),
             (m - lead @ vt2).reshape(m.shape[:-2] + (2 * n,)).swapaxes(-1, -2),
             (f2.lam[..., :1] * lead[..., 0, 1] + f2.lam[..., 1:] * lead[..., 1, 0])[..., None, :],
-            tie,
+            # the tie rows come from f0 alone, so every candidate shares them
+            np.broadcast_to(tie, lead.shape[:-3] + (2, 6)),
         ],
         axis=-2,
     )
@@ -613,32 +620,19 @@ def _stage(label: str):
         raise _stage_error(label, exc) from exc
 
 
-def _merge(mask: np.ndarray, first: T, second: T) -> T:
-    """Per record of a stack: the fields of ``second`` where ``mask`` is set, else of ``first``."""
-    if not mask.any():
-        return first
-    if mask.all():
-        return second
-    picked = {}
-    for item in fields(first):
-        a, b = getattr(first, item.name), getattr(second, item.name)
-        picked[item.name] = np.where(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), b, a)
-    return replace(first, **picked)
-
-
 def _note(notes: list[list[str]], mask: np.ndarray, message: str) -> None:
     """Append ``message`` to the warnings of each record that ``mask`` flags."""
     for i in mask.nonzero()[0]:
         notes[i].append(message)
 
 
-def _candidate_failure(f2: ChuFactors, basis: BasisSystem, negligible, i: int) -> str:
-    """Why the acceleration factor split ``f2`` and the ``basis`` solved on it fail record ``i``."""
+def _candidate_failure(f2: ChuFactors, rank: np.ndarray, negligible, i: int) -> str:
+    """Why the acceleration factor split ``f2``, with basis ranks ``rank``, fails record ``i``."""
     if f2.degenerate[i]:
         return f"unusable ({_DEGENERATE_FACTOR})"
     if negligible[i]:
         return "negligible next to the positions over the record"
-    return f"unusable ({_RANK_DEFICIENT_BASIS if basis.rank[i] < 6 else _VANISHING_ROTATION})"
+    return f"unusable ({_RANK_DEFICIENT_BASIS if rank[i] < 6 else _VANISHING_ROTATION})"
 
 
 def _solve(
@@ -659,7 +653,10 @@ def _solve(
     residual exceeds ten times the reflected one's.  Both candidates share
     one split of F: _FLIP @ F has the SVD (_FLIP @ u) diag(lam) vt, so the
     reflection is a sign on the split's ``u``, and F alone decides the
-    fallback flags.
+    fallback flags.  So the finish makes one stacked split, of B1 on the
+    position factor and 2 B3 on F, and one stacked basis solve, with the
+    two candidates on a leading axis of ``u``; each record then takes
+    the rotation, free entries, residual and condition of its candidate.
 
     One fallback rule: if F is negligible next to the positions over the
     record (s_min(F)^2 t_max^4 <= _NEGLIGIBLE_ACCEL lambda_max(B0), e.g. a
@@ -667,8 +664,10 @@ def _solve(
     solvable basis system, the velocity is set to the minimum-norm
     completion of the first split and the rotation to identity, with a
     warning.  The negligible test compares s_min(F) t_max^2 with the root
-    of the right side, so it cannot overflow; ``fitted.t_max`` gives each
-    record its own t_max.
+    of the right side.  Past t_max of about 1e154, or for a huge F, that
+    product overflows to inf, which still compares as the exact product
+    would, so only numpy's warning is silenced; ``fitted.t_max`` gives
+    each record its own t_max.
 
     Every stage runs once on the whole stack; the retry, the fallback
     and a degenerate velocity split are per-record masks, so one record's
@@ -679,7 +678,11 @@ def _solve(
     """
     coeffs, errors, residuals = fitted.coeffs, list(fitted.errors), dict(fitted.residuals)
     with _stage("velocity-split"):
-        f0 = chu_decompose(coeffs.blocks[1], mds0.points)
+        both = chu_decompose(
+            np.stack([coeffs.blocks[1], 2.0 * coeffs.blocks[3]]),
+            np.stack([mds0.points, accel_factor]),
+        )
+    f0, f2 = (ChuFactors(*(getattr(both, k.name)[i] for k in fields(ChuFactors))) for i in (0, 1))
     # a record whose fit overflowed has zeroed blocks, so its split is degenerate too
     for i in f0.degenerate.nonzero()[0]:
         if errors[i] is None:
@@ -689,17 +692,19 @@ def _solve(
     conditioning["velocity_split"] = _ratio(f0.lam, ~f0.degenerate)
 
     with _stage("basis-solve"):
-        f2 = chu_decompose(2.0 * coeffs.blocks[3], accel_factor)
-        bases = [build_and_solve_basis(f0, f) for f in (f2, replace(f2, u=_FLIP @ f2.u))]
+        bases = build_and_solve_basis(f0, replace(f2, u=np.stack([f2.u, _FLIP @ f2.u])))
     floor = np.sqrt(np.maximum(_NEGLIGIBLE_ACCEL * mds0.eigenvalues[..., 0], 0.0))
-    negligible = ~f2.degenerate & (f2.lam[..., -1] * fitted.t_max**2 <= floor)
-    ok = [~f2.degenerate & ~negligible & basis.solvable for basis in bases]
+    # an overflow to inf compares as the exact product would, and a degenerate
+    # factor's 0 * inf is NaN, which ~f2.degenerate masks anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        negligible = ~f2.degenerate & (f2.lam[..., -1] * fitted.t_max**2 <= floor)
+    ok = ~f2.degenerate & ~negligible & bases.solvable
     fallback = ~(ok[0] | ok[1])
-    reflected = ok[1] & (~ok[0] | (bases[0].residual > 10.0 * bases[1].residual))
+    reflected = ok[1] & (~ok[0] | (bases.residual[0] > 10.0 * bases.residual[1]))
     for i in fallback.nonzero()[0]:
         # the reflected candidate, tried last, names the reason
         notes[i].append(
-            f"acceleration factor {_candidate_failure(f2, bases[1], negligible, i)}; "
+            f"acceleration factor {_candidate_failure(f2, bases.rank[1], negligible, i)}; "
             "velocity set to its minimum-norm completion and the rotation fixed to identity"
         )
     _note(notes, reflected & ~ok[0], "only the reflected acceleration factor admitted a solution")
@@ -709,17 +714,18 @@ def _solve(
         "MDS reflection ambiguity detected; the reflected acceleration factor fit the "
         "coupled equations",
     )
-    basis = _merge(reflected, *bases)
     _note(notes, f2.repeated & ~fallback, _REPEATED)
 
-    u = basis.u
+    h, u = (np.where(reflected[:, None], x[1], x[0]) for x in (bases.h, bases.u))
+    basis_residual, condition = (
+        np.where(reflected, x[1], x[0]) for x in (bases.residual, bases.condition)
+    )
     rotation = np.empty(u.shape + (2,))
-    rotation[..., 0, 0] = rotation[..., 1, 1] = basis.h[..., 0]
-    rotation[..., 1, 0] = basis.h[..., 1]
-    rotation[..., 0, 1] = -basis.h[..., 1]
-    if reflected.any():
-        # R @ _FLIP for the reflected factor: its first column negated
-        rotation[reflected, :, 0] *= -1.0
+    rotation[..., 0, 0] = rotation[..., 1, 1] = h[..., 0]
+    rotation[..., 1, 0] = h[..., 1]
+    rotation[..., 0, 1] = -h[..., 1]
+    # R @ _FLIP for the reflected factor: its first column negated
+    rotation[reflected, :, 0] *= -1.0
     # NaN marks the residuals and spreads of the records that fell back
     mark = np.where(fallback, np.nan, 0.0)
     if fallback.any():
@@ -728,9 +734,9 @@ def _solve(
         u = np.where(fallback[..., None], (f0.c / lam_sq)[..., None] * f0.lam, u)
         rotation[fallback] = _EYE
     residuals["acceleration_split"] = f2.residual + mark
-    residuals["basis"] = basis.residual + mark
+    residuals["basis"] = basis_residual + mark
     conditioning["acceleration_split"] = _ratio(f2.lam, ~f2.degenerate) + mark
-    conditioning["basis"] = basis.condition + mark
+    conditioning["basis"] = condition + mark
     return BatchEstimate(
         y0=mds0.points,
         y1=recover_velocity(f0, u),

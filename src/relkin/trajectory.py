@@ -292,7 +292,9 @@ def _add_noise(
     )
     if distances is not None:
         noisy = distances + rng_dist.normal(0.0, config.sigma_d, distances.shape)
-        np.square(noisy, out=pairs)
+        # a huge sigma_d squares to inf, which MeasurementSet then rejects as non-finite
+        with np.errstate(over="ignore"):
+            np.square(noisy, out=pairs)
     accels += rng_accel.normal(0.0, config.sigma_a, accels.shape)
 
 

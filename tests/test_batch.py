@@ -260,6 +260,36 @@ def test_an_overflow_after_the_fit_stays_in_its_record(method, pairs_scale, acce
     assert all(np.isfinite(value) for key, value in residuals.items() if key not in marked)
 
 
+@pytest.mark.parametrize(
+    "method,times_scale,accels_scale,outcome",
+    [
+        ("distance", 1e200, 1.0, "minimum-norm"),
+        ("accel", 1.0, 1e307, "coefficient-fit"),
+    ],
+    ids=["distance-times-1e200", "accel-accels-1e307"],
+)
+def test_the_negligible_test_overflows_without_a_numpy_warning(
+    method, times_scale, accels_scale, outcome
+):
+    # s_min(F) t_max^2 overflows (t_max^2 past 1e308, or a huge s_min(F)), and a
+    # degenerate factor's 0 * inf is NaN; the booleans stay those of exact arithmetic
+    rec = benchmark_records(1)[0]
+    huge = MeasurementSet(rec.timestamps * times_scale, rec.pairs, rec.accels * accels_scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = BATCH[method](huge)
+    if outcome == "coefficient-fit":
+        assert str(batch.errors[0]).startswith("stage 'coefficient-fit': ")
+    else:
+        # a record stretched this far in time has a degenerate acceleration factor
+        assert batch.errors[0] is None
+        assert batch.warnings[0][-1].startswith(
+            "acceleration factor unusable (factor is rank deficient"
+        )
+        assert "minimum-norm completion" in batch.warnings[0][-1]
+        assert np.isnan(batch.residuals["basis"][0])
+
+
 @pytest.mark.parametrize("method", ["distance", "accel"])
 @pytest.mark.parametrize("n", [10, _ITERATE_FROM + 20], ids=["eigh", "iteration"])
 def test_huge_finite_pairs_keep_their_mds_conditioning(method, n):

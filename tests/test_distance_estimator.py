@@ -15,10 +15,13 @@ from relkin import (
     benchmark_trajectory,
     build_and_solve_basis,
     center_coefficients,
+    centering_matrix,
     chu_decompose,
     classical_mds,
     estimate_from_distances,
+    estimate_from_distances_batch,
     estimate_with_accel,
+    estimate_with_accel_batch,
     fit_gram_coeffs,
     gram_from_edm,
     orthogonal_procrustes,
@@ -27,11 +30,12 @@ from relkin import (
     simulate_measurements,
     vech,
 )
-from relkin.distance_estimator import _FLIP
+from relkin.distance_estimator import _FLIP, _NEGLIGIBLE_ACCEL, _REPEATED
 
 from conftest import (
     gram_poly_blocks,
     random_constant_accel_trajectory,
+    random_orthogonal,
     rel_err,
     rotation_angle,
 )
@@ -221,6 +225,57 @@ class TestChuDecompose:
         for name in ("phi", "h", "u", "residual", "condition"):
             assert rel_err(getattr(reflected, name), getattr(direct, name)) <= 1e-12, name
         assert np.array_equal(reflected.solvable, direct.solvable)
+
+    @pytest.mark.parametrize("b_size", [1, 7])
+    def test_one_split_of_both_equations_matches_each_split_alone(self, b_size):
+        # the finish splits B1 on Y0 and 2 B3 on F in one stacked call
+        rng = np.random.default_rng(b_size)
+        n = 9
+        factors = rng.standard_normal((2, b_size, 2, n))
+        factors[1, -1, 1] = 0.5 * factors[1, -1, 0]
+        half = factors.swapaxes(-1, -2) @ rng.standard_normal((2, b_size, 2, n))
+        blocks = half + half.swapaxes(-1, -2)
+        both = chu_decompose(blocks, factors)
+        for j in (0, 1):
+            alone = chu_decompose(blocks[j], factors[j])
+            for item in fields(alone):
+                assert np.array_equal(getattr(both, item.name)[j], getattr(alone, item.name)), (
+                    item.name
+                )
+        assert both.degenerate[1, -1] and not both.degenerate[0].any()
+
+    @pytest.mark.parametrize("b_size", [1, 7])
+    def test_stacked_candidates_match_each_candidate_solved_alone(self, b_size):
+        # the direct and reflected candidates of test_reflected_factor_shares_the_split,
+        # solved in one call on a leading candidate axis of f2.u, as the finish solves them
+        rng = np.random.default_rng(b_size)
+        n = 9
+        f = rng.standard_normal((b_size, 2, n))
+        f[-1, 1] = 2.0 * f[-1, 0]
+        half = f.swapaxes(-1, -2) @ rng.standard_normal((b_size, 2, n))
+        f2 = chu_decompose(half + half.swapaxes(-1, -2), f)
+        half = rng.standard_normal((b_size, n, n))
+        f0 = chu_decompose(half + half.swapaxes(-1, -2), rng.standard_normal((b_size, 2, n)))
+        candidates = (f2.u, _FLIP @ f2.u)
+        both = build_and_solve_basis(f0, replace(f2, u=np.stack(candidates)))
+        assert both.w.shape == (2, b_size, 2 * n + 5, 6)
+        for j, u in enumerate(candidates):
+            alone = build_and_solve_basis(f0, replace(f2, u=u))
+            for item in fields(alone):
+                got = getattr(both, item.name)
+                # the right-hand side does not depend on the candidate
+                got = got if item.name == "rhs" else got[j]
+                assert np.array_equal(got, getattr(alone, item.name), equal_nan=True), item.name
+
+    @pytest.mark.parametrize("ratio,degenerate", [(1e-5, False), (1e-9, True)])
+    def test_a_factor_is_degenerate_below_1e_8_of_its_largest_singular_value(
+        self, rng, ratio, degenerate
+    ):
+        yhat = np.zeros((2, 5))
+        yhat[0, 0], yhat[1, 1] = 2.0, 2.0 * ratio
+        f = chu_decompose(np.eye(5), yhat @ random_orthogonal(rng, 5))
+        assert f.lam[1] / f.lam[0] == pytest.approx(ratio, rel=1e-6)
+        assert f.degenerate == degenerate
 
 
 class TestBasisSolve:
@@ -521,6 +576,95 @@ class TestSharedSolve:
         # and the velocity split inherits the position factor's spread
         assert good["position_mds"] > 1e3 > 10.0 > bad["position_mds"]
         assert good["velocity_split"] < 10.0 < 100.0 < bad["velocity_split"]
+
+    @pytest.mark.parametrize(
+        "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+    )
+    def test_fallback_velocity_is_the_minimum_norm_completion(self, estimate):
+        # zero acceleration with a moving network: the solve falls back, and the free
+        # entries (u1, u2) of the velocity's node coordinates are the point of the line
+        # lam[0] u1 + lam[1] u2 = c nearest the origin, c lam / |lam|^2
+        y0 = np.array([[0.0, 9.0, -4.0, 6.0, -7.0, 1.0], [2.0, -3.0, 8.0, -6.0, 5.0, -4.0]])
+        y1 = np.array([[1.0, -1.0, 0.5, -0.5, 0.25, -0.25], [0.0, 1.0, -1.0, 0.5, -0.5, 0.0]])
+        meas = simulate_measurements(
+            SimConfig(n_nodes=6, k_samples=10, sigma_d=0.0, sigma_a=0.0),
+            PolynomialTrajectory((y0, y1)),
+        )
+        est = estimate(meas)
+        assert "minimum-norm completion" in est.warnings[-1]
+        f0 = chu_decompose(est.coeffs.blocks[1], est.y0)
+        lead = f0.u.T @ est.y1 @ f0.vt.T
+        nearest = f0.c * f0.lam / (f0.lam @ f0.lam)
+        assert np.linalg.norm(nearest) > 0.01
+        assert_allclose([lead[0, 1], lead[1, 0]], nearest, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "fraction,negligible", [(0.1, False), (1 / 30, True)], ids=["solved", "negligible"]
+    )
+    def test_the_negligible_rule_scales_with_t_max_squared(self, fraction, negligible):
+        # on the [-5, 5] s grid, s_min(F) = fraction * floor puts s_min(F) t_max^2 at 2.5
+        # and at 0.83 times the floor, while s_min(F) t_max stays below it for both
+        truth = benchmark_trajectory()
+        y0, y2 = (truth.coefficient(l) @ centering_matrix(10) for l in (0, 2))
+        floor = np.sqrt(_NEGLIGIBLE_ACCEL) * np.linalg.norm(y0, 2)
+        scale = fraction * floor / np.linalg.svd(y2, compute_uv=False)[-1]
+        scaled = (truth.coefficient(0), truth.coefficient(1), scale * truth.coefficient(2))
+        cfg = SimConfig(k_samples=10, sigma_d=0.0, sigma_a=0.0, accel_rotation_angle=0.5)
+        assert np.abs(cfg.t_start) == cfg.t_end == 5.0
+        est = estimate_with_accel(simulate_measurements(cfg, PolynomialTrajectory(scaled)))
+        fell_back = [w for w in est.warnings if "minimum-norm completion" in w]
+        if negligible:
+            assert fell_back[0].startswith("acceleration factor negligible next to the positions")
+        else:
+            assert fell_back == [] and np.isfinite(est.residuals["basis"])
+
+    @pytest.mark.parametrize(
+        "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+    )
+    @pytest.mark.parametrize("ring", ["position", "acceleration"])
+    def test_equal_singular_values_warn_that_the_split_is_nearly_repeated(self, estimate, ring):
+        # nodes evenly spaced on a circle have a factor with equal singular values
+        n = 8
+        angle = 2.0 * np.pi * np.arange(n) / n
+        circle = np.vstack([np.cos(angle), np.sin(angle)])
+        rng = np.random.default_rng(0)
+        y0, y1, y2 = (rng.uniform(-s, s, (2, n)) for s in (100.0, 3.0, 0.5))
+        if ring == "position":
+            y0, message, spread = 100.0 * circle, f"velocity split: {_REPEATED}", "velocity_split"
+        else:
+            y2, message, spread = 0.3 * circle, _REPEATED, "acceleration_split"
+        cfg = SimConfig(
+            n_nodes=n, k_samples=20, sigma_d=0.0, sigma_a=0.0, accel_rotation_angle=0.5
+        )
+        est = estimate(simulate_measurements(cfg, PolynomialTrajectory((y0, y1, y2))))
+        assert est.warnings.count(message) == 1
+        assert est.conditioning[spread] < 1.0 + 1e-6
+
+    @pytest.mark.parametrize(
+        "batch", [estimate_from_distances_batch, estimate_with_accel_batch],
+        ids=["distance", "accel"],
+    )
+    @pytest.mark.parametrize("records", [1, 3])
+    def test_each_finish_takes_one_svd_for_both_splits_and_one_for_both_candidates(
+        self, monkeypatch, batch, records
+    ):
+        cfg = SimConfig(k_samples=10, accel_rotation_angle=0.5)
+        stack = [
+            simulate_measurements(replace(cfg, seed=s), benchmark_trajectory())
+            for s in range(records)
+        ]
+        meas = MeasurementSet(
+            stack[0].timestamps,
+            np.stack([m.pairs for m in stack]),
+            np.stack([m.accels for m in stack]),
+        )
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw)
+        )
+        assert all(error is None for error in batch(meas).errors)
+        # (equation or candidate, record, rows, columns)
+        assert shapes == [(2, records, 2, 10), (2, records, 2 * 10 + 5, 6)]
 
     @pytest.mark.parametrize(
         "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]

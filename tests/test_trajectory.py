@@ -261,6 +261,13 @@ class TestSimulateMeasurements:
         with pytest.raises(ConfigError):
             simulate_measurements(cfg, random_constant_accel_trajectory(rng, n=6))
 
+    def test_overflowing_distance_noise_is_rejected_without_a_numpy_warning(self):
+        from relkin import InvalidDimensionError
+
+        # a finite sigma_d whose noisy distances square past the largest float
+        with pytest.raises(InvalidDimensionError, match="squared distances must be finite"):
+            simulate_measurements(SimConfig(k_samples=10, sigma_d=1e300), benchmark_trajectory())
+
 
 class TestMeasurementSetInvariants:
     def test_non_increasing_timestamps_rejected(self):
