@@ -360,7 +360,8 @@ def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray
     coeffs = projector @ vals
     residual = a @ coeffs
     residual -= vals
-    return coeffs / powers[:, None], residual
+    coeffs /= powers[:, None]
+    return coeffs, residual
 
 
 def fit_gram_coeffs(gram_vecs, timestamps, degree: int) -> GrammianCoefficients:
@@ -407,7 +408,9 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     ``meas.pairs`` is the caller's; that double-centers to the
     vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  A stacked
     ``meas`` gives stacked blocks, all from the grid's one projector.
-    The residual is the norm of the pair fit's own residual.
+    The residual is the norm of the pair fit's own residual, taken before
+    the blocks are built, so that the record-sized residual and deflated
+    pairs are freed first.
 
     A record whose fit overflows float64 fails on its own: its blocks are
     zeroed and its residual is NaN, the mark :func:`_fitted_stack` reports
@@ -421,10 +424,13 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
             deflation = (t**4)[:, None] * (0.25 * pairs_from_points(accel))[..., None, :]
             pairs = np.subtract(pairs, deflation, out=deflation)
         coeffs, res = _poly_lstsq(t, pairs, degree)
-        blocks = _double_center(coeffs, n)
-        failed = ~np.isfinite(8.0 * np.abs(blocks).max(axis=(-3, -2, -1)))
         # the residual is as large as the data, so this errstate covers its sum too
         residual = _finite_norm(res, np.sqrt(_sum_squares(res)))
+        del pairs, res
+        blocks = _double_center(coeffs, n)
+        # max(max, -min) is the largest |entry| without an abs() temporary
+        axes = (-3, -2, -1)
+        failed = ~np.isfinite(8.0 * np.maximum(blocks.max(axis=axes), -blocks.min(axis=axes)))
     if failed.any():
         blocks[failed] = 0.0
         residual = np.where(failed, np.nan, residual)
@@ -487,7 +493,8 @@ def chu_decompose(bhat, yhat) -> ChuFactors:
     # ||P B P||, not ||B||^2 - ||vt B||^2, which cancels at zero noise
     residual = _norm(bp - vtt @ vbp)
     return ChuFactors(
-        u=u, vt=vt, lam=lam, z1_diag=lead.diagonal(0, -2, -1) / (2.0 * safe),
+        # halving the quotient, not the divisor, cannot overflow for a huge factor
+        u=u, vt=vt, lam=lam, z1_diag=0.5 * (lead.diagonal(0, -2, -1) / safe),
         z2=vbp / safe[..., None], c=lead[..., 0, 1], residual=residual,
         repeated=lam[..., 0] / safe[..., 1] < 1.0 + 1e-6, degenerate=degenerate,
     )

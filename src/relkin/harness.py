@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import factorial
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -193,22 +193,35 @@ def _check_sweep(methods: Sequence[str], k_values: Sequence[int]) -> None:
             raise InvalidDimensionError(f"unknown method '{method}'")
 
 
-def _simulate_chunk(config: SimConfig, record: tuple, trials: range) -> MeasurementSet:
+def _simulate_chunk(
+    config: SimConfig, record: tuple, trials: range
+) -> tuple[np.ndarray, Optional[MeasurementSet]]:
     """The ``trials`` of one K, stacked on its grid, each with its sub-seeded noise.
 
     ``config`` is the K's configuration and ``record`` its
     ``_noiseless_record``.  Each trial is the record plus the noise of its
     (K, trial) sub-seed, written into its row of the pair and accelerometer
-    stacks, bit for bit what ``simulate_measurements`` gives for that seed;
-    the stack is validated once.
+    stacks, bit for bit what ``simulate_measurements`` gives for that seed.
+    A trial whose noisy record is not finite (a huge sigma overflows) is
+    left out.  Returns the kept trials and their stack, validated once, or
+    None when no trial is kept.
     """
     timestamps, _, true_pairs, distances, true_accels = record
-    pairs = np.broadcast_to(true_pairs, (len(trials),) + true_pairs.shape).copy()
+    shape = (len(trials),) + true_pairs.shape
+    # distance noise overwrites every pair, so only a noise-free stack copies the truth
+    pairs = np.empty(shape) if distances is not None else np.broadcast_to(true_pairs, shape).copy()
     accels = np.broadcast_to(true_accels, (len(trials),) + true_accels.shape).copy()
     for i, trial in enumerate(trials):
         seed = _trial_seed(config.seed, config.k_samples, trial)
         _add_noise(config, seed, distances, pairs[i], accels[i])
-    return MeasurementSet(timestamps, pairs, accels)
+    # the squared pairs are never negative, so their largest entry tells whether they are finite
+    finite = np.isfinite(pairs.max(axis=(1, 2))) & np.isfinite(accels).all(axis=(1, 2, 3))
+    kept = np.asarray(trials)[finite]
+    if not kept.size:
+        return kept, None
+    if kept.size < len(trials):
+        pairs, accels = pairs[finite], accels[finite]
+    return kept, MeasurementSet(timestamps, pairs, accels)
 
 
 def _score(batch: BatchEstimate, truth: PolynomialTrajectory, time_grid: np.ndarray) -> np.ndarray:
@@ -258,10 +271,11 @@ def run_monte_carlo(
 
     Trials where any method fails are excluded from all methods to keep
     the comparison paired and counted in ``failure_counts`` per K; a K
-    with no surviving trial has no RMSE or time-sweep rows.  A record's
-    failure is its slot of the finished batch's ``errors``.  A fit raises
-    a RelkinError only for a cause that all its records share, and the
-    trials of its (K, chunk) fail and no other.  A finish that raises
+    with no surviving trial has no RMSE or time-sweep rows.  A trial whose
+    simulated record is not finite is never fitted and fails alone.  A
+    record's failure is its slot of the finished batch's ``errors``.  A
+    fit raises a RelkinError only for a cause that all its records share,
+    and the trials of its (K, chunk) fail and no other.  A finish that raises
     fails every trial it holds.  Judging the failure rate is left to the
     caller.  Both tables come from one mean per (method, K) over the kept
     trials in index order; trial indices and sub-seeds are global over
@@ -279,11 +293,11 @@ def run_monte_carlo(
         for k in k_values
     }
     kept = {k: np.zeros(config.n_trials, dtype=bool) for k in k_values}
-    # fitted chunks awaiting their finish: (K, trials, FittedStack per method)
-    held: list[tuple[int, range, dict[str, FittedStack]]] = []
+    # fitted chunks awaiting their finish: (K, kept trials, FittedStack per method)
+    held: list[tuple[int, np.ndarray, dict[str, FittedStack]]] = []
 
     def finish_held() -> None:
-        size = sum(len(chunk) for _, chunk, _ in held)
+        size = sum(len(trials) for _, trials, _ in held)
         batches = {}
         # paired: a trial counts only if every method estimated it
         ok = np.ones(size, dtype=bool)
@@ -300,11 +314,11 @@ def run_monte_carlo(
             for method, batch in batches.items():
                 columns[method][:, index] = _score(batch.select(index), truth, time_grid)
         start = 0
-        for k, chunk, _ in held:
-            stop = start + len(chunk)
-            kept[k][chunk.start : chunk.stop] = ok[start:stop]
+        for k, trials, _ in held:
+            stop = start + len(trials)
+            kept[k][trials] = ok[start:stop]
             for method, cols in columns.items():
-                scores[(method, k)][:, chunk.start : chunk.stop] = cols[:, start:stop]
+                scores[(method, k)][:, trials] = cols[:, start:stop]
             start = stop
         held.clear()
 
@@ -313,7 +327,10 @@ def run_monte_carlo(
         record = _noiseless_record(config_k, truth)
         for start in range(0, config.n_trials, _CHUNK_TRIALS):
             chunk = range(start, min(start + _CHUNK_TRIALS, config.n_trials))
-            stack = _simulate_chunk(config_k, record, chunk)
+            trials, stack = _simulate_chunk(config_k, record, chunk)
+            if stack is None:
+                # every record of the chunk overflowed: its trials stay failed
+                continue
             fits = {}
             for method in methods:
                 try:
@@ -323,7 +340,7 @@ def run_monte_carlo(
                     continue
             # a chunk that a fit failed is lost to every method, and never finished
             if len(fits) == len(methods):
-                held.append((k, chunk, fits))
+                held.append((k, trials, fits))
             if sum(len(c) for _, c, _ in held) >= _CHUNK_TRIALS:
                 finish_held()
     if held:

@@ -281,21 +281,26 @@ def _add_noise(
 ) -> None:
     """Add the noise draw of ``seed`` in place to one noise-free record.
 
-    ``pairs`` (K+1, m) and ``accels`` (K+1, d, n) hold the record's true
-    squared pair distances and sensor-frame accelerations on entry, and
-    ``distances`` is its distance array from ``_noiseless_record``.  When
-    there is distance noise, ``pairs`` is overwritten with the squared
-    noisy distances; otherwise it is left as it is.
+    ``accels`` (K+1, d, n) holds the record's sensor-frame accelerations on
+    entry, and ``distances`` is its distance array from
+    ``_noiseless_record``.  When there is distance noise, the C-contiguous
+    ``pairs`` (K+1, m) is overwritten with the squared noisy distances,
+    whatever it held; otherwise it is left as it is, and should hold the
+    true squared pair distances.
     """
     rng_dist, rng_accel = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     )
-    if distances is not None:
-        noisy = distances + rng_dist.normal(0.0, config.sigma_d, distances.shape)
-        # a huge sigma_d squares to inf, which MeasurementSet then rejects as non-finite
-        with np.errstate(over="ignore"):
-            np.square(noisy, out=pairs)
-    accels += rng_accel.normal(0.0, config.sigma_a, accels.shape)
+    # a huge sigma overflows to inf, which the caller rejects as non-finite
+    with np.errstate(over="ignore"):
+        if distances is not None:
+            # distances + normal(0, sigma_d), drawn straight into the record: normal
+            # draws 0 + sigma_d z from the same stream, and the addition commutes
+            rng_dist.standard_normal(out=pairs)
+            pairs *= config.sigma_d
+            pairs += distances
+            pairs *= pairs
+        accels += rng_accel.normal(0.0, config.sigma_a, accels.shape)
 
 
 def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> MeasurementSet:

@@ -290,6 +290,17 @@ def test_the_negligible_test_overflows_without_a_numpy_warning(
         assert np.isnan(batch.residuals["basis"][0])
 
 
+def test_a_huge_sensor_factor_fails_at_the_fit_without_a_numpy_warning():
+    # the velocity split halves lead / lam rather than dividing by 2 lam, which
+    # overflows when the sensor block's singular values pass half the largest float
+    rec = benchmark_records(1)[0]
+    huge = MeasurementSet(rec.timestamps, rec.pairs, rec.accels * 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="^stage 'coefficient-fit': "):
+            estimate_with_accel(huge)
+
+
 @pytest.mark.parametrize("method", ["distance", "accel"])
 @pytest.mark.parametrize("n", [10, _ITERATE_FROM + 20], ids=["eigh", "iteration"])
 def test_huge_finite_pairs_keep_their_mds_conditioning(method, n):

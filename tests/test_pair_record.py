@@ -66,6 +66,77 @@ class TestPairKernels:
         assert np.array_equal(MeasurementSet.from_edms(np.arange(2.0), edms[0]).pairs, pairs[0])
 
 
+def pairs_oracle(x):
+    """Squared distances by definition: every (n, n) difference, summed per coordinate in order.
+
+    The pairs i < j are then read off row by row, in ``np.triu_indices(n, 1)`` order.
+    """
+    n = x.shape[-1]
+    full = np.zeros(x.shape[:-2] + (n, n))
+    for axis in range(x.shape[-2]):
+        diff = x[..., axis, :, None] - x[..., axis, None, :]
+        full += diff * diff
+    pairs = [full[..., i, j] for i in range(n) for j in range(i + 1, n)]
+    return np.stack(pairs, axis=-1) if pairs else np.zeros(x.shape[:-2] + (0,))
+
+
+def edm_oracle(pairs, n):
+    """The EDM of ``pairs`` written in cell by cell: (i, j) and (j, i) from pair i < j."""
+    out = np.zeros(pairs.shape[:-1] + (n, n))
+    p = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[..., i, j] = out[..., j, i] = pairs[..., p]
+            p += 1
+    return out
+
+
+def point_inputs(rng, lead, d, n):
+    """Points of shape lead + (d, n): contiguous, a swapaxes view and a strided slice."""
+    contiguous = rng.uniform(-500.0, 500.0, lead + (d, n))
+    swapped = rng.uniform(-500.0, 500.0, lead + (n, d)).swapaxes(-1, -2)
+    strided = rng.uniform(-500.0, 500.0, lead + (2 * d, 3 * n))[..., ::2, ::3]
+    return {"contiguous": contiguous, "swapaxes": swapped, "strided": strided}
+
+
+POINT_LEADS = {"single": (), "stack": (3,), "record-stack": (2, 11)}
+
+
+class TestPairKernelOracles:
+    """Both pair kernels, bit for bit against definitions written out here."""
+
+    @pytest.mark.parametrize("lead", list(POINT_LEADS))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4, 100])
+    def test_pairs_from_points_matches_its_definition(self, rng, lead, d, n):
+        for name, x in point_inputs(rng, POINT_LEADS[lead], d, n).items():
+            before = x.copy()
+            got = pairs_from_points(x)
+            assert got.shape == POINT_LEADS[lead] + (n * (n - 1) // 2,), name
+            assert np.array_equal(got, pairs_oracle(x)), name
+            # the simulator draws its noise into this array, which needs it C-contiguous
+            assert got.flags.c_contiguous, name
+            assert np.array_equal(x, before), name
+
+    @pytest.mark.parametrize("lead", list(POINT_LEADS))
+    @pytest.mark.parametrize("n", [1, 2, 4, 100])
+    def test_edm_from_pairs_matches_its_definition(self, rng, lead, n):
+        m, shape = n * (n - 1) // 2, POINT_LEADS[lead]
+        inputs = {
+            "contiguous": rng.uniform(0.0, 1e6, shape + (m,)),
+            # the pair axis leading in memory, and every other pair of a longer axis
+            "swapaxes": np.moveaxis(rng.uniform(0.0, 1e6, (m,) + shape), 0, -1),
+            "strided": rng.uniform(0.0, 1e6, shape + (2 * m,))[..., ::2],
+        }
+        for name, pairs in inputs.items():
+            before = pairs.copy()
+            got = edm_from_pairs(pairs, n)
+            assert np.array_equal(got, edm_oracle(pairs, n)), name
+            assert np.array_equal(pairs, before), name
+            # the cached cell map is the same object on each call, and stays read-only
+            assert np.array_equal(edm_from_pairs(pairs, n), got), name
+
+
 ESTIMATORS = {
     "distance": estimate_from_distances,
     "accel": estimate_with_accel,

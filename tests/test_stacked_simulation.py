@@ -7,6 +7,7 @@ loop it replaced gave, that the truth is evaluated once per (K, chunk),
 and that the chunk size changes neither table nor the failure counts.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -62,7 +63,9 @@ def reference_stack(config, truth, k):
 def stacked(config, truth, k, trials):
     config = replace(config, k_samples=k)
     record = trajectory._noiseless_record(config, truth)
-    return harness._simulate_chunk(config, record, trials)
+    kept, stack = harness._simulate_chunk(config, record, trials)
+    assert list(kept) == list(trials)
+    return stack
 
 
 def assert_same_records(got, want):
@@ -174,6 +177,48 @@ def test_a_failure_in_the_third_chunk_is_counted_once(monkeypatch):
     assert chunked.failure_counts == whole.failure_counts == {10: 0, 20: 1}
     assert chunked.rmse_table.rows == whole.rmse_table.rows
     assert chunked.time_sweep == whole.time_sweep
+
+
+@pytest.mark.parametrize("noise", [{"sigma_d": 1e300}, {"sigma_a": 1e308}], ids=["pairs", "accels"])
+def test_a_huge_noise_fails_every_trial_without_a_numpy_warning(noise):
+    # every noisy record squares past the largest float, or reads inf on some sensor
+    config = SimConfig(n_trials=3, seed=1, **noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_monte_carlo(config, benchmark_trajectory(), k_values=(10,))
+    assert result.failure_counts == {10: 3}
+    assert result.rmse_table.rows == [] and result.time_sweep == []
+
+
+def overflow_trials(monkeypatch, config, k, trials):
+    """Make the noisy pairs of the (K, trial) records overflow, as a huge sigma_d would."""
+    seeds = {harness._trial_seed(config.seed, k, trial) for trial in trials}
+    add_noise = harness._add_noise
+
+    def overflowing(config, seed, distances, pairs, accels):
+        add_noise(config, seed, distances, pairs, accels)
+        if seed in seeds:
+            pairs[-1, -1] = np.inf
+
+    monkeypatch.setattr(harness, "_add_noise", overflowing)
+
+
+@pytest.mark.parametrize("chunk", [128, 2])
+def test_an_overflowing_simulated_record_fails_alone(monkeypatch, chunk):
+    truth, k_values = benchmark_trajectory(), (10, 20)
+    config = SimConfig(n_trials=5, seed=17)
+    # the same trials failing at the estimator instead give the reference tables
+    with monkeypatch.context() as patch:
+        for trial in (2, 3):
+            poison_trial(patch, config, truth, 20, trial)
+        want = run_monte_carlo(config, truth, k_values=k_values)
+    # with chunks of 2, trials 2 and 3 of K = 20 make up a chunk with no finite record
+    overflow_trials(monkeypatch, config, 20, (2, 3))
+    monkeypatch.setattr(harness, "_CHUNK_TRIALS", chunk)
+    got = run_monte_carlo(config, truth, k_values=k_values)
+    assert got.failure_counts == want.failure_counts == {10: 0, 20: 2}
+    assert got.rmse_table.rows == want.rmse_table.rows
+    assert got.time_sweep == want.time_sweep
 
 
 def test_trajectory_shape_mismatch_still_raises():
