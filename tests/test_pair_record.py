@@ -2,8 +2,9 @@
 
 A MeasurementSet stores each record as its n(n-1)/2 squared pair
 distances.  These tests pin that the pair validation rejects what no EDM
-can hold, that pairs and squares convert into each other without loss,
-and that no estimator writes into the caller's record.
+can hold, that pairs and squares convert into each other without loss
+and bit for bit as their definitions written out here give them, and
+that no estimator writes into the caller's record.
 The interface perfbench reads is guarded in ``test_public_api.py``.
 """
 
@@ -133,7 +134,7 @@ class TestPairKernelOracles:
             got = edm_from_pairs(pairs, n)
             assert np.array_equal(got, edm_oracle(pairs, n)), name
             assert np.array_equal(pairs, before), name
-            # the cached cell map is the same object on each call, and stays read-only
+            # a second call goes through the cached cell map
             assert np.array_equal(edm_from_pairs(pairs, n), got), name
 
 

@@ -4,7 +4,8 @@ The harness simulates a K's noise-free record once and adds each trial's
 noise into a preallocated stack, a chunk of trials at a time.  These
 tests pin that every stacked record is bit for bit what the per-trial
 loop it replaced gave, that the truth is evaluated once per (K, chunk),
-and that the chunk size changes neither table nor the failure counts.
+that the chunk size changes neither table nor the failure counts, and
+that a trial whose noisy record overflows fails alone.
 """
 
 import warnings

@@ -5,7 +5,8 @@ with the thin SVD, the basis system is sliced out of one stacked array,
 the polynomial fit is applied as one precomputed projector, and the
 coefficient blocks are double-centered in one batched call.  These tests
 pin each against the full-SVD-frame / per-row / per-block / per-column
-computation, and check end-to-end accuracy at 100 nodes.
+computation, check end-to-end accuracy at 100 nodes, and count how
+many record-sized arrays the simulator and the fit hold at once.
 """
 
 import tracemalloc
