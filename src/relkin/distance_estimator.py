@@ -339,26 +339,58 @@ def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, n
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularDesignError("rank-deficient Vandermonde design (repeated timestamps?)")
     fit = a, np.linalg.solve(r, q.T), scale ** np.arange(degree + 1)
-    for array in fit:
+    return _read_only(fit)
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for array in arrays:
         array.flags.writeable = False
-    return fit
+    return arrays
 
 
-def _poly_lstsq(timestamps, values, degree: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=32)
+def _quartic_design(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Augmented design [a | t^4] and p4 = P t^4 of a fit deflated by a quartic term.
+
+    ``a`` and P are the scaled design and projector of
+    :func:`_vandermonde`, and t^4 is of the unscaled grid, as the
+    deflation weights are.  Read-only and cached per grid and degree;
+    t^4 of a huge grid overflows to inf under the caller's errstate.
+    """
+    t = np.frombuffer(t_bytes)
+    a, projector, _ = _vandermonde(t_bytes, degree)
+    t4 = t**4
+    return _read_only((np.column_stack([a, t4]), projector @ t4))
+
+
+def _poly_lstsq(timestamps, values, degree: int, quartic=None) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares polynomial fit shared by all columns of ``values``.
 
     ``values`` is (K+1, m), or a stack (..., K+1, m) of such series; the
     grid's cached projector (see :func:`_vandermonde`) serves every column
     of every member in one matmul.  Returns the coefficients and the
     residual of the fit.
+
+    ``quartic``, weights w of shape (m,) or (..., m), fits the deflated
+    series v - t^4 w instead, in coefficient space: the fit is linear, so
+    its coefficients are P v - p4 w, and its residual is one product of
+    the augmented design [a | t^4] (see :func:`_quartic_design`) with the
+    stacked [c; w], minus v.  No deflated (..., K+1, m) series is formed.
     """
     t = np.asarray(timestamps, dtype=float).ravel()
     vals = np.asarray(values, dtype=float)
     if vals.ndim < 2 or vals.shape[-2] != t.size:
         raise InvalidDimensionError("values must be (K+1, m) matching timestamps")
-    a, projector, powers = _vandermonde(t.tobytes(), degree)
+    t_bytes = t.tobytes()
+    a, projector, powers = _vandermonde(t_bytes, degree)
     coeffs = projector @ vals
-    residual = a @ coeffs
+    if quartic is None:
+        residual = a @ coeffs
+    else:
+        design, p4 = _quartic_design(t_bytes, degree)
+        w = quartic[..., None, :]
+        coeffs -= p4[:, None] * w
+        residual = design @ np.concatenate([coeffs, w], axis=-2)
     residual -= vals
     coeffs /= powers[:, None]
     return coeffs, residual
@@ -403,14 +435,15 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     commutes with the fit: fitting each pair's series with one shared
     Vandermonde projection and centering only the coefficient blocks gives
     :func:`fit_gram_coeffs` of the Grammian series, up to round-off.
-    ``accel``, a centered (..., d, n) acceleration block, first deflates
-    each pair by t^4 |a_i - a_j|^2 / 4 into a new array, since
-    ``meas.pairs`` is the caller's; that double-centers to the
-    vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  A stacked
-    ``meas`` gives stacked blocks, all from the grid's one projector.
-    The residual is the norm of the pair fit's own residual, taken before
-    the blocks are built, so that the record-sized residual and deflated
-    pairs are freed first.
+    ``accel``, a centered (..., d, n) acceleration block, deflates each
+    pair by t^4 |a_i - a_j|^2 / 4, which double-centers to the
+    vech(A^T A) t^4 / 4 that :func:`deflate_grams` removes.  The fit is
+    linear, so the deflation happens in coefficient space
+    (:func:`_poly_lstsq`'s ``quartic``): no deflated copy of the record
+    is made.  A stacked ``meas`` gives stacked blocks, all from the
+    grid's one projector.  The residual is the norm of the pair fit's own
+    residual, taken before the blocks are built, so that the record-sized
+    residual is freed first.
 
     A record whose fit overflows float64 fails on its own: its blocks are
     zeroed and its residual is NaN, the mark :func:`_fitted_stack` reports
@@ -420,13 +453,11 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     """
     n, t, pairs = meas.n_nodes, meas.timestamps, meas.pairs
     with np.errstate(over="ignore", invalid="ignore"):
-        if accel is not None:
-            deflation = (t**4)[:, None] * (0.25 * pairs_from_points(accel))[..., None, :]
-            pairs = np.subtract(pairs, deflation, out=deflation)
-        coeffs, res = _poly_lstsq(t, pairs, degree)
+        quartic = None if accel is None else 0.25 * pairs_from_points(accel)
+        coeffs, res = _poly_lstsq(t, pairs, degree, quartic)
         # the residual is as large as the data, so this errstate covers its sum too
         residual = _finite_norm(res, np.sqrt(_sum_squares(res)))
-        del pairs, res
+        del res
         blocks = _double_center(coeffs, n)
         # max(max, -min) is the largest |entry| without an abs() temporary
         axes = (-3, -2, -1)

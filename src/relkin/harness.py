@@ -224,24 +224,33 @@ def _simulate_chunk(
     return kept, MeasurementSet(timestamps, pairs, accels)
 
 
-def _score(batch: BatchEstimate, truth: PolynomialTrajectory, time_grid: np.ndarray) -> np.ndarray:
+def _score(
+    batch: BatchEstimate,
+    truth: PolynomialTrajectory,
+    truth_blocks: list[np.ndarray],
+    truth_vecs: list[np.ndarray],
+    time_grid: np.ndarray,
+) -> np.ndarray:
     """Squared errors of each record of ``batch``, one column per record, once aligned to ``truth``.
 
-    The rows are the errors of ``BLOCKS``, then those of the positions at
-    the ``time_grid`` instants, aligned with the same transform.
+    ``truth_blocks`` and ``truth_vecs`` are the truth's ``_centered_blocks``
+    and ``_truth_coeff_vecs``.  The rows are the errors of ``BLOCKS``, then
+    those of the positions at the ``time_grid`` instants, aligned with the
+    same transform.  A squared error past the largest float reads inf,
+    without a numpy warning.
     """
-    truth_blocks = _centered_blocks(truth)
-    truth_vecs = _truth_coeff_vecs(truth)
     iu, ju = triu_indices(truth.n_nodes)
     aligned = align_to_truth(batch, truth)
     blocks = (aligned.y0, aligned.y1, aligned.y2)
-    # the coefficient blocks are exactly symmetric, so vech is a gather
-    errors = [
-        _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2) for l in range(3)
-    ]
-    errors += [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
-    positions = _positions(blocks, time_grid) - _positions(truth_blocks, time_grid)
-    errors.append((positions**2).sum(axis=(2, 3)).T)
+    with np.errstate(over="ignore"):
+        # the coefficient blocks are exactly symmetric, so vech is a gather
+        errors = [
+            _sum_in_order((aligned.coeffs.blocks[l][:, ju, iu] - truth_vecs[l]) ** 2)
+            for l in range(3)
+        ]
+        errors += [((y - t) ** 2).sum(axis=(-2, -1)) for y, t in zip(blocks, truth_blocks)]
+        positions = _positions(blocks, time_grid) - _positions(truth_blocks, time_grid)
+        errors.append((positions**2).sum(axis=(2, 3)).T)
     return np.vstack(errors)
 
 
@@ -270,7 +279,8 @@ def run_monte_carlo(
     instants of the time sweep, aligned with the same transform.
 
     Trials where any method fails are excluded from all methods to keep
-    the comparison paired and counted in ``failure_counts`` per K; a K
+    the comparison paired and counted in ``failure_counts`` per K; so is
+    a trial whose squared error overflows for any method.  A K
     with no surviving trial has no RMSE or time-sweep rows.  A trial whose
     simulated record is not finite is never fitted and fails alone.  A
     record's failure is its slot of the finished batch's ``errors``.  A
@@ -286,6 +296,7 @@ def run_monte_carlo(
     """
     _check_sweep(methods, k_values)
     time_grid = np.linspace(config.t_start, config.t_end, _TIME_GRID)
+    truth_blocks, truth_vecs = _centered_blocks(truth), _truth_coeff_vecs(truth)
     n, d = truth.n_nodes, truth.dim
     scores = {
         (m, k): np.empty((len(BLOCKS) + _TIME_GRID, config.n_trials))
@@ -312,7 +323,10 @@ def run_monte_carlo(
         columns = {m: np.empty((len(BLOCKS) + _TIME_GRID, size)) for m in batches}
         if index.size:
             for method, batch in batches.items():
-                columns[method][:, index] = _score(batch.select(index), truth, time_grid)
+                scored = _score(batch.select(index), truth, truth_blocks, truth_vecs, time_grid)
+                columns[method][:, index] = scored
+                # a trial whose score overflows for one method fails for every method
+                ok[index] &= np.isfinite(scored).all(axis=0)
         start = 0
         for k, trials, _ in held:
             stop = start + len(trials)
@@ -355,12 +369,14 @@ def run_monte_carlo(
                 # summed pairwise, as np.mean of the per-trial list was
                 mean_sq[(m, k)] = np.compress(kept[k], scores[(m, k)], axis=1).mean(axis=1)
 
+    # one sqrt and division per (method, K): the same IEEE operations as per entry
+    times = time_grid.tolist()
     sweep = [
-        TimeSweepEntry(m, k, float(t), float(np.sqrt(mean_sq[(m, k)][len(BLOCKS) + i])) / (n * d))
+        TimeSweepEntry(m, k, t, value)
         for m in methods
         for k in k_values
         if (m, k) in mean_sq
-        for i, t in enumerate(time_grid)
+        for t, value in zip(times, (np.sqrt(mean_sq[(m, k)][len(BLOCKS) :]) / (n * d)).tolist())
     ]
     return MonteCarloResult(
         rmse_table=rmse({key: ms[: len(BLOCKS)] for key, ms in mean_sq.items()}, n, d),

@@ -6,7 +6,9 @@ every EDM and fitting the Grammian series (``fit_gram_coeffs``), and on the
 accelerometer path deflating that series (``deflate_grams`` +
 ``fit_deflated_coeffs``), up to round-off.  The reported residual is the
 pair fit's own, so it is checked against a plain least-squares fit of the
-pair series, deflated first on the accelerometer path.
+pair series, deflated first on the accelerometer path.  The accelerometer
+path deflates in coefficient space, so its fit is also checked against
+the per-sample deflation it replaced.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 
 from relkin import (
     AccelCoefficients,
+    MeasurementSet,
     SimConfig,
     benchmark_trajectory,
     centering_matrix,
@@ -27,6 +30,8 @@ from relkin import (
     simulate_measurements,
     vech,
 )
+from relkin.accel_estimator import fit_with_accel
+from relkin.distance_estimator import _double_center, _poly_lstsq
 from relkin.linalg import pairs_from_points
 
 from conftest import random_constant_accel_trajectory, rel_err
@@ -114,3 +119,37 @@ def test_zero_noise_residual_stays_small(method, n, k):
     meas = measurements(n, k, sigma_d=0.0, sigma_a=0.0)
     assert estimate(meas).coeffs.residual <= 1e-6
     assert oracle(meas).residual <= 1e-6
+
+
+def record_stack(n, k, count):
+    """``count`` records on one grid, of the seeds from 5 on."""
+    records = [measurements(n, k, seed=seed) for seed in range(5, 5 + count)]
+    return MeasurementSet(
+        records[0].timestamps,
+        np.stack([r.pairs for r in records]),
+        np.stack([r.accels for r in records]),
+    )
+
+
+def per_sample_deflation(meas):
+    """The deflation the fit replaced: fit pairs - t^4 w sample by sample, w = |a_i - a_j|^2 / 4."""
+    t = meas.timestamps
+    w = 0.25 * pairs_from_points(centered_accel(meas))
+    return w, _poly_lstsq(t, meas.pairs - (t**4)[:, None] * w[..., None, :], 3)
+
+
+@pytest.mark.parametrize("n,k,count", [(n, k, 1) for n, k in SHAPES] + [(10, 40, 7)])
+def test_coefficient_space_deflation_matches_the_per_sample_deflation(n, k, count):
+    meas = record_stack(n, k, count)
+    w, (want_coeffs, want_res) = per_sample_deflation(meas)
+    coeffs, res = _poly_lstsq(meas.timestamps, meas.pairs, 3, quartic=w)
+    fit = fit_with_accel(meas)
+    want_blocks = _double_center(want_coeffs, n)
+    for i, pairs in enumerate(meas.pairs):
+        assert rel_err(coeffs[i], want_coeffs[i]) <= 1e-12
+        # the residual is a small difference of the record, so its round-off is the record's
+        assert np.linalg.norm(res[i] - want_res[i]) <= 1e-12 * np.linalg.norm(pairs)
+        blocks = np.stack([b[i] for b in fit.coeffs.blocks])
+        assert rel_err(blocks, want_blocks[i]) <= 1e-12
+        want_residual = np.linalg.norm(want_res[i])
+        assert abs(fit.coeffs.residual[i] - want_residual) <= 1e-12 * want_residual

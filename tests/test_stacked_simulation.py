@@ -180,9 +180,14 @@ def test_a_failure_in_the_third_chunk_is_counted_once(monkeypatch):
     assert chunked.time_sweep == whole.time_sweep
 
 
-@pytest.mark.parametrize("noise", [{"sigma_d": 1e300}, {"sigma_a": 1e308}], ids=["pairs", "accels"])
+@pytest.mark.parametrize(
+    "noise",
+    [{"sigma_d": 1e300}, {"sigma_a": 1e308}, {"sigma_d": 3e153}],
+    ids=["pairs", "accels", "scores"],
+)
 def test_a_huge_noise_fails_every_trial_without_a_numpy_warning(noise):
-    # every noisy record squares past the largest float, or reads inf on some sensor
+    # every noisy record squares past the largest float, or reads inf on some
+    # sensor, or is estimated with squared errors past the largest float
     config = SimConfig(n_trials=3, seed=1, **noise)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -218,6 +223,51 @@ def test_an_overflowing_simulated_record_fails_alone(monkeypatch, chunk):
     monkeypatch.setattr(harness, "_CHUNK_TRIALS", chunk)
     got = run_monte_carlo(config, truth, k_values=k_values)
     assert got.failure_counts == want.failure_counts == {10: 0, 20: 2}
+    assert got.rmse_table.rows == want.rmse_table.rows
+    assert got.time_sweep == want.time_sweep
+
+
+def huge_trials(monkeypatch, config, k, trials):
+    """Scale the noisy pairs of the (K, trial) records so far that their squared errors overflow."""
+    seeds = {harness._trial_seed(config.seed, k, trial) for trial in trials}
+    add_noise = harness._add_noise
+
+    def scaled(config, seed, distances, pairs, accels):
+        add_noise(config, seed, distances, pairs, accels)
+        if seed in seeds:
+            pairs *= 1e200
+
+    monkeypatch.setattr(harness, "_add_noise", scaled)
+
+
+@pytest.mark.parametrize("chunk", [128, 2])
+def test_a_trial_whose_squared_error_overflows_fails(monkeypatch, chunk):
+    truth, k_values = benchmark_trajectory(), (10, 20)
+    config = SimConfig(n_trials=5, seed=17)
+    # the same trials failing at the estimator instead give the reference tables
+    with monkeypatch.context() as patch:
+        for trial in (1, 3):
+            poison_trial(patch, config, truth, 20, trial)
+        want = run_monte_carlo(config, truth, k_values=k_values)
+    huge_trials(monkeypatch, config, 20, (1, 3))
+    monkeypatch.setattr(harness, "_CHUNK_TRIALS", chunk)
+    overflowed = []
+    score = harness._score
+
+    def counted(*args):
+        scores = score(*args)
+        overflowed.append(int((~np.isfinite(scores).all(axis=0)).sum()))
+        return scores
+
+    monkeypatch.setattr(harness, "_score", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_monte_carlo(config, truth, k_values=k_values)
+    # both methods estimated both huge trials, and scored them past the largest float
+    assert sum(overflowed) == 4
+    assert got.failure_counts == want.failure_counts == {10: 0, 20: 2}
+    assert all(np.isfinite(row.rmse) for row in got.rmse_table.rows)
+    assert all(np.isfinite(entry.rmse) for entry in got.time_sweep)
     assert got.rmse_table.rows == want.rmse_table.rows
     assert got.time_sweep == want.time_sweep
 
