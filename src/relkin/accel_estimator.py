@@ -3,10 +3,13 @@ velocity plus the fixed sensor-frame rotation.
 
 Accelerometers pin down the quadratic trajectory coefficients up to one
 common rotation.  Because squared distances only see rotation-invariant
-inner products, the quartic term those coefficients predict can be
-subtracted from every pair's squared-distance series, lowering the
-polynomial degree of the fit to 3; the coefficient blocks are then
-double-centered into Grammian blocks, as on the distance-only path.  The
+inner products, the quartic term those coefficients predict can be taken
+out of every pair's squared-distance series, lowering the polynomial
+degree of the fit to 3.  The fit is linear, so that happens in
+coefficient space: the pairs are fitted as they are and the fit of the
+quartic term comes off their coefficients, with no deflated copy of the
+record.  The coefficient blocks are then double-centered into Grammian
+blocks, as on the distance-only path.  The
 unknown rotation is solved jointly with the velocity by the solve the
 distance-only path uses, with the same fallback rule: a sensor
 acceleration that is negligible over the record (a static network),
@@ -113,13 +116,14 @@ def fit_with_accel(meas: MeasurementSet, d: int = 2) -> FittedStack:
     """The accelerometer-fused fit of every record of ``meas`` (a stack, or one record).
 
     Steps: fit sensor-frame acceleration coefficients and center them,
-    the acceleration factor; deflate every pair's squared-distance series
-    by its quartic term, fit it at degree 3 and double-center the
-    coefficient blocks.  ``distance_estimator.finish_batch`` then
-    recovers the position factor by MDS and jointly solves for the
-    velocity and the sensor-frame rotation.  Raises only for a cause that
-    every record shares (the dimension, missing accelerometer data, fewer
-    than four nodes, the time grid).
+    the acceleration factor; fit every pair's squared-distance series at
+    degree 3 with its quartic term taken out in coefficient space, and
+    double-center the coefficient blocks.
+    ``distance_estimator.finish_batch`` then recovers the position factor
+    by MDS and jointly solves for the velocity and the sensor-frame
+    rotation.  Raises only for a cause that every record shares (the
+    dimension, missing accelerometer data, fewer than four nodes, the
+    time grid).
     """
     meas = _fit_input(meas, d)
     if meas.accels is None:

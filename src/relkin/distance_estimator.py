@@ -105,7 +105,8 @@ class GrammianCoefficients:
     block l and ``residual`` holds the B fit residuals.  Each producer
     reports the residual of the fit it solves: the estimators' pair fit
     gives the norm over all pairs and samples of the squared-distance
-    residual (deflated on the accelerometer path), in length^2;
+    residual (of the series less its quartic term on the accelerometer
+    path, computed in coefficient space), in length^2;
     :func:`fit_gram_coeffs` gives the norm of its half-vectorized
     Grammian residual.
     """

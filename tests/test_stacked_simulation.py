@@ -5,7 +5,8 @@ noise into a preallocated stack, a chunk of trials at a time.  These
 tests pin that every stacked record is bit for bit what the per-trial
 loop it replaced gave, that the truth is evaluated once per (K, chunk),
 that the chunk size changes neither table nor the failure counts, and
-that a trial whose noisy record overflows fails alone.
+that a trial whose noisy record overflows fails alone, as does one whose
+squared error overflows.
 """
 
 import warnings

@@ -27,6 +27,7 @@ from relkin import (
     recover_velocity,
     simulate_measurements,
 )
+from relkin.accel_estimator import fit_with_accel
 from relkin.distance_estimator import (
     _J,
     _double_center,
@@ -34,7 +35,6 @@ from relkin.distance_estimator import (
     _poly_lstsq,
     fit_from_distances,
 )
-from relkin.accel_estimator import fit_with_accel
 from relkin.linalg import triu_indices
 
 from conftest import random_constant_accel_trajectory, rel_err
@@ -279,7 +279,7 @@ def test_simulator_and_fit_hold_few_record_sized_arrays():
 def test_accelerometer_fit_deflates_without_a_record_sized_copy(n, k, bound):
     # a count, not a timing: the quartic term is taken out of the fitted
     # coefficients, so no deflated copy of the record exists beside the
-    # fit's residual and the sum of its squares (2.03 and 2.47 record sizes;
-    # 3.03 and 3.38 when the record was deflated sample by sample)
+    # fit's residual and its square (2.03 and 2.47 record sizes; 3.03 and
+    # 3.38 when the record was deflated sample by sample)
     _, meas = measurements(n, k, seed=1)
     assert traced_peak(lambda: fit_with_accel(meas)) <= bound * meas.pairs.nbytes
