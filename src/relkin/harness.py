@@ -31,6 +31,7 @@ from .trajectory import (
     SimConfig,
     _add_noise,
     _noiseless_record,
+    _Record,
 )
 
 __all__ = [
@@ -194,26 +195,23 @@ def _check_sweep(methods: Sequence[str], k_values: Sequence[int]) -> None:
 
 
 def _simulate_chunk(
-    config: SimConfig, record: tuple, trials: range
+    config: SimConfig, record: _Record, trials: range
 ) -> tuple[np.ndarray, Optional[MeasurementSet]]:
     """The ``trials`` of one K, stacked on its grid, each with its sub-seeded noise.
 
-    ``config`` is the K's configuration and ``record`` its
+    ``config`` is the K's configuration and ``record`` its read-only
     ``_noiseless_record``.  Each trial is the record plus the noise of its
-    (K, trial) sub-seed, written into its row of the pair and accelerometer
-    stacks, bit for bit what ``simulate_measurements`` gives for that seed.
-    A trial whose noisy record is not finite (a huge sigma overflows) is
-    left out.  Returns the kept trials and their stack, validated once, or
-    None when no trial is kept.
+    (K, trial) sub-seed, written into its row of fresh pair and
+    accelerometer stacks, bit for bit what ``simulate_measurements`` gives
+    for that seed.  A trial whose noisy record is not finite (a huge sigma
+    overflows) is left out.  Returns the kept trials and their stack,
+    validated once, or None when no trial is kept.
     """
-    timestamps, _, true_pairs, distances, true_accels = record
-    shape = (len(trials),) + true_pairs.shape
-    # distance noise overwrites every pair, so only a noise-free stack copies the truth
-    pairs = np.empty(shape) if distances is not None else np.broadcast_to(true_pairs, shape).copy()
-    accels = np.broadcast_to(true_accels, (len(trials),) + true_accels.shape).copy()
+    pairs = np.empty((len(trials),) + record.pairs.shape)
+    accels = np.empty((len(trials),) + record.accels.shape)
     for i, trial in enumerate(trials):
         seed = _trial_seed(config.seed, config.k_samples, trial)
-        _add_noise(config, seed, distances, pairs[i], accels[i])
+        _add_noise(config, seed, record, pairs[i], accels[i])
     # the squared pairs are never negative, so their largest entry tells whether they are finite
     finite = np.isfinite(pairs.max(axis=(1, 2))) & np.isfinite(accels).all(axis=(1, 2, 3))
     kept = np.asarray(trials)[finite]
@@ -221,7 +219,7 @@ def _simulate_chunk(
         return kept, None
     if kept.size < len(trials):
         pairs, accels = pairs[finite], accels[finite]
-    return kept, MeasurementSet(timestamps, pairs, accels)
+    return kept, MeasurementSet(record.timestamps.copy(), pairs, accels)
 
 
 def _score(
@@ -262,9 +260,11 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Paired Monte-Carlo benchmark over a sweep of sample counts.
 
-    For every K, the noise-free record is simulated once, and each
-    trial adds the noise of its deterministic (K, trial) sub-seed, so
-    every trial is what ``simulate_measurements`` gives for that seed.
+    For every K, the noise-free record comes from the value-keyed cache
+    that ``simulate_measurements`` also reads, so it is evaluated at most
+    once per K and not again by a later call on the same truth and grid.
+    Each trial adds the noise of its deterministic (K, trial) sub-seed,
+    so every trial is what ``simulate_measurements`` gives for that seed.
     The K's trials run in chunks of ``_CHUNK_TRIALS``: a chunk's records
     are stacked on their shared time grid and each requested method fits
     the whole stack in one call, so methods see bit-identical noise.

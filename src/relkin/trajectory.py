@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -54,6 +55,17 @@ class PolynomialTrajectory:
             if not np.all(np.isfinite(c)):
                 raise InvalidDimensionError("coefficients must be finite")
         object.__setattr__(self, "coeffs", arrays)
+
+    def __eq__(self, other):
+        """Value equality: as many orders, each of one shape and equal values.
+
+        ``hash`` still raises TypeError, since the arrays can change in place.
+        """
+        if not isinstance(other, PolynomialTrajectory):
+            return NotImplemented
+        return len(self.coeffs) == len(other.coeffs) and all(
+            np.array_equal(a, b) for a, b in zip(self.coeffs, other.coeffs)
+        )
 
     @property
     def dim(self) -> int:
@@ -250,76 +262,115 @@ class MeasurementSet:
         return one
 
 
-def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> tuple:
-    """The noise-free part of ``simulate_measurements``: one evaluation of the truth.
+class _Record(NamedTuple):
+    """The noise-free part of a simulation, everything a noise draw reads; all read-only.
 
-    Returns ``(timestamps, q, pairs, distances, accels)``: the K+1
-    instants, the sensor rotation, the true squared pair distances
-    (K+1, n(n-1)/2), their square roots that distance noise is added to
-    (None when ``sigma_d`` is 0), and the mean-centered true accelerations
-    rotated into the sensor frame (K+1, d, n).
+    ``timestamps`` holds the K+1 instants and ``q`` the sensor rotation.
+    ``pairs`` (K+1, n(n-1)/2) holds the values the distance noise is added
+    to, the unsquared true distances, or, for a record without distance
+    noise, the true squared distances.  ``accels`` (K+1, d, n) holds the
+    mean-centered true accelerations rotated into the sensor frame.
+    """
+
+    timestamps: np.ndarray
+    q: np.ndarray
+    pairs: np.ndarray
+    accels: np.ndarray
+
+
+def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record:
+    """The noise-free record of ``config`` and ``traj``, evaluated once per value.
+
+    The record depends on the seed-free part of the configuration only, so
+    the last few records are cached, keyed by value: each coefficient's
+    shape and bytes, the bits of ``t_start``, ``t_end`` and
+    ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), ``k_samples``
+    and whether ``sigma_d`` is nonzero; the coefficient shapes fix ``dim``
+    and ``n_nodes``.  A trajectory's arrays may be the caller's, and may
+    be edited in place, so the key is never their identity.
     """
     if traj.dim != config.dim or traj.n_nodes != config.n_nodes:
         raise ConfigError(
             f"trajectory shape ({traj.dim}, {traj.n_nodes}) does not match the "
             f"configured ({config.dim}, {config.n_nodes})"
         )
-    ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
-    q = rotation2d(config.accel_rotation_angle) if config.dim == 2 else np.eye(config.dim)
+    return _cached_record(
+        tuple((c.shape, c.tobytes()) for c in traj.coeffs),
+        float(config.t_start).hex(),
+        float(config.t_end).hex(),
+        int(config.k_samples),
+        float(config.accel_rotation_angle).hex(),
+        config.sigma_d != 0.0,
+    )
+
+
+@lru_cache(maxsize=8)
+def _cached_record(
+    coeffs: tuple, t_start: str, t_end: str, k_samples: int, angle: str, distance_noise: bool
+) -> _Record:
+    """The :class:`_Record` of one ``_noiseless_record`` key, built from the key alone."""
+    traj = PolynomialTrajectory(tuple(np.frombuffer(b).reshape(shape) for shape, b in coeffs))
+    ts = np.linspace(float.fromhex(t_start), float.fromhex(t_end), k_samples + 1)
+    q = rotation2d(float.fromhex(angle)) if traj.dim == 2 else np.eye(traj.dim)
     pairs = pairs_from_points(eval_kinematics(traj, ts, 0))
-    distances = np.sqrt(pairs) if config.sigma_d != 0.0 else None
-    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(config.n_nodes))
-    return ts, q, pairs, distances, accels
+    if distance_noise:
+        np.sqrt(pairs, out=pairs)
+    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(traj.n_nodes))
+    record = _Record(ts, q, pairs, accels)
+    for array in record:
+        array.flags.writeable = False
+    return record
 
 
 def _add_noise(
-    config: SimConfig,
-    seed: int,
-    distances: Optional[np.ndarray],
-    pairs: np.ndarray,
-    accels: np.ndarray,
+    config: SimConfig, seed: int, record: _Record, pairs: np.ndarray, accels: np.ndarray
 ) -> None:
-    """Add the noise draw of ``seed`` in place to one noise-free record.
+    """Write one noise-free ``record`` plus the noise draw of ``seed`` into ``pairs`` and ``accels``.
 
-    ``accels`` (K+1, d, n) holds the record's sensor-frame accelerations on
-    entry, and ``distances`` is its distance array from
-    ``_noiseless_record``.  When there is distance noise, the C-contiguous
-    ``pairs`` (K+1, m) is overwritten with the squared noisy distances,
-    whatever it held; otherwise it is left as it is, and should hold the
-    true squared pair distances.
+    ``pairs`` (K+1, m), C-contiguous, and ``accels`` (K+1, d, n) are
+    overwritten whatever they held.  With distance noise, ``pairs`` gets
+    the squared noisy distances; without, the record's true squared
+    distances.
     """
     rng_dist, rng_accel = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     )
     # a huge sigma overflows to inf, which the caller rejects as non-finite
     with np.errstate(over="ignore"):
-        if distances is not None:
+        if config.sigma_d != 0.0:
             # distances + normal(0, sigma_d), drawn straight into the record: normal
             # draws 0 + sigma_d z from the same stream, and the addition commutes
             rng_dist.standard_normal(out=pairs)
             pairs *= config.sigma_d
-            pairs += distances
+            pairs += record.pairs
             pairs *= pairs
-        accels += rng_accel.normal(0.0, config.sigma_a, accels.shape)
+        else:
+            pairs[...] = record.pairs
+        # noise + truth is bit for bit truth + noise: IEEE addition commutes
+        np.add(rng_accel.normal(0.0, config.sigma_a, accels.shape), record.accels, out=accels)
 
 
 def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> MeasurementSet:
     """Generate a noisy measurement set on the configured time grid.
 
-    The record is built whole in two steps: the noise-free stacks of
-    positions, squared pair distances and accelerations over the K+1
-    instants, then one draw of each noise, with the values of K+1 draws in
-    sequence, added to the noise-free arrays in place.  Distance noise is
-    drawn per timestamp and unordered node pair, added to the *unsquared*
-    distance, and squared into that pair's entry.  Accelerometer
-    readings are the mean-centered true accelerations rotated into the
-    sensor frame plus white noise per entry.  The same seed reproduces the
-    output bit for bit; the Monte-Carlo harness shares the first step
-    between the trials of one K and takes the second once per trial.
+    The record is built whole in two steps: the noise-free record, the
+    squared pair distances and sensor-frame accelerations over the K+1
+    instants, then one draw of each noise, with the values of K+1 draws
+    in sequence, added to it.  Distance noise is drawn per timestamp and
+    unordered node pair, added to the *unsquared* distance, and squared
+    into that pair's entry.  Accelerometer readings are the mean-centered
+    true accelerations rotated into the sensor frame plus white noise per
+    entry.  The first step does not depend on the seed, so it comes from
+    the small value-keyed cache of ``_noiseless_record``: a repeated
+    simulation of one trajectory on one grid, such as a loop over seeds
+    or the trials of the Monte-Carlo harness, only draws its noise.  The
+    returned set owns all its arrays, and the same seed reproduces it bit
+    for bit.
     """
-    ts, q, pairs, distances, accels = _noiseless_record(config, traj)
-    _add_noise(config, config.seed, distances, pairs, accels)
-    return MeasurementSet(timestamps=ts, pairs=pairs, accels=accels, q_true=q)
+    record = _noiseless_record(config, traj)
+    pairs, accels = np.empty(record.pairs.shape), np.empty(record.accels.shape)
+    _add_noise(config, config.seed, record, pairs, accels)
+    return MeasurementSet(record.timestamps.copy(), pairs, accels, record.q.copy())
 
 
 def benchmark_trajectory() -> PolynomialTrajectory:

@@ -21,6 +21,8 @@ from relkin import (
     simulate_measurements,
 )
 
+from relkin.config import load_scenario
+
 from conftest import random_constant_accel_trajectory
 
 
@@ -96,6 +98,34 @@ class TestCenterCoefficients:
         y0 = np.tile(np.array([[3.0], [-4.0]]), (1, 7))
         traj = PolynomialTrajectory((y0,))
         assert_allclose(center_coefficients(traj).coeffs[0], np.zeros((2, 7)), atol=1e-12)
+
+
+class TestTrajectoryEquality:
+    def test_equal_values_compare_equal(self):
+        a, b = benchmark_trajectory(), benchmark_trajectory()
+        assert a == b and not a != b
+        assert PolynomialTrajectory(tuple(c.copy() for c in a.coeffs)) == a
+
+    def test_a_changed_value_order_or_shape_differs(self):
+        a = benchmark_trajectory()
+        changed = benchmark_trajectory()
+        changed.coeffs[2][0, 0] += 1e-12
+        assert a != changed
+        assert a != PolynomialTrajectory(a.coeffs[:2])
+        assert a != PolynomialTrajectory(a.coeffs + (np.zeros((2, 10)),))
+        assert a != PolynomialTrajectory(tuple(c[:, :9] for c in a.coeffs))
+        assert a != PolynomialTrajectory(tuple(c.reshape(4, 5) for c in a.coeffs))
+        assert a != a.coeffs and a != 1.0
+
+    def test_hash_raises_since_the_arrays_are_mutable(self):
+        with pytest.raises(TypeError):
+            hash(benchmark_trajectory())
+
+    def test_scenario_settings_compare_by_value(self):
+        fresh = load_scenario(None)
+        assert fresh == load_scenario(None)
+        assert fresh != load_scenario(None, {"Y0.0.0": "1.5"})
+        assert fresh != load_scenario(None, {"seed": "9"})
 
 
 class TestSimConfig:
