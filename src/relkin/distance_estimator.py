@@ -444,7 +444,8 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     is made.  A stacked ``meas`` gives stacked blocks, all from the
     grid's one projector.  The residual is the norm of the pair fit's own
     residual, taken before the blocks are built, so that the record-sized
-    residual is freed first.
+    residual is freed first; it is squared in place for that norm, so the
+    fit holds one record-sized array beside its input.
 
     A record whose fit overflows float64 fails on its own: its blocks are
     zeroed and its residual is NaN, the mark :func:`_fitted_stack` reports
