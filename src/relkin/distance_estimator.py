@@ -49,7 +49,7 @@ from .errors import (
     SingularDesignError,
 )
 from .linalg import MdsResult, classical_mds, edm_from_pairs, pairs_from_points
-from .linalg import _HUGE, _TINY, _finite_norm, _norm, _sum_squares
+from .linalg import _TINY, _norm, _norm_discarding, _sum_squares
 from .linalg import unvech, vech  # noqa: F401  (perfbench's tracer test rebinds this vech)
 from .trajectory import MeasurementSet
 
@@ -457,12 +457,7 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = None if accel is None else 0.25 * pairs_from_points(accel)
         coeffs, res = _poly_lstsq(t, pairs, degree, quartic)
-        # the residual is discarded here, so under _norm's bound it is squared in
-        # place; past it, the errstate covers the sum and _finite_norm rescales
-        if np.vdot(res, res) < 0.5 * _HUGE:
-            residual = np.sqrt(np.add.reduce(np.multiply(res, res, out=res), axis=(-2, -1)))
-        else:
-            residual = _finite_norm(res, np.sqrt(_sum_squares(res)))
+        residual = _norm_discarding(res)
         del res
         blocks = _double_center(coeffs, n)
         # max(max, -min) is the largest |entry| without an abs() temporary

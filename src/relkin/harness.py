@@ -260,11 +260,11 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Paired Monte-Carlo benchmark over a sweep of sample counts.
 
-    For every K, the noise-free record comes from the value-keyed cache
-    that ``simulate_measurements`` also reads, so it is evaluated at most
-    once per K and not again by a later call on the same truth and grid.
-    Each trial adds the noise of its deterministic (K, trial) sub-seed,
-    so every trial is what ``simulate_measurements`` gives for that seed.
+    For every K, the noise-free record is evaluated once and freed
+    before the next K; it does not go through the simulator's record
+    cache, so a sweep leaves nothing behind.  Each trial adds the noise
+    of its deterministic (K, trial) sub-seed, so every trial is what
+    ``simulate_measurements`` gives for that seed.
     The K's trials run in chunks of ``_CHUNK_TRIALS``: a chunk's records
     are stacked on their shared time grid and each requested method fits
     the whole stack in one call, so methods see bit-identical noise.

@@ -56,6 +56,18 @@ def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     return _finite_norm(x, norm, axis)
 
 
+def _norm_discarding(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """:func:`_norm` of ``x`` bit for bit, for a caller that discards ``x``.
+
+    Under :func:`_norm`'s bound ``x`` is squared in place, so no temporary
+    of its size is made; past it, ``x`` is left as it is for
+    :func:`_finite_norm` to rescale.
+    """
+    if np.vdot(x, x) < 0.5 * _HUGE:
+        return np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=axis))
+    return _norm(x, axis)
+
+
 def _finite_norm(x: np.ndarray, norm: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     """``norm``, the plain norm of each record of ``x``, where it is finite.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, isqrt
 from typing import NamedTuple, Optional
 
@@ -279,46 +278,56 @@ class _Record(NamedTuple):
 
 
 def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record:
-    """The noise-free record of ``config`` and ``traj``, evaluated once per value.
-
-    The record depends on the seed-free part of the configuration only, so
-    the last few records are cached, keyed by value: each coefficient's
-    shape and bytes, the bits of ``t_start``, ``t_end`` and
-    ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), ``k_samples``
-    and whether ``sigma_d`` is nonzero; the coefficient shapes fix ``dim``
-    and ``n_nodes``.  A trajectory's arrays may be the caller's, and may
-    be edited in place, so the key is never their identity.
-    """
+    """The noise-free :class:`_Record` of ``config`` and ``traj``, evaluated afresh."""
     if traj.dim != config.dim or traj.n_nodes != config.n_nodes:
         raise ConfigError(
             f"trajectory shape ({traj.dim}, {traj.n_nodes}) does not match the "
             f"configured ({config.dim}, {config.n_nodes})"
         )
-    return _cached_record(
-        tuple((c.shape, c.tobytes()) for c in traj.coeffs),
-        float(config.t_start).hex(),
-        float(config.t_end).hex(),
-        int(config.k_samples),
-        float(config.accel_rotation_angle).hex(),
-        config.sigma_d != 0.0,
-    )
-
-
-@lru_cache(maxsize=8)
-def _cached_record(
-    coeffs: tuple, t_start: str, t_end: str, k_samples: int, angle: str, distance_noise: bool
-) -> _Record:
-    """The :class:`_Record` of one ``_noiseless_record`` key, built from the key alone."""
-    traj = PolynomialTrajectory(tuple(np.frombuffer(b).reshape(shape) for shape, b in coeffs))
-    ts = np.linspace(float.fromhex(t_start), float.fromhex(t_end), k_samples + 1)
-    q = rotation2d(float.fromhex(angle)) if traj.dim == 2 else np.eye(traj.dim)
+    ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
+    q = rotation2d(config.accel_rotation_angle) if config.dim == 2 else np.eye(config.dim)
     pairs = pairs_from_points(eval_kinematics(traj, ts, 0))
-    if distance_noise:
+    if config.sigma_d != 0.0:
         np.sqrt(pairs, out=pairs)
-    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(traj.n_nodes))
+    accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(config.n_nodes))
     record = _Record(ts, q, pairs, accels)
     for array in record:
         array.flags.writeable = False
+    return record
+
+
+#: ``(key, record)`` of the last ``_simulation_record``, or None
+_last_record: Optional[tuple] = None
+
+
+def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record:
+    """:func:`_noiseless_record`, kept from one simulation to the next.
+
+    The record does not depend on the seed, so the last one is kept,
+    keyed by value: ``dim``, ``n_nodes``, ``k_samples``, whether
+    ``sigma_d`` is nonzero, the bits of ``t_start``, ``t_end`` and
+    ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), and each
+    coefficient's shape and bytes.  A trajectory's arrays may be the
+    caller's, and may be edited in place, so the key is never their
+    identity.  One record is enough for a loop over seeds, and it is no
+    larger than the set each simulation returns.
+    """
+    global _last_record
+    key = (
+        config.dim,
+        config.n_nodes,
+        config.k_samples,
+        config.sigma_d != 0.0,
+        float(config.t_start).hex(),
+        float(config.t_end).hex(),
+        float(config.accel_rotation_angle).hex(),
+        tuple((c.shape, c.tobytes()) for c in traj.coeffs),
+    )
+    last = _last_record
+    if last is not None and last[0] == key:
+        return last[1]
+    record = _noiseless_record(config, traj)
+    _last_record = key, record
     return record
 
 
@@ -360,14 +369,14 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
     unordered node pair, added to the *unsquared* distance, and squared
     into that pair's entry.  Accelerometer readings are the mean-centered
     true accelerations rotated into the sensor frame plus white noise per
-    entry.  The first step does not depend on the seed, so it comes from
-    the small value-keyed cache of ``_noiseless_record``: a repeated
-    simulation of one trajectory on one grid, such as a loop over seeds
-    or the trials of the Monte-Carlo harness, only draws its noise.  The
-    returned set owns all its arrays, and the same seed reproduces it bit
-    for bit.
+    entry.  The first step does not depend on the seed, so the last
+    simulation's noise-free record is kept (see :func:`_simulation_record`):
+    a loop over seeds on one trajectory and grid only draws its noise,
+    while a simulation of a new trajectory or grid evaluates its truth as
+    before.  The returned set owns all its arrays, and the same seed
+    reproduces it bit for bit.
     """
-    record = _noiseless_record(config, traj)
+    record = _simulation_record(config, traj)
     pairs, accels = np.empty(record.pairs.shape), np.empty(record.accels.shape)
     _add_noise(config, config.seed, record, pairs, accels)
     return MeasurementSet(record.timestamps.copy(), pairs, accels, record.q.copy())

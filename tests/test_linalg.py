@@ -17,6 +17,8 @@ from relkin import (
     vech,
 )
 
+from relkin.linalg import _norm, _norm_discarding
+
 from conftest import random_orthogonal, rel_err
 
 
@@ -279,3 +281,24 @@ class TestOrthogonalProcrustes:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidDimensionError):
             orthogonal_procrustes(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+class TestNormDiscarding:
+    def test_squares_in_place_and_matches_norm(self, rng):
+        x = rng.standard_normal((3, 41, 45))
+        want = _norm(x)
+        got = _norm_discarding(x)
+        assert np.array_equal(got, want)
+        # under the bound the argument holds its squares afterwards
+        assert (x >= 0.0).all()
+
+    def test_overflowing_records_are_rescaled_like_norm(self, rng):
+        x = rng.standard_normal((3, 5, 6))
+        x[1] *= 1e300
+        want = _norm(x)
+        kept = x.copy()
+        got = _norm_discarding(x)
+        assert np.array_equal(got, want)
+        assert np.isfinite(got).all()
+        # past the bound the argument is left for the rescaling
+        assert np.array_equal(x, kept)

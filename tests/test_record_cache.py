@@ -1,13 +1,15 @@
-"""The value-keyed cache of noise-free records behind the simulator and the harness.
+"""The value-keyed record the simulator keeps from one simulation to the next.
 
-``simulate_measurements`` and ``run_monte_carlo`` take the seed-free part of
-a simulation from ``trajectory._noiseless_record``, a small cache keyed by
-the values of the trajectory and of the grid.  These tests pin that a
-repeated simulation only draws its noise, that an edited or an equal
-trajectory gets the right record, that keys keep apart what must differ,
-and that no caller can write into a cached array.
+``simulate_measurements`` takes the seed-free part of a simulation from
+``trajectory._simulation_record``, which keeps the last noise-free record,
+keyed by the values of the trajectory and of the grid.  These tests pin
+that a repeated simulation only draws its noise, that an edited or an
+equal trajectory gets the right record, that keys keep apart what must
+differ, that no caller can write into the kept arrays, and that neither
+the simulator nor the Monte-Carlo harness keeps more than one record.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import relkin.harness as harness
 import relkin.trajectory as trajectory
 from relkin import (
+    ConfigError,
     PolynomialTrajectory,
     SimConfig,
     benchmark_trajectory,
@@ -25,11 +28,13 @@ from relkin import (
 )
 from relkin.linalg import pairs_from_points
 
+from conftest import random_constant_accel_trajectory
+
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Clear the cache, then count the truth evaluations and pair gathers behind it."""
-    trajectory._cached_record.cache_clear()
+    """Empty the kept record, then count the truth evaluations and pair gathers."""
+    monkeypatch.setattr(trajectory, "_last_record", None)
     counts = {"eval_kinematics": 0, "pairs_from_points": 0}
 
     def counted(name, function):
@@ -43,13 +48,12 @@ def calls(monkeypatch):
     monkeypatch.setattr(
         trajectory, "pairs_from_points", counted("pairs_from_points", pairs_from_points)
     )
-    yield counts
-    trajectory._cached_record.cache_clear()
+    return counts
 
 
 def cold(config, traj):
-    """``simulate_measurements`` from an empty cache, on a copy of ``traj``."""
-    trajectory._cached_record.cache_clear()
+    """``simulate_measurements`` with no record kept, on a copy of ``traj``."""
+    trajectory._last_record = None
     return simulate_measurements(config, PolynomialTrajectory(tuple(c.copy() for c in traj.coeffs)))
 
 
@@ -97,14 +101,22 @@ def test_an_in_place_edit_gives_a_fresh_record_and_equal_values_hit(calls):
 def test_keys_keep_apart_what_differs(calls, first, second):
     traj = benchmark_trajectory()
     configs = [SimConfig(**fields) for fields in (first, second)]
-    records = [trajectory._noiseless_record(config, traj) for config in configs]
+    records = [trajectory._simulation_record(config, traj) for config in configs]
     assert records[0] is not records[1]
-    assert [trajectory._noiseless_record(config, traj) for config in configs] == records
-    assert trajectory._cached_record.cache_info().misses == 2
-    # each configuration gets the record an empty cache builds for it
-    warm = [simulate_measurements(config, traj) for config in configs]
-    for config, got in zip(configs, warm):
-        assert_same(got, cold(config, traj))
+    assert calls["pairs_from_points"] == 2
+    assert trajectory._simulation_record(configs[1], traj) is records[1]
+    assert calls["pairs_from_points"] == 2
+    # each configuration gets the record that a fresh evaluation gives
+    for config in configs:
+        assert_same(simulate_measurements(config, traj), cold(config, traj))
+
+
+def test_a_config_of_another_shape_is_rejected_after_a_hit(calls):
+    traj = benchmark_trajectory()
+    simulate_measurements(SimConfig(), traj)
+    for fields in ({"n_nodes": 12}, {"dim": 3}):
+        with pytest.raises(ConfigError, match="does not match"):
+            simulate_measurements(SimConfig(**fields), traj)
 
 
 def test_a_record_without_distance_noise_holds_the_squared_distances(calls):
@@ -117,9 +129,9 @@ def test_a_record_without_distance_noise_holds_the_squared_distances(calls):
     assert np.array_equal(simulate_measurements(SimConfig(sigma_d=0.0), traj).pairs, want)
 
 
-def test_cached_arrays_are_read_only_and_never_handed_out(calls):
+def test_kept_arrays_are_read_only_and_never_handed_out(calls):
     config, traj = SimConfig(seed=3, accel_rotation_angle=0.7), benchmark_trajectory()
-    record = trajectory._noiseless_record(config, traj)
+    record = trajectory._simulation_record(config, traj)
     for array in record:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -138,20 +150,67 @@ def test_cached_arrays_are_read_only_and_never_handed_out(calls):
     assert_same(simulate_measurements(config, traj), want)
 
 
-def test_the_cache_is_bounded(calls):
+def test_only_the_last_record_is_kept(calls):
     traj = benchmark_trajectory()
-    for k in range(10, 30):
+    for k in range(10, 16):
         simulate_measurements(SimConfig(k_samples=k), traj)
-    assert trajectory._cached_record.cache_info().currsize == 8
+    assert calls["pairs_from_points"] == 6
+    simulate_measurements(SimConfig(k_samples=15, seed=9), traj)
+    assert calls["pairs_from_points"] == 6
+    simulate_measurements(SimConfig(k_samples=10), traj)
+    assert calls["pairs_from_points"] == 7
 
 
-def test_a_warm_cache_gives_the_cold_tables(calls):
+def test_a_sweep_leaves_the_kept_record_alone(calls):
     config, truth, k_values = SimConfig(n_trials=6, seed=11), benchmark_trajectory(), (10, 20)
+    simulate_measurements(replace(config, k_samples=20), truth)
+    kept = trajectory._last_record
     first = run_monte_carlo(config, truth, k_values=k_values)
-    assert trajectory._cached_record.cache_info().misses == 2
     second = run_monte_carlo(config, truth, k_values=k_values)
-    assert trajectory._cached_record.cache_info().misses == 2
-    assert calls["eval_kinematics"] == 2 * len(k_values)
+    # each sweep evaluates the truth once per K, and the simulator's record stays
+    assert calls["eval_kinematics"] == 2 + 2 * 2 * len(k_values)
+    assert trajectory._last_record is kept
     assert second.rmse_table.rows == first.rmse_table.rows
     assert second.time_sweep == first.time_sweep
     assert second.failure_counts == first.failure_counts == {10: 0, 20: 0}
+
+
+def retained(call) -> int:
+    """Bytes still held after ``call`` returns, beyond what was held before it.
+
+    A first untraced call fills the per-grid caches (index maps,
+    projectors), and the simulator's kept record is dropped before the
+    traced call, so that only what the call itself leaves behind counts.
+    """
+    call()
+    trajectory._last_record = None
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_k_sweep_keeps_no_more_than_its_largest_record():
+    # a count, not a timing: a sweep over K leaves no record behind, and a
+    # loop of simulations over K keeps the last one only, which is never
+    # larger than the largest (at n = 30, K = 200 a record is 0.8 MB)
+    n, k_values = 30, (200, 100, 50, 10)
+    traj = random_constant_accel_trajectory(np.random.default_rng(5), n=n)
+    config = SimConfig(n_nodes=n, n_trials=2, seed=5)
+    sizes = [
+        sum(a.nbytes for a in trajectory._noiseless_record(replace(config, k_samples=k), traj))
+        for k in k_values
+    ]
+
+    def loop():
+        for k in k_values:
+            simulate_measurements(replace(config, k_samples=k), traj)
+
+    assert retained(lambda: run_monte_carlo(config, traj, k_values=k_values)) < min(sizes) / 2
+    assert retained(loop) <= max(sizes)

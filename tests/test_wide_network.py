@@ -278,7 +278,7 @@ def test_simulator_and_fit_hold_few_record_sized_arrays():
     record = meas.pairs.nbytes
 
     def cold():
-        trajectory._cached_record.cache_clear()
+        trajectory._last_record = None
         simulate_measurements(cfg, traj)
 
     assert traced_peak(cold) <= 3.5 * record
