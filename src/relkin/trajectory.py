@@ -8,6 +8,7 @@ readings on a uniform time grid.
 from __future__ import annotations
 
 import copy
+import struct
 from dataclasses import dataclass
 from math import factorial, isqrt
 from typing import NamedTuple, Optional
@@ -292,7 +293,7 @@ def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record:
     accels = q @ (eval_kinematics(traj, ts, 2) @ centering_matrix(config.n_nodes))
     record = _Record(ts, q, pairs, accels)
     for array in record:
-        array.flags.writeable = False
+        array.setflags(write=False)
     return record
 
 
@@ -306,8 +307,8 @@ def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record
     The record does not depend on the seed, so the last one is kept,
     keyed by value: ``dim``, ``n_nodes``, ``k_samples``, whether
     ``sigma_d`` is nonzero, the bits of ``t_start``, ``t_end`` and
-    ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), and each
-    coefficient's shape and bytes.  A trajectory's arrays may be the
+    ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), the
+    coefficients' shared shape and each one's bytes.  A trajectory's arrays may be the
     caller's, and may be edited in place, so the key is never their
     identity.  One record is enough for a loop over seeds, and it is no
     larger than the set each simulation returns.
@@ -318,11 +319,12 @@ def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record
         config.n_nodes,
         config.k_samples,
         config.sigma_d != 0.0,
-        float(config.t_start).hex(),
-        float(config.t_end).hex(),
-        float(config.accel_rotation_angle).hex(),
-        tuple((c.shape, c.tobytes()) for c in traj.coeffs),
+        struct.pack("<3d", config.t_start, config.t_end, config.accel_rotation_angle),
+        traj.coeffs[0].shape,
+        *[c.tobytes() for c in traj.coeffs],
     )
+    # the slot is read once and replaced whole, so concurrent callers each get
+    # the record of their own key and at worst build it again
     last = _last_record
     if last is not None and last[0] == key:
         return last[1]

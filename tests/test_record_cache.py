@@ -9,6 +9,8 @@ differ, that no caller can write into the kept arrays, and that neither
 the simulator nor the Monte-Carlo harness keeps more than one record.
 """
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -214,3 +216,34 @@ def test_a_k_sweep_keeps_no_more_than_its_largest_record():
 
     assert retained(lambda: run_monte_carlo(config, traj, k_values=k_values)) < min(sizes) / 2
     assert retained(loop) <= max(sizes)
+
+
+def test_threads_each_get_the_record_of_their_own_key():
+    # simulations of different grids from several threads replace the one kept
+    # record over and over; each must still get its own grid's record
+    traj = benchmark_trajectory()
+    configs = [SimConfig(k_samples=k, seed=k) for k in range(10, 16)]
+    want = {config.k_samples: cold(config, traj) for config in configs}
+    wrong = []
+
+    def worker(config):
+        for _ in range(40):
+            got = simulate_measurements(config, traj)
+            if not all(
+                np.array_equal(getattr(got, name), getattr(want[config.k_samples], name))
+                for name in ("timestamps", "pairs", "accels", "q_true")
+            ):
+                wrong.append(config.k_samples)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(config,)) for config in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
