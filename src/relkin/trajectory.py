@@ -308,10 +308,10 @@ def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record
     keyed by value: ``dim``, ``n_nodes``, ``k_samples``, whether
     ``sigma_d`` is nonzero, the bits of ``t_start``, ``t_end`` and
     ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), the
-    coefficients' shared shape and each one's bytes.  A trajectory's arrays may be the
-    caller's, and may be edited in place, so the key is never their
-    identity.  One record is enough for a loop over seeds, and it is no
-    larger than the set each simulation returns.
+    coefficients' shared shape and each one's bytes.  A trajectory's
+    arrays may be the caller's, and may be edited in place, so the key is
+    never their identity.  One record is enough for a loop over seeds,
+    and it is no larger than the set each simulation returns.
     """
     global _last_record
     key = (
@@ -336,7 +336,7 @@ def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record
 def _add_noise(
     config: SimConfig, seed: int, record: _Record, pairs: np.ndarray, accels: np.ndarray
 ) -> None:
-    """Write one noise-free ``record`` plus the noise draw of ``seed`` into ``pairs`` and ``accels``.
+    """Write the noise-free ``record`` plus the noise of ``seed`` into ``pairs`` and ``accels``.
 
     ``pairs`` (K+1, m), C-contiguous, and ``accels`` (K+1, d, n) are
     overwritten whatever they held.  With distance noise, ``pairs`` gets
