@@ -126,7 +126,8 @@ class ChuFactors:
     entries of the leading block N @ vt^T.  ``z1_diag`` is that block's
     diagonal and ``z2`` = diag(1/lam) vt B P the part of N outside the row
     space, so N = :attr:`known` + (u1 vt[1]; u2 vt[0]) for free entries
-    (u1, u2) tied by lam[0] u1 + lam[1] u2 = ``c`` = (vt B vt^T)[0, 1].
+    (u1, u2) on the :attr:`line` lam[0] u1 + lam[1] u2 = ``c`` =
+    (vt B vt^T)[0, 1].
     ``residual`` is ||P B P||_F, zero for consistent input, and
     ``repeated`` flags nearly repeated singular values and ``degenerate``
     a rank-deficient A, whose other fields are finite but meaningless.
@@ -148,17 +149,34 @@ class ChuFactors:
         """N with both free entries set to zero, (..., 2, n); computed once per split."""
         return self.z1_diag[..., :, None] * self.vt + self.z2
 
+    @cached_property
+    def line(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The free entries' line lam[0] u1 + lam[1] u2 = c over lam[0], as (r, q, base).
+
+        r = lam / lam[0] = (1, lam[1] / lam[0]) and q = c / lam[0], so the
+        line reads r . u = q, and base = q r / |r|^2 = c lam / |lam|^2 is
+        its minimum-norm point; r and base are (..., 2), q is (...,).
+        lam[0] is the factor's own size, so neither quotient can overflow;
+        a zero factor takes r = (1, 0) and q = c.  Computed once per split.
+        """
+        scale = np.where(self.lam[..., :1] > 0.0, self.lam[..., :1], 1.0)
+        # lam[0] / lam[0] is 1 exactly, and the maximum gives a zero factor r = (1, 0)
+        r, q = np.maximum(self.lam / scale, _EYE[0]), self.c / scale[..., 0]
+        return r, q, (q / _sum_squares(r, -1))[..., None] * r
+
 
 @dataclass
 class BasisSystem:
-    """Stacked linear system over the bilinear basis of (rotation, unknowns).
+    """Stacked linear system over the bilinear basis of (rotation, position on the f0 line).
 
     ``phi`` solves rows @ phi ~ rhs in least squares for the basis vector
-    (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2); ``h`` is the normalized rotation
-    pair, ``h_norm`` its length before normalization, and ``u`` the
-    recovered free entries.  ``condition`` is s_max/s_min of ``w``, NaN
-    below rank 6.
-    ``solvable`` flags a usable solution: ``rank`` 6 and ``h_norm`` at
+    (h1, h2, h1*s, h2*s), where the free entries u = base + s*perp of the
+    velocity split run along its line (see :attr:`ChuFactors.line`);
+    every row and ``residual`` are in length/time.  ``h`` is the
+    normalized rotation pair, ``h_norm`` its length before normalization,
+    and ``u`` the recovered free entries, on the line to round-off.
+    ``condition`` is s_max/s_min of ``w``, NaN below rank 4.
+    ``solvable`` flags a usable solution: ``rank`` 4 and ``h_norm`` at
     least 1e-8.  The system of a stack of splits carries its leading axes
     on every field.
     """
@@ -535,7 +553,7 @@ def chu_decompose(bhat, yhat) -> ChuFactors:
 def _require_four_nodes(n: int) -> None:
     if n < 4:
         raise NonUniqueSolutionError(
-            f"{n} nodes give fewer equations than the 6 basis unknowns; need n >= 4"
+            f"{n} nodes give 2n - 3 independent basis equations, fewer than 4 unknowns; need n >= 4"
         )
 
 
@@ -545,33 +563,36 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     Writing N0 and N2 for the velocity coordinates of ``f0`` and ``f2``
     (see :class:`ChuFactors`), the two splits are linked by
     N2 = (U2^T R^T U0) N0 with R the planar rotation parameterized by
-    h = (h1, h2).  Every entry of N2 is then linear in the basis vector
-    phi = (h1, h2, h1*u1, h1*u2, h2*u1, h2*u2), where u holds the two free
-    entries of N0.  The six (2, n) coefficient matrices of N2 are stacked
-    once, and the 2n + 5 rows are sliced out of that stack:
+    h = (h1, h2).  The free entries of N0 lie on ``f0``'s line, so they
+    are u = base + s*perp with base its minimum-norm point and
+    perp = (r[1], -r[0]) its direction (see :attr:`ChuFactors.line`).
+    Every entry of N2 is then linear in the basis vector
+    phi = (h1, h2, h1*s, h2*s), whose four (2, n) coefficient matrices
+    g_j @ (known + base*free) and g_j @ (perp*free) are stacked once; the
+    2n + 3 rows are sliced out of that stack:
 
     - the two diagonal entries of the leading block N2 @ vt2^T,
     - the trailing part N2 - (N2 @ vt2^T) @ vt2, row 0 then row 1 (2n
       rows, matched to ``f2.z2``),
-    - the off-diagonal constraint of ``f2``, a known linear combination
-      of two leading-block entries,
-    - the off-diagonal constraint of ``f0``, which ties u linearly and
-      yields two homogeneous rows after multiplication by h1 and h2.
+    - the off-diagonal constraint of ``f2`` divided by ``f2.lam[0]``, a
+      known linear combination of two leading-block entries.
 
-    The trailing rows span only the (n - 2)-dimensional complement of
-    vt2's rows, so the normal equations equal those of the 2n + 1 rows of
-    the full SVD frame.  phi is the least-squares solution from the SVD
-    of the rows, with ``lstsq``'s rank rule (singular values at most
-    eps * max(rows, 6) times the largest count as zero); h is normalized
-    to unit length and u recovered by projecting the bilinear components
-    onto h, which avoids dividing by near-zero rotation components.
-    Stacked splits give a stack of systems solved by one stacked SVD; a
-    system without a usable solution is flagged in ``solvable``, not
-    raised.  ``f2.u`` may carry leading axes that the rest of both splits
-    lacks, such as the reflection candidates (u, _FLIP @ u) of one
-    factor: the systems then carry those axes too, every candidate shares
-    ``f0``'s tie rows and the right-hand side, and each system is solved
-    as it would be alone.
+    Every row is in length/time, so phi's least-squares solution, and with
+    it h and u, does not depend on the units; only the rank rule and
+    ``condition`` see them, since the h columns carry length/time and the
+    h*s columns none.  The trailing rows span only the (n - 2)-dimensional
+    complement of vt2's rows, so the normal equations equal those of the
+    2n - 1 rows of the full SVD frame.  phi is the least-squares solution
+    from the SVD of the rows, with ``lstsq``'s rank rule (singular values
+    at most eps * max(rows, 4) times the largest count as zero); h is
+    normalized to unit length and s recovered by projecting phi[2:] onto
+    h, which avoids dividing by near-zero rotation components.  Stacked
+    splits give a stack of systems solved by one stacked SVD; a system
+    without a usable solution is flagged in ``solvable``, not raised.
+    ``f2.u`` may carry leading axes that the rest of both splits lacks,
+    such as the reflection candidates (u, _FLIP @ u) of one factor: the
+    systems then carry those axes too, every candidate shares the
+    right-hand side, and each system is solved as it would be alone.
     """
     n = f0.vt.shape[-1]
     if f2.vt.shape[-1] != n:
@@ -580,36 +601,28 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
 
     # g[..., j, :, :] = U2^T G_j U0 for the generators G = (I, _J) of h1*I + h2*_J
     g = f2.u.swapaxes(-1, -2)[..., None, :, :] @ _GENERATORS @ f0.u[..., None, :, :]
+    r, _, base = f0.line
+    perp = r @ _J.T  # (r[1], -r[0])
     free = f0.vt[..., ::-1, :]
-    # coefficient matrices of N2 w.r.t. each basis component, (..., 6, 2, n): g_j @ known
-    # for h_j, then the outer products of g_j's column k with free[k] for h_j * u_(k+1)
-    outer = g.swapaxes(-1, -2)[..., :, :, :, None] * free[..., None, :, None, :]
-    m = np.concatenate(
-        [g @ f0.known[..., None, :, :], outer.reshape(outer.shape[:-4] + (4, 2, n))], axis=-3
-    )
+    # N0 = parts[0] + s * parts[1]; m holds the coefficient matrices of N2, (..., 4, 2, n)
+    parts = np.stack([f0.known + base[..., None] * free, perp[..., None] * free], axis=-3)
+    m = (g[..., None, :, :, :] @ parts[..., :, None, :, :]).reshape(g.shape[:-3] + (4, 2, n))
     vt2 = f2.vt[..., None, :, :]
     lead = m @ vt2.swapaxes(-1, -2)
-    tie = np.zeros(f0.lam.shape[:-1] + (2, 6))
-    tie[..., 0, 0] = tie[..., 1, 1] = -f0.c
-    tie[..., 0, 2:4] = tie[..., 1, 4:6] = f0.lam
+    r2, q2, _ = f2.line
     w = np.concatenate(
         [
             lead.diagonal(0, -2, -1).swapaxes(-1, -2),
             (m - lead @ vt2).reshape(m.shape[:-2] + (2 * n,)).swapaxes(-1, -2),
-            (f2.lam[..., :1] * lead[..., 0, 1] + f2.lam[..., 1:] * lead[..., 1, 0])[..., None, :],
-            # the tie rows come from f0 alone, so every candidate shares them
-            np.broadcast_to(tie, lead.shape[:-3] + (2, 6)),
+            (r2[..., :1] * lead[..., 0, 1] + r2[..., 1:] * lead[..., 1, 0])[..., None, :],
         ],
         axis=-2,
     )
-    b = np.concatenate(
-        [f2.z1_diag, f2.z2.reshape(f2.z2.shape[:-2] + (2 * n,)), f2.c[..., None], tie[..., 0, 4:]],
-        axis=-1,
-    )
+    b = np.concatenate([f2.z1_diag, f2.z2.reshape(f2.z2.shape[:-2] + (2 * n,)), q2[..., None]], -1)
     uw, sv, vwt = np.linalg.svd(w, full_matrices=False)
-    kept = sv > _EPS * max(w.shape[-2], 6) * sv[..., :1]
+    kept = sv > _EPS * max(w.shape[-2:]) * sv[..., :1]
     rank = kept.sum(axis=-1)
-    full = rank == 6
+    full = rank == 4
     # singular values under the cutoff contribute nothing, as in lstsq
     scaled = (uw.swapaxes(-1, -2) @ b[..., None])[..., 0] / np.where(kept, sv, np.inf)
     phi = (vwt.swapaxes(-1, -2) @ scaled[..., None])[..., 0]
@@ -617,7 +630,8 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     h_norm = np.hypot(phi[..., 0], phi[..., 1])
     h = phi[..., :2] / np.maximum(h_norm, _TINY)[..., None]
     return BasisSystem(
-        w=w, rhs=b, phi=phi, h=h, u=h[..., :1] * phi[..., 2:4] + h[..., 1:] * phi[..., 4:],
+        # s = h . phi[2:] places u on the line
+        w=w, rhs=b, phi=phi, h=h, u=base + (h * phi[..., 2:]).sum(-1, keepdims=True) * perp,
         residual=_norm(gap, -1), rank=rank,
         condition=_ratio(sv, full), h_norm=h_norm, solvable=full & (h_norm >= 1e-8),
     )
@@ -671,7 +685,7 @@ def _candidate_failure(f2: ChuFactors, rank: np.ndarray, negligible, i: int) -> 
         return f"unusable ({_DEGENERATE_FACTOR})"
     if negligible[i]:
         return "negligible next to the positions over the record"
-    return f"unusable ({_RANK_DEFICIENT_BASIS if rank[i] < 6 else _VANISHING_ROTATION})"
+    return f"unusable ({_RANK_DEFICIENT_BASIS if rank[i] < 4 else _VANISHING_ROTATION})"
 
 
 def _solve(
@@ -769,8 +783,7 @@ def _solve(
     mark = np.where(fallback, np.nan, 0.0)
     if fallback.any():
         # the minimum-norm (u1, u2) on lam[0] u1 + lam[1] u2 = c
-        lam_sq = np.where(f0.degenerate, 1.0, _sum_squares(f0.lam, -1))
-        u = np.where(fallback[..., None], (f0.c / lam_sq)[..., None] * f0.lam, u)
+        u = np.where(fallback[..., None], f0.line[2], u)
         rotation[fallback] = _EYE
     residuals["acceleration_split"] = f2.residual + mark
     residuals["basis"] = basis_residual + mark

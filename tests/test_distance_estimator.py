@@ -260,7 +260,7 @@ class TestChuDecompose:
         f0 = chu_decompose(half + half.swapaxes(-1, -2), rng.standard_normal((b_size, 2, n)))
         candidates = (f2.u, _FLIP @ f2.u)
         both = build_and_solve_basis(f0, replace(f2, u=np.stack(candidates)))
-        assert both.w.shape == (2, b_size, 2 * n + 5, 6)
+        assert both.w.shape == (2, b_size, 2 * n + 3, 4)
         assert f2.degenerate.sum() == (b_size > 1)
         for j, u in enumerate(candidates):
             alone = build_and_solve_basis(f0, replace(f2, u=u))
@@ -284,7 +284,9 @@ class TestChuDecompose:
 class TestBasisSolve:
     def test_identity_rotation_with_known_unknowns(self, rng):
         # passing the true factors of both equations means no frame offset
-        # remains, so the basis vector collapses to (1, 0, u1, u2, 0, 0)
+        # remains, so the basis vector collapses to (1, 0, s, 0): the true free
+        # entries lie s steps of (lam[1], -lam[0]) / lam[0] along the velocity
+        # split's line from its point nearest the origin
         n = 8
         y0 = rng.standard_normal((2, n))
         y1 = rng.standard_normal((2, n))
@@ -293,17 +295,19 @@ class TestBasisSolve:
         f2 = chu_decompose(y2.T @ y1 + y1.T @ y2, y2)
         sol = build_and_solve_basis(f0, f2)
         lead = f0.u.T @ y1 @ f0.vt.T
-        assert_allclose(sol.phi[:2], [1.0, 0.0], atol=1e-9)
-        assert_allclose(sol.phi[2:4], [lead[0, 1], lead[1, 0]], atol=1e-8)
-        assert_allclose(sol.phi[4:], [0.0, 0.0], atol=1e-8)
-        assert_allclose(sol.u, [lead[0, 1], lead[1, 0]], atol=1e-8)
+        free = np.array([lead[0, 1], lead[1, 0]])
+        nearest = f0.c * f0.lam / (f0.lam @ f0.lam)
+        step = np.array([f0.lam[1], -f0.lam[0]]) / f0.lam[0]
+        s = (free - nearest) @ step / (step @ step)
+        assert_allclose(nearest + s * step, free, atol=1e-12)
+        assert_allclose(sol.phi, [1.0, 0.0, s, 0.0], atol=1e-8)
+        assert_allclose(sol.u, free, atol=1e-8)
 
     def test_equation_count(self, rng):
         # the leading diagonal gives 2 rows and the trailing part 2n rows,
         # which lie in the complement of the second factor's row space; the
-        # two off-diagonal tie-ins add three more (the first-equation tie
-        # needs both its h1- and h2-multiplied forms to stay linear in the
-        # basis)
+        # second equation's off-diagonal constraint adds one more, while the
+        # first equation's constraint is solved for u, so it adds none
         for n in (4, 7, 10):
             y0 = rng.standard_normal((2, n))
             y1 = rng.standard_normal((2, n))
@@ -311,10 +315,10 @@ class TestBasisSolve:
             f0 = chu_decompose(y0.T @ y1 + y1.T @ y0, y0)
             f2 = chu_decompose(y2.T @ y1 + y1.T @ y2, y2)
             sol = build_and_solve_basis(f0, f2)
-            assert sol.w.shape == (2 * n + 5, 6)
-            trail = sol.w[2 : 2 * n + 2].T.reshape(6, 2, n)
+            assert sol.w.shape == (2 * n + 3, 4)
+            trail = sol.w[2 : 2 * n + 2].T.reshape(4, 2, n)
             assert np.abs(trail @ f2.vt.T).max() <= 1e-12 * np.abs(trail).max()
-            assert sol.rank == 6
+            assert sol.rank == 4
 
     @pytest.mark.parametrize(
         "zero_velocity_split,rank_deficient",
@@ -323,15 +327,16 @@ class TestBasisSolve:
     )
     def test_unusable_single_system_flagged(self, rng, zero_velocity_split, rank_deficient):
         # an all-zero acceleration split solves to phi = 0: h vanishes, and
-        # with the velocity split zero too the tie rows drop out of the rank
+        # with the velocity split zero too the h1 and h2 columns, which carry
+        # its known part and its line's nearest point, drop out of the rank
         n = 6
         y0, y1, y2 = (rng.standard_normal((2, n)) for _ in range(3))
         b0 = np.zeros((n, n)) if zero_velocity_split else y0.T @ y1 + y1.T @ y0
         sol = build_and_solve_basis(chu_decompose(b0, y0), chu_decompose(np.zeros((n, n)), y2))
         assert not sol.solvable
         assert sol.h_norm < 1e-8
-        assert (sol.rank < 6) == rank_deficient
-        # a system below rank 6 has no condition number to report
+        assert (sol.rank < 4) == rank_deficient
+        # a system below rank 4 has no condition number to report
         assert np.isnan(sol.condition) == rank_deficient
         assert np.all(np.isfinite(sol.h)) and np.all(np.isfinite(sol.u))
 
@@ -667,7 +672,7 @@ class TestSharedSolve:
         )
         assert all(error is None for error in batch(meas).errors)
         # (equation or candidate, record, rows, columns)
-        assert shapes == [(2, records, 2, 10), (2, records, 2 * 10 + 5, 6)]
+        assert shapes == [(2, records, 2, 10), (2, records, 2 * 10 + 3, 4)]
 
     @pytest.mark.parametrize(
         "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
@@ -692,25 +697,40 @@ class TestSharedSolve:
             estimate(huge)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "known defect: the f0 tie rows and the f2 constraint row of the basis system "
-        "carry length^2 while the other 2n + 3 rows carry length, so the weighted least "
-        "squares, and with it y1, y2 and rotation, changes with the unit of length"
-    ),
+@pytest.mark.parametrize(
+    "length,time",
+    [(1e3, 1.0), (1.0, 1e3), (1e6, 1.0), (1e3, 1e3)],
+    ids=["millimetres", "milliseconds", "micrometres", "millimetres-and-milliseconds"],
 )
 @pytest.mark.parametrize(
     "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
 )
-def test_estimate_is_unit_invariant(estimate):
-    # metres to millimetres: squared distances x1e6, accelerations x1e3
-    scale = 1e3
+def test_estimate_is_unit_invariant(estimate, length, time):
+    # a new unit of length and of time: squared distances x length^2, timestamps
+    # x time, accelerations x length / time^2; micrometres put the pairs at x1e12
     cfg = SimConfig(k_samples=20, sigma_d=0.01, seed=1)
     meas = simulate_measurements(cfg, benchmark_trajectory())
-    scaled = MeasurementSet(meas.timestamps, meas.pairs * scale**2, meas.accels * scale)
+    scaled = MeasurementSet(
+        meas.timestamps * time, meas.pairs * length**2, meas.accels * (length / time**2)
+    )
     want, got = estimate(meas), estimate(scaled)
-    for name in ("y0", "y1", "y2"):
-        assert rel_err(getattr(got, name) / scale, getattr(want, name)) <= 1e-9
+    for power, name in enumerate(("y0", "y1", "y2")):
+        assert rel_err(getattr(got, name) * time**power / length, getattr(want, name)) <= 1e-9
     assert np.abs(got.rotation - want.rotation).max() <= 1e-9
     assert got.warnings == want.warnings
+
+
+@pytest.mark.parametrize(
+    "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solved_free_entries_lie_on_the_velocity_split_line(estimate, seed):
+    # on noisy records the solve still returns free entries (u1, u2) of the
+    # velocity's node coordinates on lam[0] u1 + lam[1] u2 = c, to round-off
+    cfg = SimConfig(k_samples=20, sigma_d=0.01, sigma_a=0.001, seed=seed, accel_rotation_angle=0.5)
+    est = estimate(simulate_measurements(cfg, benchmark_trajectory()))
+    assert np.isfinite(est.residuals["basis"])
+    f0 = chu_decompose(est.coeffs.blocks[1], est.y0)
+    lead = f0.u.T @ est.y1 @ f0.vt.T
+    terms = [f0.lam[0] * lead[0, 1], f0.lam[1] * lead[1, 0], -f0.c]
+    assert abs(sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
