@@ -39,12 +39,13 @@ from .distance_estimator import (
     _one_record,
     _poly_lstsq,
     _stage,
+    _stage_error,
     finish_batch,
     fit_gram_coeffs,
 )
 from .distance_estimator import chu_decompose  # noqa: F401  (perfbench's tracer rebinds this copy)
 from .errors import ConfigError, InvalidDimensionError
-from .linalg import _norm, centering_matrix, vech
+from .linalg import _norm_discarding, centering_matrix, vech
 from .trajectory import MeasurementSet
 
 __all__ = [
@@ -56,7 +57,6 @@ __all__ = [
     "fit_deflated_coeffs",
     "fit_with_accel",
 ]
-
 
 @dataclass
 class AccelCoefficients:
@@ -71,20 +71,22 @@ class AccelCoefficients:
     residual: float | np.ndarray = 0.0
 
 
-def fit_accel_coeffs(accels, timestamps) -> AccelCoefficients:
+def fit_accel_coeffs(accels, timestamps, scale=None) -> AccelCoefficients:
     """Constant-acceleration fit of an accelerometer series, or of a stack of them.
 
     A constant-acceleration trajectory reads a constant in every sensor
     entry, so the fit is the per-entry time average: a degree-0
-    polynomial fit sharing the grid's cached projector.
+    polynomial fit sharing the grid's cached projector.  ``scale``, one
+    power of two (or 0) per member of a stack, fits the scaled readings
+    without forming them (see ``distance_estimator._poly_lstsq``).
     """
     accels = np.asarray(accels, dtype=float)
     if accels.ndim < 3:
         raise InvalidDimensionError("accels must be (K+1, dim, n)")
     lead, (d, n) = accels.shape[:-2], accels.shape[-2:]
-    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0)
+    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0, scale=scale)
     block = coeffs[..., 0, :].reshape(lead[:-1] + (d, n))
-    return AccelCoefficients(block=block, residual=_norm(residual))
+    return AccelCoefficients(block=block, residual=_norm_discarding(residual))
 
 
 def deflate_grams(gram_vecs, timestamps, acc: AccelCoefficients) -> np.ndarray:
@@ -123,21 +125,39 @@ def fit_with_accel(meas: MeasurementSet, d: int = 2) -> FittedStack:
     by MDS and jointly solves for the velocity and the sensor-frame
     rotation.  Raises only for a cause that every record shares (the
     dimension, missing accelerometer data, fewer than four nodes, the
-    time grid).
+    time grid).  The fit runs at unit scale: each record's readings are
+    multiplied by 2^(2f - e), with the exponents of its pairs and grid.
+
+    At unit scale, readings that agree with the distances are of order
+    one: |a_i - a_j| t_max^2 is bounded by a few of the largest distances.
+    A record whose largest |reading| there passes 2^128 disagrees with its
+    distances beyond any noise, and the deflation and the finish take
+    squares of squares of it, which would leave float64; so does one
+    whose 2^(2f - e) is past 2^1023, no float, while its readings are not
+    all zero.  Either fails at ``coefficient-fit``, its readings fitted as
+    zeros.  Readings below 2^-128 at unit scale are fitted as zeros too:
+    they are negligible next to the distances, and the split would divide
+    by them.
     """
-    meas = _fit_input(meas, d)
-    if meas.accels is None:
+    unit, exponent, t_max = _fit_input(meas, d)
+    accels = unit.accels
+    if accels is None:
         raise ConfigError("accelerometer fusion needs accelerometer data in the bundle")
-    if meas.accels.shape[-2] != d:
-        raise InvalidDimensionError(
-            f"accelerometer data has {meas.accels.shape[-2]} axes, but dim = {d}"
-        )
+    if accels.shape[-2] != d:
+        raise InvalidDimensionError(f"accelerometer data has {accels.shape[-2]} axes, not {d}")
+    shift = 2 * np.frexp(t_max)[1] - exponent
+    # the mantissa of an all-zero record is 0
+    big = np.frexp(np.abs(accels).max(axis=(1, 2, 3)))
+    lost = (big[0] > 0.0) & ((big[1] + shift > 128) | (shift > 1023))
+    overflow = InvalidDimensionError("readings past 2**128 at unit scale overflow the deflation")
+    errors = [_stage_error("coefficient-fit", overflow) if x else None for x in lost]
     with _stage("accelerometer-fit"):
-        acc = fit_accel_coeffs(meas.accels, meas.timestamps)
+        scale = np.ldexp(((big[0] > 0.0) & ~lost & (big[1] + shift > -128)).astype(float), shift)
+        acc = fit_accel_coeffs(accels, unit.timestamps, scale)
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
-    sensor_accel = acc.block @ centering_matrix(meas.n_nodes)
-    return _fitted_stack(meas, 3, sensor_accel, {"accel_fit": acc.residual})
+    factor = acc.block @ centering_matrix(unit.n_nodes)
+    return _fitted_stack(unit, exponent, t_max, 3, factor, {"accel_fit": acc.residual}, errors)
 
 
 def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:

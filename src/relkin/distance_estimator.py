@@ -17,15 +17,16 @@ fixed to identity and a warning says so.
 Each estimate runs in two stages.  The fit (:func:`fit_from_distances`
 here, ``accel_estimator.fit_with_accel`` with accelerometers) is the
 only stage that sees the time grid: it turns a stack of records on one
-grid into a :class:`FittedStack` of n-by-n coefficient blocks.  The
-finish (:func:`finish_batch`, shared by both methods) runs the MDS and
-the solve on those blocks, which have the same shape for every grid, so
-stacks fitted on different grids join (:func:`join_fitted`) and finish
-in one call.  The batch entry points are a finish of one fit, and a
-single estimate is the batch of one.  Each stage of the finish is one
-stacked call: one MDS (of both factors on the distance-only path), one
-split of both Lyapunov-like equations and one basis solve of both
-reflection candidates.  The
+grid into a :class:`FittedStack` of n-by-n coefficient blocks, every
+record scaled to unit scale by exact powers of two (:func:`_fit_input`).
+The finish (:func:`finish_batch`, shared by both methods) runs the MDS
+and the solve on those blocks, whose shape is the same for every grid,
+and scales its outputs back to each record's units; so stacks fitted on
+different grids join (:func:`join_fitted`) and finish in one call.  The
+batch entry points are a finish of one fit, and a single estimate is the
+batch of one.  Each stage of the finish is one stacked call: one MDS (of
+both factors on the distance-only path), one split of both Lyapunov-like
+equations and one basis solve of both reflection candidates.  The
 choices a record needs of its own (reflection retry, fallback, a
 degenerate split) are per-record masks, so each record comes out as it
 would alone.
@@ -33,6 +34,7 @@ would alone.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
@@ -91,6 +93,20 @@ _RANK_DEFICIENT_BASIS = (
     "singular for a unique solution"
 )
 _VANISHING_ROTATION = "rotation components of the basis solution vanish"
+_AMBIGUOUS = (
+    "MDS reflection ambiguity detected; the reflected acceleration factor fit the coupled equations"
+)
+_OVERFLOW = "the estimate overflows float64 in the units of the record"
+#: a position_mds below this warns.  Measured over 20 seeds: the benchmark
+#: scene reads at least 9.9e3 (99 with 100 times its distance noise), random
+#: well-posed scenes of 4 to 100 nodes at least 5.1e3, while collinear scenes
+#: read 0.40 to 0.97 and i.i.d. uniform "squared distances" 0.57 to 1.10,
+#: so the threshold leaves at least 9 times margin on either side
+_PLANAR_MDS = 10.0
+_NOT_PLANAR = "position factor: position_mds below 10; no planar network fits the squared distances"
+#: the units of each residual: (a, b) for length^a / time^b
+_UNITS = {"accel_fit": (1, 2), "edm_fit": (2, 0), "velocity_split": (2, 1),
+          "acceleration_split": (2, 3), "basis": (1, 1)}
 _REPEATED = (
     "nearly repeated singular values; the SVD frame is ill determined and the "
     "basis solve relies on its residual check"
@@ -150,19 +166,17 @@ class ChuFactors:
         return self.z1_diag[..., :, None] * self.vt + self.z2
 
     @cached_property
-    def line(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The free entries' line lam[0] u1 + lam[1] u2 = c over lam[0], as (r, q, base).
+    def line(self) -> tuple[np.ndarray, np.ndarray]:
+        """The free entries' line lam[0] u1 + lam[1] u2 = c over lam[0], as (r, q).
 
-        r = lam / lam[0] = (1, lam[1] / lam[0]) and q = c / lam[0], so the
-        line reads r . u = q, and base = q r / |r|^2 = c lam / |lam|^2 is
-        its minimum-norm point; r and base are (..., 2), q is (...,).
-        lam[0] is the factor's own size, so neither quotient can overflow;
-        a zero factor takes r = (1, 0) and q = c.  Computed once per split.
+        r = lam / lam[0] = (1, lam[1] / lam[0]) is (..., 2) and q = c / lam[0]
+        is (...,), so the line reads r . u = q.  lam[0] is the factor's own
+        size, so neither quotient can overflow; a zero factor takes
+        r = (1, 0) and q = c.  Computed once per split.
         """
         scale = np.where(self.lam[..., :1] > 0.0, self.lam[..., :1], 1.0)
         # lam[0] / lam[0] is 1 exactly, and the maximum gives a zero factor r = (1, 0)
-        r, q = np.maximum(self.lam / scale, _EYE[0]), self.c / scale[..., 0]
-        return r, q, (q / _sum_squares(r, -1))[..., None] * r
+        return np.maximum(self.lam / scale, _EYE[0]), self.c / scale[..., 0]
 
 
 @dataclass
@@ -172,9 +186,10 @@ class BasisSystem:
     ``phi`` solves rows @ phi ~ rhs in least squares for the basis vector
     (h1, h2, h1*s, h2*s), where the free entries u = base + s*perp of the
     velocity split run along its line (see :attr:`ChuFactors.line`);
-    every row and ``residual`` are in length/time.  ``h`` is the
-    normalized rotation pair, ``h_norm`` its length before normalization,
-    and ``u`` the recovered free entries, on the line to round-off.
+    every row and ``residual`` are in length/time.  ``base`` is the
+    line's minimum-norm point, ``h`` the normalized rotation pair,
+    ``h_norm`` its length before normalization, and ``u`` the recovered
+    free entries, on the line to round-off.
     ``condition`` is s_max/s_min of ``w``, NaN below rank 4.
     ``solvable`` flags a usable solution: ``rank`` 4 and ``h_norm`` at
     least 1e-8.  The system of a stack of splits carries its leading axes
@@ -183,6 +198,7 @@ class BasisSystem:
 
     w: np.ndarray
     rhs: np.ndarray
+    base: np.ndarray
     phi: np.ndarray
     h: np.ndarray
     u: np.ndarray
@@ -280,14 +296,20 @@ class BatchEstimate:
 class FittedStack:
     """What the fit stage of either method hands the shared finish, for a stack of B records.
 
+    The fit runs at unit scale (see :func:`_fit_input`): record i's pairs
+    were divided by 4^e, its grid by 2^f and its accelerations by
+    2^(e - 2f), where ``exponent[i]`` is e and ``t_max[i]``, the record's
+    largest |t|, is m 2^f with m in [0.5, 1) (``np.frexp``).  So
+    ``coeffs``, ``factor`` and ``residuals`` are at unit scale, and the
+    finish scales what it returns back.  ``t_max`` is the only thing the
+    finish reads of a time grid.
+
     ``coeffs`` holds the (B, n, n) Grammian coefficient blocks and the B
-    pair-fit residuals; a record whose fit overflowed has zeroed blocks,
-    a NaN residual and its ``coefficient-fit`` error in ``errors``.
-    ``factor`` is the (B, 2, n) acceleration factor of the accelerometer
-    path (its centered sensor block), or None on the distance-only path,
-    whose finish takes the MDS of 4 B_4 instead.  ``residuals`` maps each
-    fit's name to its (B,) residuals and ``t_max`` holds each record's
-    largest |t|, the only thing the finish reads of a time grid.
+    pair-fit residuals.  ``factor`` is the (B, 2, n) acceleration factor
+    of the accelerometer path (its centered sensor block), or None on
+    the distance-only path, whose finish takes the MDS of 4 B_4 instead.
+    ``residuals`` maps each fit's name to its (B,) residuals, and
+    ``errors`` holds each record's fit error, or None.
     """
 
     coeffs: GrammianCoefficients
@@ -295,6 +317,7 @@ class FittedStack:
     residuals: dict[str, np.ndarray]
     t_max: np.ndarray
     errors: list[Optional[EstimationError]]
+    exponent: np.ndarray
 
 
 def join_fitted(parts: Sequence[FittedStack]) -> FittedStack:
@@ -312,31 +335,26 @@ def join_fitted(parts: Sequence[FittedStack]) -> FittedStack:
     if len(kinds) != 1:
         raise InvalidDimensionError("only stacks from one fit of one node count can be joined")
     blocks = [np.concatenate(stacks) for stacks in zip(*(p.coeffs.blocks for p in parts))]
+    residual = np.concatenate([p.coeffs.residual for p in parts])
     return FittedStack(
-        coeffs=GrammianCoefficients(
-            first.coeffs.degree, blocks, np.concatenate([p.coeffs.residual for p in parts])
-        ),
+        coeffs=GrammianCoefficients(first.coeffs.degree, blocks, residual),
         factor=None if first.factor is None else np.concatenate([p.factor for p in parts]),
-        residuals={
-            key: np.concatenate([p.residuals[key] for p in parts]) for key in first.residuals
-        },
+        residuals={k: np.concatenate([p.residuals[k] for p in parts]) for k in first.residuals},
         t_max=np.concatenate([p.t_max for p in parts]),
         errors=[error for p in parts for error in p.errors],
+        exponent=np.concatenate([p.exponent for p in parts]),
     )
 
 
 @lru_cache(maxsize=32)
-def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Design, projector and unscaling powers of a degree-``degree`` fit.
+def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Design and projector of a degree-``degree`` fit.
 
     ``t_bytes`` holds the float64 time grid.  One QR factorization of the
     (degree+1)-column Vandermonde matrix gives the small (degree+1, K+1)
-    projector R^-1 Q^T.  The time axis is rescaled to [-1, 1] before
-    factorization and the coefficients are unscaled by the powers
-    afterwards, which leaves the minimizer unchanged but keeps the factor
-    well conditioned; a grid whose largest |t| raised to ``degree``
-    falls below the smallest normal float cannot be unscaled and is
-    rejected.  The arrays are read-only and cached per grid and
+    projector R^-1 Q^T.  The estimators' grids arrive at unit scale, in
+    [-1, 1] (see :func:`_fit_input`), where the factor is well
+    conditioned.  The arrays are read-only and cached per grid and
     degree: every record of a sweep's K shares one grid, and so does
     every single estimate at that K.
     """
@@ -345,20 +363,12 @@ def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray, n
         raise SingularDesignError(
             f"need at least {degree + 1} samples for a degree-{degree} fit, got {t.size}"
         )
-    scale = float(np.abs(t).max()) or 1.0
-    # only a grid inside (-1, 1) can underflow; above 1, float ** raises OverflowError
-    if scale < 1.0 and scale**degree < _TINY:
-        raise SingularDesignError(
-            f"time grid too short for a degree-{degree} fit: its largest |t| is {scale!r}, "
-            f"whose power {degree} underflows float64"
-        )
-    a = np.vander(t / scale, degree + 1, increasing=True)
+    a = np.vander(t, degree + 1, increasing=True)
     q, r = np.linalg.qr(a)
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularDesignError("rank-deficient Vandermonde design (repeated timestamps?)")
-    fit = a, np.linalg.solve(r, q.T), scale ** np.arange(degree + 1)
-    return _read_only(fit)
+    return _read_only((a, np.linalg.solve(r, q.T)))
 
 
 def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
@@ -371,38 +381,42 @@ def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 def _quartic_design(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Augmented design [a | t^4] and p4 = P t^4 of a fit deflated by a quartic term.
 
-    ``a`` and P are the scaled design and projector of
-    :func:`_vandermonde`, and t^4 is of the unscaled grid, as the
-    deflation weights are.  Read-only and cached per grid and degree;
-    t^4 of a huge grid overflows to inf under the caller's errstate.
+    ``a`` and P are the design and projector of :func:`_vandermonde`.
+    Read-only and cached per grid and degree.
     """
     t = np.frombuffer(t_bytes)
-    a, projector, _ = _vandermonde(t_bytes, degree)
+    a, projector = _vandermonde(t_bytes, degree)
     t4 = t**4
     return _read_only((np.column_stack([a, t4]), projector @ t4))
 
 
-def _poly_lstsq(timestamps, values, degree: int, quartic=None) -> tuple[np.ndarray, np.ndarray]:
+def _poly_lstsq(timestamps, values, degree: int, quartic=None, scale=None):
     """Least-squares polynomial fit shared by all columns of ``values``.
 
     ``values`` is (K+1, m), or a stack (..., K+1, m) of such series; the
     grid's cached projector (see :func:`_vandermonde`) serves every column
     of every member in one matmul.  Returns the coefficients and the
-    residual of the fit.
+    residual of the fit, which takes v a few thousand entries per member
+    at a time, so the fit holds one record-sized array, its residual.
 
     ``quartic``, weights w of shape (m,) or (..., m), fits the deflated
     series v - t^4 w instead, in coefficient space: the fit is linear, so
     its coefficients are P v - p4 w, and its residual is one product of
     the augmented design [a | t^4] (see :func:`_quartic_design`) with the
     stacked [c; w], minus v.  No deflated (..., K+1, m) series is formed.
+
+    ``scale``, one power of two per member of a (B, K+1, m) stack, fits
+    the scaled series scale v instead, bit for bit, without forming it:
+    the coefficients come from the scaled projector, (scale P) v.
     """
     t = np.asarray(timestamps, dtype=float).ravel()
     vals = np.asarray(values, dtype=float)
     if vals.ndim < 2 or vals.shape[-2] != t.size:
         raise InvalidDimensionError("values must be (K+1, m) matching timestamps")
     t_bytes = t.tobytes()
-    a, projector, powers = _vandermonde(t_bytes, degree)
-    coeffs = projector @ vals
+    a, projector = _vandermonde(t_bytes, degree)
+    scale = 1.0 if scale is None else scale[:, None, None]
+    coeffs = (projector * scale) @ vals
     if quartic is None:
         residual = a @ coeffs
     else:
@@ -410,8 +424,9 @@ def _poly_lstsq(timestamps, values, degree: int, quartic=None) -> tuple[np.ndarr
         w = quartic[..., None, :]
         coeffs -= p4[:, None] * w
         residual = design @ np.concatenate([coeffs, w], axis=-2)
-    residual -= vals
-    coeffs /= powers[:, None]
+    step = max(1, 4096 // vals.shape[-1])
+    for rows in (slice(k, k + step) for k in range(0, t.size, step)):
+        np.subtract(residual[..., rows, :], vals[..., rows, :] * scale, out=residual[..., rows, :])
     return coeffs, residual
 
 
@@ -447,7 +462,7 @@ def _double_center(pairs, n: int) -> np.ndarray:
     return d
 
 
-def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCoefficients:
+def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None, scale=None):
     """Grammian coefficient blocks from one polynomial fit of the pair record.
 
     Double centering is linear and acts on each sample alone, so it
@@ -463,27 +478,14 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None) -> GrammianCo
     grid's one projector.  The residual is the norm of the pair fit's own
     residual, taken before the blocks are built, so that the record-sized
     residual is freed first; it is squared in place for that norm, so the
-    fit holds one record-sized array beside its input.
-
-    A record whose fit overflows float64 fails on its own: its blocks are
-    zeroed and its residual is NaN, the mark :func:`_fitted_stack` reports
-    as that record's ``coefficient-fit`` error.  The screen keeps 8|B|
-    finite for every block B, since the MDS stage reads 4 B_4 and
-    symmetrizes it by adding its transpose.
+    fit holds one record-sized array beside its input.  ``scale`` (see
+    :func:`_poly_lstsq`) fits each record's pairs times its scale.
     """
-    n, t, pairs = meas.n_nodes, meas.timestamps, meas.pairs
-    with np.errstate(over="ignore", invalid="ignore"):
-        quartic = None if accel is None else 0.25 * pairs_from_points(accel)
-        coeffs, res = _poly_lstsq(t, pairs, degree, quartic)
-        residual = _norm_discarding(res)
-        del res
-        blocks = _double_center(coeffs, n)
-        # max(max, -min) is the largest |entry| without an abs() temporary
-        axes = (-3, -2, -1)
-        failed = ~np.isfinite(8.0 * np.maximum(blocks.max(axis=axes), -blocks.min(axis=axes)))
-    if failed.any():
-        blocks[failed] = 0.0
-        residual = np.where(failed, np.nan, residual)
+    quartic = None if accel is None else 0.25 * pairs_from_points(accel)
+    coeffs, res = _poly_lstsq(meas.timestamps, meas.pairs, degree, quartic, scale)
+    residual = _norm_discarding(res)
+    del res
+    blocks = _double_center(coeffs, meas.n_nodes)
     return GrammianCoefficients(
         degree, [blocks[..., l, :, :] for l in range(degree + 1)], residual=residual
     )
@@ -503,7 +505,7 @@ def recover_position_acceleration(
     """
     if coeffs.degree < 4:
         raise InvalidDimensionError("position/acceleration recovery needs a degree-4 fit")
-    both = classical_mds(np.stack([coeffs.blocks[0], 4.0 * coeffs.blocks[4]]), d)
+    both = classical_mds(np.array([coeffs.blocks[0], 4.0 * coeffs.blocks[4]]), d)
     if coeffs.blocks[0].ndim == 2:
         notes, discarded = both.warnings, both.discarded.tolist()
     else:
@@ -564,8 +566,9 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     (see :class:`ChuFactors`), the two splits are linked by
     N2 = (U2^T R^T U0) N0 with R the planar rotation parameterized by
     h = (h1, h2).  The free entries of N0 lie on ``f0``'s line, so they
-    are u = base + s*perp with base its minimum-norm point and
-    perp = (r[1], -r[0]) its direction (see :attr:`ChuFactors.line`).
+    are u = base + s*perp with base = q r / |r|^2 = c lam / |lam|^2 its
+    minimum-norm point and perp = (r[1], -r[0]) its direction (see
+    :attr:`ChuFactors.line`); only ``f0``'s line needs that point.
     Every entry of N2 is then linear in the basis vector
     phi = (h1, h2, h1*s, h2*s), whose four (2, n) coefficient matrices
     g_j @ (known + base*free) and g_j @ (perp*free) are stacked once; the
@@ -578,10 +581,11 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
       known linear combination of two leading-block entries.
 
     Every row is in length/time, so phi's least-squares solution, and with
-    it h and u, does not depend on the units; only the rank rule and
-    ``condition`` see them, since the h columns carry length/time and the
-    h*s columns none.  The trailing rows span only the (n - 2)-dimensional
-    complement of vt2's rows, so the normal equations equal those of the
+    it h and u, does not depend on the units.  The rank rule and
+    ``condition`` would see them, since the h columns carry length/time
+    and the h*s columns none; the estimators solve at unit scale (see
+    :func:`_fit_input`), where neither does.  The trailing rows span only
+    the (n - 2)-dimensional complement of vt2's rows, so the normal equations equal those of the
     2n - 1 rows of the full SVD frame.  phi is the least-squares solution
     from the SVD of the rows, with ``lstsq``'s rank rule (singular values
     at most eps * max(rows, 4) times the largest count as zero); h is
@@ -601,15 +605,15 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
 
     # g[..., j, :, :] = U2^T G_j U0 for the generators G = (I, _J) of h1*I + h2*_J
     g = f2.u.swapaxes(-1, -2)[..., None, :, :] @ _GENERATORS @ f0.u[..., None, :, :]
-    r, _, base = f0.line
-    perp = r @ _J.T  # (r[1], -r[0])
+    r, q = f0.line
+    base, perp = (q / _sum_squares(r, -1))[..., None] * r, r @ _J.T  # perp = (r[1], -r[0])
     free = f0.vt[..., ::-1, :]
     # N0 = parts[0] + s * parts[1]; m holds the coefficient matrices of N2, (..., 4, 2, n)
     parts = np.stack([f0.known + base[..., None] * free, perp[..., None] * free], axis=-3)
     m = (g[..., None, :, :, :] @ parts[..., :, None, :, :]).reshape(g.shape[:-3] + (4, 2, n))
     vt2 = f2.vt[..., None, :, :]
     lead = m @ vt2.swapaxes(-1, -2)
-    r2, q2, _ = f2.line
+    r2, q2 = f2.line
     w = np.concatenate(
         [
             lead.diagonal(0, -2, -1).swapaxes(-1, -2),
@@ -631,7 +635,8 @@ def build_and_solve_basis(f0: ChuFactors, f2: ChuFactors) -> BasisSystem:
     h = phi[..., :2] / np.maximum(h_norm, _TINY)[..., None]
     return BasisSystem(
         # s = h . phi[2:] places u on the line
-        w=w, rhs=b, phi=phi, h=h, u=base + (h * phi[..., 2:]).sum(-1, keepdims=True) * perp,
+        w=w, rhs=b, base=base, phi=phi, h=h,
+        u=base + (h * phi[..., 2:]).sum(-1, keepdims=True) * perp,
         residual=_norm(gap, -1), rank=rank,
         condition=_ratio(sv, full), h_norm=h_norm, solvable=full & (h_norm >= 1e-8),
     )
@@ -717,10 +722,11 @@ def _solve(
     solvable basis system, the velocity is set to the minimum-norm
     completion of the first split and the rotation to identity, with a
     warning.  The negligible test compares s_min(F) t_max^2 with the root
-    of the right side.  Past t_max of about 1e154, or for a huge F, that
-    product overflows to inf, which still compares as the exact product
-    would, so only numpy's warning is silenced; ``fitted.t_max`` gives
-    each record its own t_max.
+    of the right side, at unit scale, where each record's t_max is the
+    mantissa of its ``fitted.t_max``.
+
+    The whole solve runs at the fit's unit scale, and so does the batch
+    it returns; :func:`finish_batch` scales it back.
 
     Every stage runs once on the whole stack; the retry, the fallback
     and a degenerate velocity split are per-record masks, so one record's
@@ -732,25 +738,21 @@ def _solve(
     coeffs, errors, residuals = fitted.coeffs, list(fitted.errors), dict(fitted.residuals)
     with _stage("velocity-split"):
         both = chu_decompose(
-            np.stack([coeffs.blocks[1], 2.0 * coeffs.blocks[3]]),
-            np.stack([mds0.points, accel_factor]),
+            np.array([coeffs.blocks[1], 2.0 * coeffs.blocks[3]]),
+            np.array([mds0.points, accel_factor]),
         )
     f0, f2 = (ChuFactors(*(getattr(both, k.name)[i] for k in fields(ChuFactors))) for i in (0, 1))
-    # a record whose fit overflowed has zeroed blocks, so its split is degenerate too
     for i in f0.degenerate.nonzero()[0]:
-        if errors[i] is None:
-            errors[i] = _stage_error("velocity-split", DegenerateGeometryError(_DEGENERATE_FACTOR))
+        degenerate = DegenerateGeometryError(_DEGENERATE_FACTOR)
+        errors[i] = errors[i] or _stage_error("velocity-split", degenerate)
     _note(notes, f0.repeated, f"velocity split: {_REPEATED}")
     residuals["velocity_split"] = f0.residual
     conditioning["velocity_split"] = _ratio(f0.lam, ~f0.degenerate)
 
     with _stage("basis-solve"):
-        bases = build_and_solve_basis(f0, replace(f2, u=np.stack([f2.u, _FLIP @ f2.u])))
+        bases = build_and_solve_basis(f0, replace(f2, u=np.array([f2.u, _FLIP @ f2.u])))
     floor = np.sqrt(np.maximum(_NEGLIGIBLE_ACCEL * mds0.eigenvalues[..., 0], 0.0))
-    # an overflow to inf compares as the exact product would, and a degenerate
-    # factor's 0 * inf is NaN, which ~f2.degenerate masks anyway
-    with np.errstate(over="ignore", invalid="ignore"):
-        negligible = ~f2.degenerate & (f2.lam[..., -1] * fitted.t_max**2 <= floor)
+    negligible = ~f2.degenerate & (f2.lam[..., -1] * np.frexp(fitted.t_max)[0] ** 2 <= floor)
     ok = ~f2.degenerate & ~negligible & bases.solvable
     fallback = ~(ok[0] | ok[1])
     reflected = ok[1] & (~ok[0] | (bases.residual[0] > 10.0 * bases.residual[1]))
@@ -761,29 +763,22 @@ def _solve(
             "velocity set to its minimum-norm completion and the rotation fixed to identity"
         )
     _note(notes, reflected & ~ok[0], "only the reflected acceleration factor admitted a solution")
-    _note(
-        notes,
-        reflected & ok[0],
-        "MDS reflection ambiguity detected; the reflected acceleration factor fit the "
-        "coupled equations",
-    )
+    _note(notes, reflected & ok[0], _AMBIGUOUS)
     _note(notes, f2.repeated & ~fallback, _REPEATED)
 
     h, u = (np.where(reflected[:, None], x[1], x[0]) for x in (bases.h, bases.u))
     basis_residual, condition = (
         np.where(reflected, x[1], x[0]) for x in (bases.residual, bases.condition)
     )
-    rotation = np.empty(u.shape + (2,))
-    rotation[..., 0, 0] = rotation[..., 1, 1] = h[..., 0]
-    rotation[..., 1, 0] = h[..., 1]
-    rotation[..., 0, 1] = -h[..., 1]
+    # R = h1 I + h2 _J^T: the generators combine into its transpose
+    rotation = h[..., :1, None] * _EYE + h[..., 1:, None] * _J.T
     # R @ _FLIP for the reflected factor: its first column negated
     rotation[reflected, :, 0] *= -1.0
     # NaN marks the residuals and spreads of the records that fell back
     mark = np.where(fallback, np.nan, 0.0)
     if fallback.any():
         # the minimum-norm (u1, u2) on lam[0] u1 + lam[1] u2 = c
-        u = np.where(fallback[..., None], f0.line[2], u)
+        u = np.where(fallback[..., None], bases.base, u)
         rotation[fallback] = _EYE
     residuals["acceleration_split"] = f2.residual + mark
     residuals["basis"] = basis_residual + mark
@@ -802,16 +797,61 @@ def _solve(
     )
 
 
+@lru_cache(maxsize=8)
+def _unit_powers(degree: int, keys: tuple[str, ...]) -> np.ndarray:
+    """(a, b) rows, for length^a / time^b, of y0, y1, y2, each block and each residual in ``keys``.
+
+    int32, as the exponents are: mixed widths would cast.  Read-only.
+    """
+    units = [(1, p) for p in range(3)] + [(2, l) for l in range(degree + 1)]
+    return _read_only((np.array(units + [_UNITS[key] for key in keys], np.int32),))[0]
+
+
+def _in_units(batch: BatchEstimate, fitted: FittedStack) -> BatchEstimate:
+    """``batch``, estimated at the fit's unit scale, back in the units of each record.
+
+    An output in length^a / time^b is multiplied by 2^(a e - b f), with e
+    and f the record's exponents (see :class:`FittedStack`): y0, y1, y2 by
+    2^e, 2^(e - f), 2^(e - 2f), block l by 2^(2e - l f), and each residual
+    by its units in ``_UNITS``.  A record whose estimate overflows float64
+    in its own units, such as the velocities of a grid a few 1e-300 long,
+    fails at ``scale-back``; its outputs are only scanned for inf when
+    some product overflowed.
+    """
+    c, res = batch.coeffs, batch.residuals
+    exponents = np.array([fitted.exponent, -np.frexp(fitted.t_max)[1]])
+    powers = _unit_powers(c.degree, tuple(res)) @ exponents
+    # exact wherever the product is a normal float: a multiply by the float 2^k,
+    # or, where some 2^k is no float, ldexp, 20 times slower
+    exact = np.abs(powers).max() <= 1023
+    factors, times = (np.ldexp(1.0, powers), np.multiply) if exact else (powers, np.ldexp)
+    outputs = [batch.y0, batch.y1, batch.y2, *c.blocks]
+    overflowed: list[str] = []
+    with np.errstate(over="call", call=lambda kind, flag: overflowed.append(kind)):
+        y0, y1, y2, *blocks = map(times, outputs, factors[:, :, None, None])
+        values = times(np.array(list(res.values())), factors[len(outputs) :])
+    scaled = [y0, y1, y2, *blocks, values.T]
+    lost = {i for x in scaled for i in np.isinf(x).nonzero()[0]} if overflowed else ()
+    for i in lost:
+        overflow = _stage_error("scale-back", InvalidDimensionError(_OVERFLOW))
+        batch.errors[i] = batch.errors[i] or overflow
+    res = dict(zip(res, values))
+    coeffs = GrammianCoefficients(c.degree, blocks, res["edm_fit"])
+    return replace(batch, y0=y0, y1=y1, y2=y2, residuals=res, coeffs=coeffs)
+
+
 def finish_batch(fitted: FittedStack) -> BatchEstimate:
     """Estimates of every record of a fitted stack, from either method's fit and any grids.
 
     Steps: MDS of the constant block, and of four times the quartic
     block when the stack carries no acceleration factor (the distance-only
     path, where a static network's round-off quartic block takes the
-    fallback), then the shared velocity/rotation solve (:func:`_solve`).
+    fallback), then the shared velocity/rotation solve (:func:`_solve`),
+    all at the fit's unit scale, and the scale back (:func:`_in_units`).
     Each stage is one stacked call over all records; none reads a time
     grid, so stacks fitted at different K finish together (see
-    :func:`join_fitted`).
+    :func:`join_fitted`).  A ``position_mds`` below ``_PLANAR_MDS`` is
+    warned about.
     """
     coeffs, factor = fitted.coeffs, fitted.factor
     # every fit admits only dim = 2
@@ -821,16 +861,14 @@ def finish_batch(fitted: FittedStack) -> BatchEstimate:
         else:
             mds0 = classical_mds(coeffs.blocks[0], 2)
     conditioning = {"position_mds": mds0.kept_over_discarded}
+    notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
+    _note(notes, conditioning["position_mds"] < _PLANAR_MDS, _NOT_PLANAR)
     if factor is None:
-        notes = [
-            [f"position factor: {w}" for w in p] + [f"acceleration factor: {w}" for w in a]
-            for p, a in zip(mds0.warnings, mds2.warnings)
-        ]
+        for mine, found in zip(notes, mds2.warnings):
+            mine += [f"acceleration factor: {w}" for w in found]
         conditioning["acceleration_mds"] = mds2.kept_over_discarded
         factor = mds2.points
-    else:
-        notes = [[f"position factor: {w}" for w in p] for p in mds0.warnings]
-    return _solve(fitted, mds0, factor, notes, conditioning)
+    return _in_units(_solve(fitted, mds0, factor, notes, conditioning), fitted)
 
 
 def _one_record(meas: MeasurementSet) -> MeasurementSet:
@@ -842,33 +880,45 @@ def _one_record(meas: MeasurementSet) -> MeasurementSet:
     return meas
 
 
-def _fit_input(meas: MeasurementSet, d: int) -> MeasurementSet:
-    """``meas`` as a stack, once the causes every record of it shares are ruled out."""
+def _fit_input(meas: MeasurementSet, d: int) -> tuple[MeasurementSet, np.ndarray, np.ndarray]:
+    """``meas`` as a stack at unit scale, once the causes every record of it shares are ruled out.
+
+    The data model is homogeneous in its units: block B_l scales as
+    length^2 / time^l, and y0, y1, y2 as length, length/time and
+    length/time^2.  So every record is scaled by exact powers of two: its
+    pairs by 4^-e, with 2^e near its largest distance (per record, so each
+    is estimated as if alone), and the shared grid by 2^-f, with
+    max |t| = m 2^f, m in [0.5, 1).  The accelerometer path scales the
+    accelerations by 2^(2f - e).  Every stage then runs at unit scale, far
+    from overflow and underflow, and no rank rule or conditioning sees the
+    units.  Returns the stack on its scaled grid (its pairs and accels as
+    they are: the fits scale them), each record's e and each record's
+    max |t|.
+    """
     if d != 2:
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     with _stage("basis-solve"):
         _require_four_nodes(meas.n_nodes)
-    return meas.as_batch()
+    # a single record's batch is a copy already, whose grid can be replaced
+    unit = copy.copy(meas) if meas.pairs.ndim == 3 else meas.as_batch()
+    # e >= -500 keeps 4^-e times the projector finite for subnormal pairs; zero pairs take e = 0
+    exponent = np.maximum(np.frexp(unit.pairs.max(axis=(1, 2)))[1] // 2, -500)
+    t_max = np.abs(unit.timestamps).max()
+    unit.timestamps = np.ldexp(unit.timestamps, -np.frexp(t_max)[1])
+    return unit, exponent, np.full(len(exponent), t_max)
 
 
-def _fitted_stack(
-    meas: MeasurementSet, degree: int, factor=None, residuals=None
-) -> FittedStack:
-    """The degree-``degree`` pair fit of the stack ``meas``, deflated by ``factor`` if given.
+def _fitted_stack(unit, exponent, t_max, degree, factor=None, residuals=None, errors=None):
+    """The degree-``degree`` pair fit of the unit-scale stack ``unit``, deflated by ``factor``.
 
-    A record whose fit overflowed gets its ``coefficient-fit`` error here;
+    ``exponent`` and ``t_max`` come from :func:`_fit_input`;
     ``residuals`` are the method's earlier fit residuals, which
-    ``edm_fit`` follows.
+    ``edm_fit`` follows, and ``errors`` its records' errors so far.
     """
     with _stage("coefficient-fit"):
-        coeffs = _fit_edm_coeffs(meas, degree, accel=factor)
-    errors: list[Optional[EstimationError]] = [None] * len(coeffs.residual)
-    for i in np.isnan(coeffs.residual).nonzero()[0]:
-        overflow = InvalidDimensionError("the squared distances overflow the fitted blocks")
-        errors[i] = _stage_error("coefficient-fit", overflow)
-    t_max = np.full(len(errors), float(np.abs(meas.timestamps).max()))
+        coeffs = _fit_edm_coeffs(unit, degree, factor, np.ldexp(1.0, -2 * exponent))
     residuals = {**(residuals or {}), "edm_fit": coeffs.residual}
-    return FittedStack(coeffs, factor, residuals, t_max, errors)
+    return FittedStack(coeffs, factor, residuals, t_max, errors or [None] * len(t_max), exponent)
 
 
 def fit_from_distances(meas: MeasurementSet, d: int = 2) -> FittedStack:
@@ -879,7 +929,7 @@ def fit_from_distances(meas: MeasurementSet, d: int = 2) -> FittedStack:
     for a cause that every record shares (the dimension, fewer than four
     nodes, the time grid).
     """
-    return _fitted_stack(_fit_input(meas, d), degree=4)
+    return _fitted_stack(*_fit_input(meas, d), degree=4)
 
 
 def estimate_from_distances_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:

@@ -32,7 +32,6 @@ __all__ = [
 #: relative tolerance used when checking that an input matrix is symmetric
 SYMMETRY_RTOL = 1e-9
 _TINY = float(np.finfo(float).tiny)
-_HUGE = float(np.finfo(float).max)
 
 
 def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
@@ -41,47 +40,16 @@ def _sum_squares(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
 
 
 def _norm(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """Euclidean norm over ``axis`` of each record of ``x``, without overflow.
-
-    Each norm is the root of :func:`_sum_squares`.  ``np.vdot(x, x)``
-    bounds every record's sum of squares from above, and it reports no
-    overflow, since it is a BLAS dot product rather than a ufunc.  Only
-    when that bound comes near the largest float does
-    :func:`_finite_norm` look at the plain norms.
-    """
-    if np.vdot(x, x) < 0.5 * _HUGE:
-        return np.sqrt(_sum_squares(x, axis))
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(_sum_squares(x, axis))
-    return _finite_norm(x, norm, axis)
+    """Euclidean norm over ``axis`` of each record of ``x``: the root of :func:`_sum_squares`."""
+    return np.sqrt(_sum_squares(x, axis))
 
 
 def _norm_discarding(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
     """:func:`_norm` of ``x`` bit for bit, for a caller that discards ``x``.
 
-    Under :func:`_norm`'s bound ``x`` is squared in place, so no temporary
-    of its size is made; past it, ``x`` is left as it is for
-    :func:`_finite_norm` to rescale.
+    ``x`` is squared in place, so no temporary of its size is made.
     """
-    if np.vdot(x, x) < 0.5 * _HUGE:
-        return np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=axis))
-    return _norm(x, axis)
-
-
-def _finite_norm(x: np.ndarray, norm: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """``norm``, the plain norm of each record of ``x``, where it is finite.
-
-    The records whose plain norm is not finite are recomputed scaled by
-    their largest |entry|, so every other record keeps its plain norm bit
-    for bit.
-    """
-    if np.isfinite(norm).all():
-        return norm
-    scale = np.abs(x).max(axis=axis, keepdims=True)
-    # a zero record divides 0 by 0 here, but keeps its plain norm
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.squeeze(scale, axis) * np.sqrt(_sum_squares(x / scale, axis))
-    return np.where(np.isfinite(norm), norm, scaled)
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=x), axis=axis))
 
 
 def _as_square(m, op: str, stacked: bool = False) -> np.ndarray:
@@ -350,10 +318,9 @@ def _rayleigh_ritz(b: np.ndarray, x: np.ndarray, d: int):
 def _certified_top(b: np.ndarray, d: int):
     """Top-d eigenpairs of each (n, n) matrix of ``b`` by block subspace iteration.
 
-    Each record is first divided by a power of two near its largest
-    |entry|, which keeps every product, norm and residual of the
-    iteration far from overflow and underflow for any finite b; its top
-    and discarded are scaled back.  The iteration starts from the d + 2
+    ``b`` comes from :func:`classical_mds` scaled to unit size, so no
+    product, norm or residual of the iteration comes near overflow or
+    underflow.  The iteration starts from the d + 2
     largest-norm columns, as they are.  Every pass has one shape:
     ``_PASS_PRODUCTS`` - 1 products with b, then one thin QR, the last
     product and one Rayleigh-Ritz step (:func:`_rayleigh_ritz`).  A
@@ -371,10 +338,6 @@ def _certified_top(b: np.ndarray, d: int):
     uncertified records are meaningless.
     """
     count, n, _ = b.shape
-    big = np.maximum(b.max(axis=(-2, -1)), -b.min(axis=(-2, -1)))
-    # no smaller than the least normal float, so 2**-shift stays finite
-    shift = np.frexp(np.maximum(big, _TINY))[1]
-    b = b * np.ldexp(1.0, -shift)[:, None, None]
     cols = np.argsort(np.einsum("bij,bij->bj", b, b), axis=-1)[:, : -d - 3 : -1]
     x = np.take_along_axis(b, cols[:, None, :], axis=-1)
     top, rows = np.zeros((count, d)), np.zeros((count, d, n))
@@ -399,7 +362,7 @@ def _certified_top(b: np.ndarray, d: int):
         if not going.all():
             live, b, x, worst = live[going], b[going], x[going], worst[going]
         previous = worst
-    return np.ldexp(top, shift[:, None]), rows, np.ldexp(discarded, shift), certified
+    return top, rows, discarded, certified
 
 
 def _eigh_top(b: np.ndarray, d: int):
@@ -408,8 +371,7 @@ def _eigh_top(b: np.ndarray, d: int):
     top = evals[..., : -d - 1 : -1]  # descending
     rows = evecs.swapaxes(-1, -2)[..., : -d - 1 : -1, :]  # their eigenvectors, (..., d, n)
     rest = evals[..., :-d]
-    # only a record whose plain (einsum) norm overflows is recomputed
-    return top, rows, _finite_norm(rest, np.sqrt(np.einsum("...i,...i->...", rest, rest)), -1)
+    return top, rows, np.sqrt(np.einsum("...i,...i->...", rest, rest))
 
 
 def _iterated_top(b: np.ndarray, d: int):
@@ -438,19 +400,27 @@ def classical_mds(g, d: int) -> MdsResult:
     :func:`_certified_top`, in passes of ``_PASS_PRODUCTS`` products, one
     thin QR and one Rayleigh-Ritz step, until it converges or stalls; the
     records it does not certify take one stacked ``eigh``.  Either way
-    each record's result depends on that record alone, and a huge but
-    finite Grammian gets a finite ``discarded``.
+    each record's result depends on that record alone.  Both routes see
+    each record divided by a power of two near its largest |entry|, which
+    is exact and keeps them far from overflow and underflow for any
+    finite Grammian; the eigenvalues and ``discarded`` are scaled back.
     """
     g = _as_square(g, "classical_mds", stacked=True)
     n = g.shape[-1]
     if not 1 <= d <= n:
         raise InvalidDimensionError(f"embedding dimension {d} invalid for n={n}")
     b = 0.5 * (g + g.swapaxes(-1, -2))
-    if not np.isfinite(b).all():
+    # max propagates NaN and inf, so the largest |entry| checks finiteness too
+    big = np.abs(b).max(axis=(-2, -1))
+    if not np.isfinite(big).all():
         raise InvalidDimensionError("classical_mds: the Grammian must be finite")
+    # no smaller than the least normal float, so 2**-shift stays finite
+    shift = np.frexp(np.maximum(big, _TINY))[1]
+    b *= np.ldexp(1.0, -shift)[..., None, None]
     # the iteration needs its d + 2 columns to span a proper subspace
     wide = n >= max(_ITERATE_FROM, d + 3)
     top, rows, discarded = (_iterated_top if wide else _eigh_top)(b, d)
+    top, discarded = np.ldexp(top, shift[..., None]), np.ldexp(discarded, shift)
     # the sign of each eigenvector's (first) largest-magnitude entry
     flat = rows.reshape(-1, n)
     lead = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)].reshape(top.shape)

@@ -44,7 +44,7 @@ from relkin.distance_estimator import (
 )
 from relkin.linalg import _ITERATE_FROM, _certified_top, classical_mds
 
-from conftest import poison_record, random_constant_accel_trajectory
+from conftest import poison_record, random_constant_accel_trajectory, rel_err
 
 BATCH = {"distance": estimate_from_distances_batch, "accel": estimate_with_accel_batch}
 SINGLE = {"distance": estimate_from_distances, "accel": estimate_with_accel}
@@ -195,18 +195,49 @@ def test_one_mds_call_factors_both_blocks_of_each_record():
     assert got[0].warnings and not got[1].warnings
 
 
-@pytest.mark.parametrize("method", ["distance", "accel"])
-def test_an_overflowing_record_fails_alone(method):
+def short_grid_stack():
+    """Three records on a grid 2^-400 times the benchmark's, the outer two 2^-500 times as long.
+
+    The middle record's cubic block is about 2^1200 times its unit-scale
+    value in these units, past the largest float; the outer records'
+    blocks are 2^-1000 times smaller.  Accelerations are in the same units.
+    """
     records = benchmark_records(3)
-    huge = MeasurementSet(records[1].timestamps, records[1].pairs * 1e301, records[1].accels)
+    lengths = (-500, 0, -500)
+    return [
+        MeasurementSet(
+            np.ldexp(r.timestamps, -400), np.ldexp(r.pairs, 2 * k), np.ldexp(r.accels, k + 800)
+        )
+        for r, k in zip(records, lengths)
+    ]
+
+
+@pytest.mark.parametrize(
+    "method,case,stage",
+    [
+        ("accel", "accels-1e160", "coefficient-fit"),
+        ("distance", "short-grid", "scale-back"),
+        ("accel", "short-grid", "scale-back"),
+    ],
+)
+def test_an_overflowing_record_fails_alone(method, case, stage):
+    # accelerations that disagree with the distances by 1e160 overflow the
+    # deflation, and on a grid 2^-400 long an ordinary record's estimate
+    # overflows in its own units; either way the other records are untouched
+    if case == "short-grid":
+        records = short_grid_stack()
+    else:
+        records = benchmark_records(3)
+        mid = records[1]
+        records[1] = MeasurementSet(mid.timestamps, mid.pairs, mid.accels * 1e160)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        batch = BATCH[method](stack([records[0], huge, records[2]]))
+        batch = BATCH[method](stack(records))
         alone = [BATCH[method](records[i]) for i in (0, 2)]
     assert [str(w.message) for w in caught] == []
     assert [error is None for error in batch.errors] == [True, False, True]
-    assert str(batch.errors[1]).startswith("stage 'coefficient-fit': ")
-    assert np.isnan(batch.residuals["edm_fit"][1])
+    assert str(batch.errors[1]).startswith(f"stage '{stage}': ")
+    assert "overflow" in str(batch.errors[1])
     for i, solo in zip((0, 2), alone):
         assert batch.warnings[i] == solo.warnings[0]
         for field in ("y0", "y1", "y2", "rotation"):
@@ -214,7 +245,9 @@ def test_an_overflowing_record_fails_alone(method):
         for table in ("residuals", "conditioning"):
             got, want = getattr(batch, table), getattr(solo, table)
             assert list(got) == list(want)
-            assert all(np.array_equal(got[key][i], want[key][0]) for key in want), table
+            assert all(
+                np.array_equal(got[key][i], want[key][0], equal_nan=True) for key in want
+            ), table
         for got, want in zip(batch.coeffs.blocks, solo.coeffs.blocks):
             assert np.array_equal(got[i], want[0])
 
@@ -263,31 +296,37 @@ def test_an_overflow_after_the_fit_stays_in_its_record(method, pairs_scale, acce
 @pytest.mark.parametrize(
     "method,times_scale,accels_scale,outcome",
     [
-        ("distance", 1e200, 1.0, "minimum-norm"),
+        ("distance", 1e200, 1.0, "solved"),
         ("accel", 1.0, 1e307, "coefficient-fit"),
+        ("accel", 1.0, 2.0**-900, "minimum-norm"),
     ],
-    ids=["distance-times-1e200", "accel-accels-1e307"],
+    ids=["distance-times-1e200", "accel-accels-1e307", "accel-accels-2^-900"],
 )
-def test_the_negligible_test_overflows_without_a_numpy_warning(
+def test_an_extreme_scale_ends_without_a_numpy_warning(
     method, times_scale, accels_scale, outcome
 ):
-    # s_min(F) t_max^2 overflows (t_max^2 past 1e308, or a huge s_min(F)), and a
-    # degenerate factor's 0 * inf is NaN; the booleans stay those of exact arithmetic
+    # t_max^2 past 1e308 and s_min(F) near the largest float: at unit scale
+    # neither reaches the negligible test; readings 2^-900 times too small,
+    # which the velocity split would divide by, are fitted as zeros
     rec = benchmark_records(1)[0]
     huge = MeasurementSet(rec.timestamps * times_scale, rec.pairs, rec.accels * accels_scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = BATCH[method](huge)
+        ordinary = SINGLE[method](rec)
     if outcome == "coefficient-fit":
         assert str(batch.errors[0]).startswith("stage 'coefficient-fit': ")
-    else:
-        # a record stretched this far in time has a degenerate acceleration factor
+    elif outcome == "minimum-norm":
         assert batch.errors[0] is None
-        assert batch.warnings[0][-1].startswith(
-            "acceleration factor unusable (factor is rank deficient"
-        )
         assert "minimum-norm completion" in batch.warnings[0][-1]
-        assert np.isnan(batch.residuals["basis"][0])
+    else:
+        # the record stretched 1e200-fold in time is the ordinary one in slower units
+        est = batch.estimate(0)
+        assert est.warnings == ordinary.warnings
+        assert np.isfinite(est.residuals["basis"])
+        assert rel_err(est.y1 * times_scale, ordinary.y1) <= 1e-9
+        # its accelerations, 1e-400 of the ordinary ones, underflow to zero or subnormals
+        assert np.abs(est.y2).max() <= 1e-300
 
 
 def test_a_huge_sensor_factor_fails_at_the_fit_without_a_numpy_warning():
@@ -325,29 +364,28 @@ def test_huge_finite_pairs_keep_their_mds_conditioning(method, n):
     for key, unit_scale in ratios.items():
         assert batch.conditioning[key][1] == pytest.approx(unit_scale, rel=1e-9), key
     if n >= _ITERATE_FROM:
-        assert _certified_top(batch.coeffs.blocks[0][1:2], 2)[-1].all()
+        # the fit hands the MDS a block at unit scale, which the iteration certifies
+        fitted = harness._ESTIMATORS[method](huge)
+        assert _certified_top(fitted.coeffs.blocks[0], 2)[-1].all()
 
 
-# |t|^degree below the smallest normal float; the accel path's degree-3 fit
-# still unscales at 1e-100
+# on a grid a few 1e-300 (or, at degree 4, 1e-100) long the fitted blocks of
+# an ordinary record pass the largest float in its own units
 @pytest.mark.parametrize(
-    "method,degree,span", [("distance", 4, 1e-300), ("distance", 4, 1e-100), ("accel", 3, 1e-300)]
+    "method,span", [("distance", 1e-300), ("distance", 1e-100), ("accel", 1e-300)]
 )
-def test_a_time_grid_too_short_to_unscale_rejects_the_stack(method, degree, span):
+def test_a_time_grid_too_short_for_the_units_fails_each_record(method, span):
     cfg = SimConfig(k_samples=10, t_start=-span, t_end=span, accel_rotation_angle=0.5)
     records = [simulate_measurements(replace(cfg, seed=s), benchmark_trajectory()) for s in (1, 2)]
-    message = (
-        f"^stage 'coefficient-fit': time grid too short for a degree-{degree} fit: "
-        f"its largest \\|t\\| is {span!r}"
-    )
-    # the grid is every record's, so the whole batch raises rather than failing record by record
+    message = "^stage 'scale-back': the estimate overflows float64 in the units of the record"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(EstimationError, match=message):
-            BATCH[method](stack(records))
+        batch = BATCH[method](stack(records))
         with pytest.raises(EstimationError, match=message):
             SINGLE[method](records[0])
     assert [str(w.message) for w in caught] == []
+    # the grid is every record's, but each record fails on its own
+    assert all(re.match(message, str(error)) for error in batch.errors)
 
 
 def test_a_record_failure_costs_only_its_trial(monkeypatch):

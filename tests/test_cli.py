@@ -124,12 +124,25 @@ class TestEstimate:
         assert err.startswith("error:") and "nonnegative" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["distance", "accel"])
-    def test_overflowing_bundle_is_one_clean_error(self, tmp_path, capsys, method):
+    @pytest.mark.parametrize(
+        "method,pairs_scale,accels_scale,outcome",
+        [
+            ("distance", 1e301, 1.0, "estimated"),
+            ("accel", 1e301, np.sqrt(1e301), "estimated"),
+            ("accel", 1.0, 1e160, "error: stage 'coefficient-fit': "),
+        ],
+        ids=["distance-pairs-1e301", "accel-pairs-1e301", "accel-accels-1e160"],
+    )
+    def test_overflowing_bundle_is_one_clean_error(
+        self, tmp_path, capsys, method, pairs_scale, accels_scale, outcome
+    ):
+        # huge pairs are estimated at unit scale; accelerations 1e160 times too
+        # large for the distances overflow the deflation, one clean error
         meas = simulate_measurements(SimConfig(k_samples=10, seed=1), benchmark_trajectory())
         bundle = tmp_path / "huge"
         write_measurement_bundle(
-            MeasurementSet(meas.timestamps, meas.pairs * 1e301, meas.accels), bundle
+            MeasurementSet(meas.timestamps, meas.pairs * pairs_scale, meas.accels * accels_scale),
+            bundle,
         )
         out = tmp_path / "est"
         # a warning that reached the CLI would print its own lines to stderr
@@ -138,14 +151,18 @@ class TestEstimate:
             code = run_cli(
                 ["estimate", "--bundle", str(bundle), "--method", method, "--output", str(out)]
             )
-        assert code == 1
         assert [str(w.message) for w in caught] == []
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: stage 'coefficient-fit': ")
+        if outcome == "estimated":
+            assert code == 0 and lines == []
+            assert out.exists()
+            return
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(outcome) and "overflow" in lines[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("method,degree", [("distance", 4), ("accel", 3)])
-    def test_too_short_time_grid_is_one_clean_error(self, tmp_path, capsys, method, degree):
+    @pytest.mark.parametrize("method", ["distance", "accel"])
+    def test_too_short_time_grid_is_one_clean_error(self, tmp_path, capsys, method):
         bundle = tmp_path / "short"
         grid = ["--set", "t_start=-1e-300", "--set", "t_end=1e-300"]
         assert run_cli(["simulate", "--output", str(bundle), *grid]) == 0
@@ -159,8 +176,7 @@ class TestEstimate:
         assert code == 1
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
-            f"error: stage 'coefficient-fit': time grid too short for a degree-{degree} fit: "
-            f"its largest |t| is 1e-300, whose power {degree} underflows float64"
+            "error: stage 'scale-back': the estimate overflows float64 in the units of the record"
         ]
         assert not out.exists()
 

@@ -149,7 +149,10 @@ def test_coefficient_space_deflation_matches_the_per_sample_deflation(n, k, coun
         assert rel_err(coeffs[i], want_coeffs[i]) <= 1e-12
         # the residual is a small difference of the record, so its round-off is the record's
         assert np.linalg.norm(res[i] - want_res[i]) <= 1e-12 * np.linalg.norm(pairs)
-        blocks = np.stack([b[i] for b in fit.coeffs.blocks])
+        # the fit runs at unit scale: block l comes back times 2^(2e - l f), its residual 4^e
+        e, f = fit.exponent[i], np.frexp(fit.t_max[i])[1]
+        blocks = np.stack([np.ldexp(b[i], 2 * e - l * f) for l, b in enumerate(fit.coeffs.blocks)])
         assert rel_err(blocks, want_blocks[i]) <= 1e-12
         want_residual = np.linalg.norm(want_res[i])
-        assert abs(fit.coeffs.residual[i] - want_residual) <= 1e-12 * want_residual
+        residual = np.ldexp(fit.coeffs.residual[i], 2 * e)
+        assert abs(residual - want_residual) <= 1e-12 * want_residual

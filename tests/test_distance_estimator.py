@@ -1,5 +1,6 @@
 """Distance-only estimation: coefficient fit, factor recovery, coupled solve."""
 
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -266,8 +267,8 @@ class TestChuDecompose:
             alone = build_and_solve_basis(f0, replace(f2, u=u))
             for item in fields(alone):
                 got = getattr(both, item.name)
-                # the right-hand side does not depend on the candidate
-                got = got if item.name == "rhs" else got[j]
+                # the right-hand side and f0's base point do not depend on the candidate
+                got = got if item.name in ("rhs", "base") else got[j]
                 assert np.array_equal(got, getattr(alone, item.name), equal_nan=True), item.name
 
     @pytest.mark.parametrize("ratio,degenerate", [(1e-5, False), (1e-9, True)])
@@ -686,28 +687,47 @@ class TestSharedSolve:
             estimate(meas)
 
     @pytest.mark.parametrize(
-        "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
+        "estimate,pairs_scale,accels_scale",
+        [
+            (estimate_from_distances, 1e301, 1.0),
+            (estimate_with_accel, 1e301, np.sqrt(1e301)),
+            (estimate_with_accel, 1.0, 1e160),
+        ],
+        ids=["distance-pairs-1e301", "accel-pairs-1e301", "accel-accels-1e160"],
     )
-    def test_overflowing_fit_is_a_coefficient_fit_error(self, estimate):
-        # squared distances near the float limit pass validation, but the
-        # fitted coefficient blocks overflow to inf and NaN
+    def test_overflowing_fit_is_a_coefficient_fit_error(
+        self, estimate, pairs_scale, accels_scale
+    ):
+        # squared distances near the float limit are fitted at unit scale and
+        # estimated like the ordinary record; accelerations 1e160 times too
+        # large for them would overflow the deflation, at any scale
         meas = simulate_measurements(SimConfig(k_samples=10, seed=1), benchmark_trajectory())
-        huge = MeasurementSet(meas.timestamps, meas.pairs * 1e301, meas.accels)
-        with pytest.raises(EstimationError, match="stage 'coefficient-fit': .*overflow"):
-            estimate(huge)
+        huge = MeasurementSet(meas.timestamps, meas.pairs * pairs_scale, meas.accels * accels_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if pairs_scale == 1.0:
+                with pytest.raises(EstimationError, match="stage 'coefficient-fit': .*overflow"):
+                    estimate(huge)
+                return
+            got, want = estimate(huge), estimate(meas)
+        length = np.sqrt(pairs_scale)
+        for name in ("y0", "y1", "y2"):
+            assert rel_err(getattr(got, name) / length, getattr(want, name)) <= 1e-9, name
+        assert got.warnings == want.warnings
 
 
 @pytest.mark.parametrize(
     "length,time",
-    [(1e3, 1.0), (1.0, 1e3), (1e6, 1.0), (1e3, 1e3)],
-    ids=["millimetres", "milliseconds", "micrometres", "millimetres-and-milliseconds"],
+    [(1e3, 1.0), (1.0, 1e3), (1e6, 1.0), (1e3, 1e3), (1e13, 1.0)],
+    ids=["millimetres", "milliseconds", "micrometres", "millimetres-and-milliseconds", "1e13"],
 )
 @pytest.mark.parametrize(
     "estimate", [estimate_from_distances, estimate_with_accel], ids=["distance", "accel"]
 )
 def test_estimate_is_unit_invariant(estimate, length, time):
     # a new unit of length and of time: squared distances x length^2, timestamps
-    # x time, accelerations x length / time^2; micrometres put the pairs at x1e12
+    # x time, accelerations x length / time^2; micrometres put the pairs at x1e12,
+    # and a length unit 1e13 smaller once took a false rank-deficient fallback
     cfg = SimConfig(k_samples=20, sigma_d=0.01, seed=1)
     meas = simulate_measurements(cfg, benchmark_trajectory())
     scaled = MeasurementSet(

@@ -241,6 +241,21 @@ class TestClassicalMds:
         with pytest.raises(InvalidDimensionError):
             classical_mds(np.eye(3), 4)
 
+    @pytest.mark.parametrize("n", [10, 60], ids=["eigh", "iteration"])
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_power_of_two_scaled_grammians_factor_exactly(self, rng, n, power):
+        # each record is divided by a power of two near its largest entry before
+        # either route, so 2^600 (whose squares overflow) and 2^-600 (whose
+        # squares underflow) give the unscaled result scaled, bit for bit
+        x = rng.standard_normal((3, 2, n)) * np.array([1.0, 1e-3, 1e3])[:, None, None]
+        noise = 1e-3 * rng.standard_normal((3, n, n))
+        g = x.swapaxes(-1, -2) @ x + noise + noise.swapaxes(-1, -2)
+        want, got = classical_mds(g, 2), classical_mds(np.ldexp(g, power), 2)
+        assert np.array_equal(got.points, np.ldexp(want.points, power // 2))
+        assert np.array_equal(got.eigenvalues, np.ldexp(want.eigenvalues, power))
+        assert np.array_equal(got.discarded, np.ldexp(want.discarded, power))
+        assert got.warnings == want.warnings
+
 
 class TestOrthogonalProcrustes:
     def test_identity_for_equal_inputs(self, rng):
@@ -289,16 +304,16 @@ class TestNormDiscarding:
         want = _norm(x)
         got = _norm_discarding(x)
         assert np.array_equal(got, want)
-        # under the bound the argument holds its squares afterwards
+        # the argument holds its squares afterwards
         assert (x >= 0.0).all()
 
-    def test_overflowing_records_are_rescaled_like_norm(self, rng):
+    def test_records_far_apart_in_scale_match_norm(self, rng):
+        # the estimators hand both norms unit-scale records; each record's norm
+        # is its own, however far the others lie from it
         x = rng.standard_normal((3, 5, 6))
-        x[1] *= 1e300
-        want = _norm(x)
-        kept = x.copy()
+        x[1] *= 1e150
+        x[2] *= 1e-150
+        want, first = _norm(x), _norm(x[0])
         got = _norm_discarding(x)
         assert np.array_equal(got, want)
-        assert np.isfinite(got).all()
-        # past the bound the argument is left for the rescaling
-        assert np.array_equal(x, kept)
+        assert np.array_equal(got[0], first)

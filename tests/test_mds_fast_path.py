@@ -49,20 +49,18 @@ def certified(g):
 class CountingStack(np.ndarray):
     """A stack of square matrices that counts the products ``stack @ block`` taken with it.
 
-    Records picked out of it, and the stack times its records' scales,
-    stay counting stacks; every other ufunc result is a plain array.
+    Records picked out of it stay counting stacks; every ufunc result is
+    a plain array.
     """
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         first = inputs[0]
-        counting = isinstance(first, CountingStack)
-        if ufunc is np.matmul and counting:
+        if ufunc is np.matmul and isinstance(first, CountingStack):
             CountingStack.products += first.shape[-1] == first.shape[-2]
         plain = [np.asarray(a) if isinstance(a, CountingStack) else a for a in inputs]
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        return result.view(CountingStack) if ufunc is np.multiply and counting else result
+        return getattr(ufunc, method)(*plain, **kwargs)
 
 
 def products_taken(g):
