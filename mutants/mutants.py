@@ -8,8 +8,9 @@ cannot change any output is kept with the reason in ``equivalent`` and
 skipped, never deleted.
 
 M1-M14 are the mutants planted by hand when the suite was last reviewed;
-U1-U8 plant faults in the scaling to unit scale at the fit and in the
-``position_mds`` warning.
+U1-U10 plant faults in the scaling to unit scale at the fit (of the
+estimators and of ``fit_gram_coeffs``) and in the ``position_mds``
+warning.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ MUTANTS = [
         "nearly repeated singular values are never flagged",
     ),
     Mutant(
-        "M9", AE, "factor = acc.block @ centering_matrix(unit.n_nodes)", "factor = acc.block",
+        "M9", AE, "factor = coeffs.reshape(-1, d, n) @ centering_matrix(n)",
+        "factor = coeffs.reshape(-1, d, n)",
         "the sensor acceleration block is not centered",
     ),
     Mutant(
@@ -126,5 +128,14 @@ MUTANTS = [
     Mutant(
         "U7", LA, "shift = np.frexp(np.maximum(big, _TINY))[1]", "shift = 0 * big.astype(int)",
         "classical_mds loses its power-of-two shift, so huge Grammians overflow",
+    ),
+    Mutant(
+        "U9", DE, "exponent = np.maximum(np.frexp(unit.pairs.max(axis=(1, 2)))[1] // 2, -500)",
+        "exponent = np.frexp(unit.pairs.max(axis=(1, 2)))[1] // 2",
+        "subnormal pairs take 4^-e past the largest float, and their stack's finish raises",
+    ),
+    Mutant(
+        "U10", DE, "f = np.frexp(np.abs(t).max(initial=0.0))[1]", "f = 0",
+        "fit_gram_coeffs fits the caller's grid as it is: a 4000 s grid reads as rank deficient",
     ),
 ]

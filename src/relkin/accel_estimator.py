@@ -71,20 +71,18 @@ class AccelCoefficients:
     residual: float | np.ndarray = 0.0
 
 
-def fit_accel_coeffs(accels, timestamps, scale=None) -> AccelCoefficients:
+def fit_accel_coeffs(accels, timestamps) -> AccelCoefficients:
     """Constant-acceleration fit of an accelerometer series, or of a stack of them.
 
     A constant-acceleration trajectory reads a constant in every sensor
     entry, so the fit is the per-entry time average: a degree-0
-    polynomial fit sharing the grid's cached projector.  ``scale``, one
-    power of two (or 0) per member of a stack, fits the scaled readings
-    without forming them (see ``distance_estimator._poly_lstsq``).
+    polynomial fit sharing the grid's cached projector.
     """
     accels = np.asarray(accels, dtype=float)
     if accels.ndim < 3:
         raise InvalidDimensionError("accels must be (K+1, dim, n)")
     lead, (d, n) = accels.shape[:-2], accels.shape[-2:]
-    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0, scale=scale)
+    coeffs, residual = _poly_lstsq(timestamps, accels.reshape(lead + (d * n,)), 0)
     block = coeffs[..., 0, :].reshape(lead[:-1] + (d, n))
     return AccelCoefficients(block=block, residual=_norm_discarding(residual))
 
@@ -140,24 +138,28 @@ def fit_with_accel(meas: MeasurementSet, d: int = 2) -> FittedStack:
     by them.
     """
     unit, exponent, t_max = _fit_input(meas, d)
-    accels = unit.accels
+    accels, n = unit.accels, unit.n_nodes
     if accels is None:
         raise ConfigError("accelerometer fusion needs accelerometer data in the bundle")
     if accels.shape[-2] != d:
         raise InvalidDimensionError(f"accelerometer data has {accels.shape[-2]} axes, not {d}")
+    readings = accels.reshape(len(accels), -1, d * n)
     shift = 2 * np.frexp(t_max)[1] - exponent
     # the mantissa of an all-zero record is 0
-    big = np.frexp(np.abs(accels).max(axis=(1, 2, 3)))
+    big = np.frexp(np.abs(readings).max(axis=(1, 2)))
     lost = (big[0] > 0.0) & ((big[1] + shift > 128) | (shift > 1023))
     overflow = InvalidDimensionError("readings past 2**128 at unit scale overflow the deflation")
     errors = [_stage_error("coefficient-fit", overflow) if x else None for x in lost]
+    scale = np.ldexp(((big[0] > 0.0) & ~lost & (big[1] + shift > -128)).astype(float), shift)
+    # the constant-acceleration fit of fit_accel_coeffs, of the scaled readings
     with _stage("accelerometer-fit"):
-        scale = np.ldexp(((big[0] > 0.0) & ~lost & (big[1] + shift > -128)).astype(float), shift)
-        acc = fit_accel_coeffs(accels, unit.timestamps, scale)
+        coeffs, res = _poly_lstsq(unit.timestamps, readings, 0, scale=scale)
+    # rebinding res frees the record-sized residual before the pair fit
+    res = {"accel_fit": _norm_discarding(res)}
     # the true coefficients are mean centered; projecting the fit onto
     # centered matrices strips the noise component the model excludes
-    factor = acc.block @ centering_matrix(unit.n_nodes)
-    return _fitted_stack(unit, exponent, t_max, 3, factor, {"accel_fit": acc.residual}, errors)
+    factor = coeffs.reshape(-1, d, n) @ centering_matrix(n)
+    return _fitted_stack(unit, exponent, t_max, 3, factor, res, errors)
 
 
 def estimate_with_accel_batch(meas: MeasurementSet, d: int = 2) -> BatchEstimate:

@@ -347,16 +347,18 @@ def join_fitted(parts: Sequence[FittedStack]) -> FittedStack:
 
 
 @lru_cache(maxsize=32)
-def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Design and projector of a degree-``degree`` fit.
+def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, ...]:
+    """Design and projector of a degree-``degree`` fit, and of one deflated by a quartic term.
 
     ``t_bytes`` holds the float64 time grid.  One QR factorization of the
-    (degree+1)-column Vandermonde matrix gives the small (degree+1, K+1)
-    projector R^-1 Q^T.  The estimators' grids arrive at unit scale, in
-    [-1, 1] (see :func:`_fit_input`), where the factor is well
-    conditioned.  The arrays are read-only and cached per grid and
-    degree: every record of a sweep's K shares one grid, and so does
-    every single estimate at that K.
+    (degree+1)-column Vandermonde matrix ``a`` gives the small
+    (degree+1, K+1) projector P = R^-1 Q^T.  A fit deflated by a quartic
+    term reads the augmented design [a | t^4] and p4 = P t^4.  The
+    estimators' grids arrive at unit scale, in [-1, 1] (see
+    :func:`_fit_input`), and :func:`fit_gram_coeffs` scales its grid
+    there, so the factor is well conditioned.  The arrays are read-only
+    and cached per grid and degree: every record of a sweep's K shares
+    one grid, and so does every single estimate at that K.
     """
     t = np.frombuffer(t_bytes)
     if t.size < degree + 1:
@@ -368,26 +370,14 @@ def _vandermonde(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
     diag = np.abs(np.diag(r))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise SingularDesignError("rank-deficient Vandermonde design (repeated timestamps?)")
-    return _read_only((a, np.linalg.solve(r, q.T)))
+    projector, t4 = np.linalg.solve(r, q.T), t**4
+    return _read_only((a, projector, np.column_stack([a, t4]), projector @ t4))
 
 
 def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-@lru_cache(maxsize=32)
-def _quartic_design(t_bytes: bytes, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented design [a | t^4] and p4 = P t^4 of a fit deflated by a quartic term.
-
-    ``a`` and P are the design and projector of :func:`_vandermonde`.
-    Read-only and cached per grid and degree.
-    """
-    t = np.frombuffer(t_bytes)
-    a, projector = _vandermonde(t_bytes, degree)
-    t4 = t**4
-    return _read_only((np.column_stack([a, t4]), projector @ t4))
 
 
 def _poly_lstsq(timestamps, values, degree: int, quartic=None, scale=None):
@@ -402,28 +392,30 @@ def _poly_lstsq(timestamps, values, degree: int, quartic=None, scale=None):
     ``quartic``, weights w of shape (m,) or (..., m), fits the deflated
     series v - t^4 w instead, in coefficient space: the fit is linear, so
     its coefficients are P v - p4 w, and its residual is one product of
-    the augmented design [a | t^4] (see :func:`_quartic_design`) with the
-    stacked [c; w], minus v.  No deflated (..., K+1, m) series is formed.
+    the augmented design [a | t^4] with the stacked [c; w], minus v.  No
+    deflated (..., K+1, m) series is formed.
 
-    ``scale``, one power of two per member of a (B, K+1, m) stack, fits
-    the scaled series scale v instead, bit for bit, without forming it:
-    the coefficients come from the scaled projector, (scale P) v.
+    ``scale``, one power of two (or 0) per member of a (B, K+1, m) stack,
+    fits the scaled series scale v instead, bit for bit, without forming
+    it: the coefficients come from the scaled projector, (scale P) v, and
+    the residual subtracts scale v a few thousand entries at a time.
     """
     t = np.asarray(timestamps, dtype=float).ravel()
     vals = np.asarray(values, dtype=float)
     if vals.ndim < 2 or vals.shape[-2] != t.size:
         raise InvalidDimensionError("values must be (K+1, m) matching timestamps")
-    t_bytes = t.tobytes()
-    a, projector = _vandermonde(t_bytes, degree)
-    scale = 1.0 if scale is None else scale[:, None, None]
-    coeffs = (projector * scale) @ vals
+    a, projector, design, p4 = _vandermonde(t.tobytes(), degree)
+    scale = None if scale is None else scale[:, None, None]
+    coeffs = (projector if scale is None else projector * scale) @ vals
     if quartic is None:
         residual = a @ coeffs
     else:
-        design, p4 = _quartic_design(t_bytes, degree)
         w = quartic[..., None, :]
         coeffs -= p4[:, None] * w
         residual = design @ np.concatenate([coeffs, w], axis=-2)
+    if scale is None:
+        residual -= vals
+        return coeffs, residual
     step = max(1, 4096 // vals.shape[-1])
     for rows in (slice(k, k + step) for k in range(0, t.size, step)):
         np.subtract(residual[..., rows, :], vals[..., rows, :] * scale, out=residual[..., rows, :])
@@ -437,12 +429,24 @@ def fit_gram_coeffs(gram_vecs, timestamps, degree: int) -> GrammianCoefficients:
     block structure of the full design matrix makes the problem one small
     polynomial fit per vech component, all sharing a single Vandermonde
     factorization; the returned blocks are the un-vech'd coefficient
-    matrices, exactly symmetric by construction.
+    matrices, exactly symmetric by construction.  The grid is fitted at
+    unit scale, divided by 2^f with max |t| = m 2^f, m in [0.5, 1), and
+    coefficient l multiplied back by 2^(-l f): both steps are exact, so
+    the fit is as well conditioned on a grid of any length or unit.  A
+    grid so short that the coefficients overflow float64 in its units
+    raises SingularDesignError.
     """
     gram_vecs = np.asarray(gram_vecs, dtype=float)
-    coeffs, residual = _poly_lstsq(timestamps, gram_vecs, degree)
-    blocks = [unvech(row) for row in coeffs]
-    return GrammianCoefficients(degree, blocks, residual=float(np.linalg.norm(residual)))
+    t = np.asarray(timestamps, dtype=float).ravel()
+    f = np.frexp(np.abs(t).max(initial=0.0))[1]
+    coeffs, res = _poly_lstsq(np.ldexp(t, -f), gram_vecs, degree)
+    with np.errstate(over="raise"):
+        try:
+            coeffs = np.ldexp(coeffs, -f * np.arange(degree + 1)[:, None])
+        except FloatingPointError:
+            message = f"time grid too short: the degree-{degree} coefficients overflow float64"
+            raise SingularDesignError(message) from None
+    return GrammianCoefficients(degree, [unvech(row) for row in coeffs], float(np.linalg.norm(res)))
 
 
 def _double_center(pairs, n: int) -> np.ndarray:
@@ -483,12 +487,10 @@ def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None, scale=None):
     """
     quartic = None if accel is None else 0.25 * pairs_from_points(accel)
     coeffs, res = _poly_lstsq(meas.timestamps, meas.pairs, degree, quartic, scale)
-    residual = _norm_discarding(res)
-    del res
+    # rebinding res frees the record-sized residual before the blocks are built
+    res = _norm_discarding(res)
     blocks = _double_center(coeffs, meas.n_nodes)
-    return GrammianCoefficients(
-        degree, [blocks[..., l, :, :] for l in range(degree + 1)], residual=residual
-    )
+    return GrammianCoefficients(degree, list(np.moveaxis(blocks, -3, 0)), residual=res)
 
 
 def recover_position_acceleration(
@@ -821,23 +823,21 @@ def _in_units(batch: BatchEstimate, fitted: FittedStack) -> BatchEstimate:
     c, res = batch.coeffs, batch.residuals
     exponents = np.array([fitted.exponent, -np.frexp(fitted.t_max)[1]])
     powers = _unit_powers(c.degree, tuple(res)) @ exponents
-    # exact wherever the product is a normal float: a multiply by the float 2^k,
-    # or, where some 2^k is no float, ldexp, 20 times slower
-    exact = np.abs(powers).max() <= 1023
-    factors, times = (np.ldexp(1.0, powers), np.multiply) if exact else (powers, np.ldexp)
     outputs = [batch.y0, batch.y1, batch.y2, *c.blocks]
     overflowed: list[str] = []
+    # ldexp is exact wherever the result is a normal float, even where 2^k is no float
     with np.errstate(over="call", call=lambda kind, flag: overflowed.append(kind)):
-        y0, y1, y2, *blocks = map(times, outputs, factors[:, :, None, None])
-        values = times(np.array(list(res.values())), factors[len(outputs) :])
+        y0, y1, y2, *blocks = map(np.ldexp, outputs, powers[:, :, None, None])
+        values = np.ldexp(np.array(list(res.values())), powers[len(outputs) :])
     scaled = [y0, y1, y2, *blocks, values.T]
     lost = {i for x in scaled for i in np.isinf(x).nonzero()[0]} if overflowed else ()
     for i in lost:
         overflow = _stage_error("scale-back", InvalidDimensionError(_OVERFLOW))
         batch.errors[i] = batch.errors[i] or overflow
-    res = dict(zip(res, values))
-    coeffs = GrammianCoefficients(c.degree, blocks, res["edm_fit"])
-    return replace(batch, y0=y0, y1=y1, y2=y2, residuals=res, coeffs=coeffs)
+    # batch is the solve's own, and its errors were set in place already
+    batch.y0, batch.y1, batch.y2, batch.residuals = y0, y1, y2, dict(zip(res, values))
+    batch.coeffs = GrammianCoefficients(c.degree, blocks, batch.residuals["edm_fit"])
+    return batch
 
 
 def finish_batch(fitted: FittedStack) -> BatchEstimate:

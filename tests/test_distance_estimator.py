@@ -23,6 +23,7 @@ from relkin import (
     estimate_from_distances_batch,
     estimate_with_accel,
     estimate_with_accel_batch,
+    fit_deflated_coeffs,
     fit_gram_coeffs,
     gram_from_edm,
     orthogonal_procrustes,
@@ -109,6 +110,41 @@ class TestFitGramCoeffs:
         fitted = fit_gram_coeffs(noiseless_gram_vecs(traj, ts), ts, degree=4)
         for block in fitted.blocks:
             assert np.array_equal(block, block.T)
+
+    @pytest.mark.parametrize("span", [4000.0, 1e4, 1e-3])
+    @pytest.mark.parametrize("degree", [4, 3])
+    def test_a_grid_of_any_length_fits(self, span, degree):
+        # the benchmark series on [0, 1], timed on [0, span]: block l is the true
+        # block times span^-l, to the round-off a fit on [0, 1] leaves (2.9e-7 at
+        # l = 4); an unscaled degree-4 design on [0, span] reads as rank deficient
+        traj, ts = benchmark_trajectory(), np.linspace(0.0, 1.0, 21)
+        vecs, truth = noiseless_gram_vecs(traj, ts), gram_poly_blocks(traj, 4)
+        if degree == 3:
+            fitted = fit_deflated_coeffs(vecs - np.outer(ts**4, vech(truth[4])), span * ts)
+        else:
+            fitted = fit_gram_coeffs(vecs, span * ts, degree=4)
+        assert len(fitted.blocks) == degree + 1
+        for l, (got, want) in enumerate(zip(fitted.blocks, truth)):
+            assert rel_err(got * span**l, want) <= 1e-6, l
+
+    @pytest.mark.parametrize("j", [-200, -13, 7, 400])
+    def test_power_of_two_time_units_scale_the_blocks_exactly(self, j):
+        # the grid is fitted at unit scale, so time x 2^j gives block l x 2^(-l j), bit for bit
+        ts = np.linspace(-5, 5, 21)
+        vecs = noiseless_gram_vecs(benchmark_trajectory(), ts)
+        want = fit_gram_coeffs(vecs, ts, degree=4)
+        got = fit_gram_coeffs(vecs, np.ldexp(ts, j), degree=4)
+        for l, (mine, ref) in enumerate(zip(got.blocks, want.blocks)):
+            assert np.array_equal(mine, np.ldexp(ref, -l * j)), l
+        assert got.residual == want.residual
+
+    def test_a_grid_too_short_for_its_coefficients_raises(self):
+        # |t| near 2^-997: the quartic block, about 2^3988 times its value on [-5, 5],
+        # is no float; the fit raises, and no numpy warning escapes
+        ts = np.linspace(-5, 5, 21)
+        vecs = noiseless_gram_vecs(benchmark_trajectory(), ts)
+        with pytest.raises(SingularDesignError, match="^time grid too short"):
+            fit_gram_coeffs(vecs, np.ldexp(ts, -1000), degree=4)
 
 
 class TestRecoverPositionAcceleration:

@@ -6,6 +6,8 @@ every output by exactly its power, bit for bit, and no warning, rank rule
 or conditioning number sees the units.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from relkin.distance_estimator import (
 )
 from relkin.linalg import classical_mds
 
-from test_batch import collinear_trajectory, stack
+from test_batch import assert_same_estimate, collinear_trajectory, stack
 
 BATCH = {"distance": estimate_from_distances_batch, "accel": estimate_with_accel_batch}
 
@@ -168,3 +170,22 @@ def test_a_record_of_zero_distances_stays_in_its_record(method):
     for i, solo in ((0, 0), (2, 1)):
         assert batch.errors[i] is None and batch.warnings[i] == alone.warnings[solo]
         assert np.array_equal(batch.y1[i], alone.y1[solo])
+
+
+@pytest.mark.parametrize("method", ["distance", "accel"])
+def test_subnormal_pairs_take_the_least_length_exponent(method):
+    # a record whose largest squared distance is below 2^-1000, where 4^-e
+    # would pass the largest float, is fitted with e = -500: it ends without
+    # a numpy warning, and the other records of its stack are bit-identical
+    meas = stack(records(3))
+    pairs, accels = meas.pairs.copy(), meas.accels.copy()
+    pairs[1], accels[1] = np.ldexp(pairs[1], -1060), np.ldexp(accels[1], -530)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = BATCH[method](MeasurementSet(meas.timestamps, pairs, accels))
+    assert [str(w.message) for w in caught] == []
+    assert batch.errors[1] is None
+    assert all(np.isfinite(getattr(batch, name)[1]).all() for name in ("y0", "y1", "y2"))
+    want = BATCH[method](meas)
+    for i in (0, 2):
+        assert_same_estimate(batch.estimate(i), want.estimate(i))
