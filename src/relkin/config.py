@@ -82,7 +82,8 @@ def _convert(key: str, value: str) -> object:
         raise ConfigError(f"invalid value for '{key}': {value}") from exc
 
 
-def _build_trajectory(entries: Mapping[str, float], dim: int) -> PolynomialTrajectory:
+def _build_trajectory(entries: Mapping[str, float]) -> PolynomialTrajectory:
+    """The planar trajectory of the ``Y<order>.<row>.<col>`` entries: two rows per order."""
     per_order: dict[int, dict[tuple[int, int], float]] = {}
     for key, value in entries.items():
         match = _MATRIX_KEY.match(key)
@@ -94,14 +95,14 @@ def _build_trajectory(entries: Mapping[str, float], dim: int) -> PolynomialTraje
     max_order = max(per_order)
     coeffs = []
     for order in range(max_order + 1):
-        mat = np.zeros((dim, n_nodes))
+        mat = np.zeros((2, n_nodes))
         for (row, col), value in per_order.get(order, {}).items():
-            if row >= dim or col >= n_nodes:
-                raise ConfigError(f"Y{order}.{row}.{col} is outside the ({dim}, {n_nodes}) shape")
+            if row >= 2 or col >= n_nodes:
+                raise ConfigError(f"Y{order}.{row}.{col} is outside the (2, {n_nodes}) shape")
             mat[row, col] = value
-        if order in per_order and len(per_order[order]) != dim * n_nodes:
+        if order in per_order and len(per_order[order]) != 2 * n_nodes:
             raise ConfigError(
-                f"Y{order} is incomplete: expected {dim * n_nodes} entries, "
+                f"Y{order} is incomplete: expected {2 * n_nodes} entries, "
                 f"got {len(per_order[order])}"
             )
         coeffs.append(mat)
@@ -144,7 +145,7 @@ def load_scenario(
         else:
             typed[key] = converted
 
-    trajectory = _build_trajectory(matrix_entries, int(typed["dim"]))
+    trajectory = _build_trajectory(matrix_entries)
     sim = SimConfig(n_nodes=trajectory.n_nodes, **{key: typed[key] for key in _SCALAR_TYPES})
     return ScenarioSettings(sim=sim, trajectory=trajectory, k_sweep=tuple(typed["k_sweep"]))
 

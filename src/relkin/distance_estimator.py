@@ -899,8 +899,11 @@ def _fit_input(meas: MeasurementSet, d: int) -> tuple[MeasurementSet, np.ndarray
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     with _stage("basis-solve"):
         _require_four_nodes(meas.n_nodes)
-    # a single record's batch is a copy already, whose grid can be replaced
-    unit = copy.copy(meas) if meas.pairs.ndim == 3 else meas.as_batch()
+    # a shallow copy, whose grid can be replaced; a single record's shares its arrays, stacked
+    unit = copy.copy(meas)
+    if meas.pairs.ndim == 2:
+        unit.pairs = meas.pairs[None]
+        unit.accels = None if meas.accels is None else meas.accels[None]
     # e >= -500 keeps 4^-e times the projector finite for subnormal pairs; zero pairs take e = 0
     exponent = np.maximum(np.frexp(unit.pairs.max(axis=(1, 2)))[1] // 2, -500)
     t_max = np.abs(unit.timestamps).max()

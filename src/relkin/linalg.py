@@ -113,57 +113,25 @@ def unvech(v) -> np.ndarray:
     return out
 
 
-#: below this many rows, ``np.take`` gathers a pair axis faster than fancy
-#: indexing: take copies row by row and fancy indexing index by index.  One
-#: coordinate's endpoints (timeit, single BLAS thread, 2-vCPU Xeon VM), take
-#: against fancy, µs: n = 100 x 11 rows 42 vs 61, x 41 rows 156 vs 129;
-#: n = 30 x 11 rows 7.6 vs 11.9, x 41 rows 25 vs 17; n = 10 x 128 rows 5.8 vs 4.0.
-_TAKE_BELOW_ROWS = 16
-#: points whose gathered endpoints hold fewer entries are gathered for every
-#: coordinate at once, where the call count outweighs the temporaries' size:
-#: (41, 2, 10) points took 17.3 µs that way against 18.7 µs one coordinate at a
-#: time (the parent's 16.4-17.6), and (1, 2, 10) points 6.0 µs against 9.1 µs
-_ONE_GATHER_ENTRIES = 4096
-
-
-def _gather(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``rows[..., index]``, by ``np.take`` for few rows and fancy indexing for many."""
-    if rows.size < _TAKE_BELOW_ROWS * rows.shape[-1]:
-        # every index is in range, and "wrap" skips take's bounds check
-        return np.take(rows, index, axis=-1, mode="wrap")
-    return rows[..., index]
-
-
 def pairs_from_points(x) -> np.ndarray:
     """Squared distances (..., n(n-1)/2) between the columns of a (..., dim, n) ``x``.
 
     One per pair i < j in ``triu_indices(n, 1)`` order, summed over the
-    coordinates in order.  Each coordinate's endpoints are gathered and
-    squared on their own, so that no temporary is larger than the result;
-    numpy's reduction over that short axis would also be slower.  Only
-    small points gather every coordinate at once.
+    coordinates in order.  Each coordinate's endpoints are gathered by
+    ``np.take``, squared and added on their own, so that no temporary is
+    larger than the result; numpy's reduction over that short axis would
+    also be slower.
     """
     x = np.asarray(x, dtype=float)
     iu, ju = triu_indices(x.shape[-1], 1)
-    if x.size * iu.size < _ONE_GATHER_ENTRIES * x.shape[-1]:
-        diff = _gather(x, iu)
-        diff -= _gather(x, ju)
-        diff *= diff
-        pairs = diff[..., 0, :].copy()
-        for axis in range(1, x.shape[-2]):
-            pairs += diff[..., axis, :]
-        return pairs
-    pairs = None
+    pairs = np.zeros(x.shape[:-2] + iu.shape)
     for axis in range(x.shape[-2]):
         coordinate = x[..., axis, :]
-        diff = _gather(coordinate, iu)
-        diff -= _gather(coordinate, ju)
+        # every index is in range, and "wrap" skips take's bounds check
+        diff = np.take(coordinate, iu, axis=-1, mode="wrap")
+        diff -= np.take(coordinate, ju, axis=-1, mode="wrap")
         diff *= diff
-        if pairs is None:
-            # fancy indexing lays its result out index-major; the caller gets rows
-            pairs = np.ascontiguousarray(diff)
-        else:
-            pairs += diff
+        pairs += diff
     return pairs
 
 

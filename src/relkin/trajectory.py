@@ -7,7 +7,6 @@ readings on a uniform time grid.
 
 from __future__ import annotations
 
-import copy
 import struct
 from dataclasses import dataclass
 from math import factorial, isqrt
@@ -126,11 +125,12 @@ class SimConfig:
     """Simulation parameters for one measurement scenario.
 
     ``k_samples`` is the grid parameter K: measurements are taken at the
-    K+1 uniform instants spanning [t_start, t_end] inclusive.
+    K+1 uniform instants spanning [t_start, t_end] inclusive.  The
+    scene is planar: the simulator takes (2, ``n_nodes``) trajectories,
+    the only ones the closed-form estimators solve.
     """
 
     n_nodes: int = 10
-    dim: int = 2
     k_samples: int = 40
     t_start: float = -5.0
     t_end: float = 5.0
@@ -142,7 +142,7 @@ class SimConfig:
 
     def __post_init__(self):
         # these size arrays and seed generators, which raise a raw TypeError on a float
-        for name in ("n_nodes", "dim", "k_samples", "n_trials", "seed"):
+        for name in ("n_nodes", "k_samples", "n_trials", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -150,8 +150,8 @@ class SimConfig:
         for name in ("t_start", "t_end", "sigma_d", "sigma_a", "accel_rotation_angle"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_nodes < 1 or self.dim < 1:
-            raise ConfigError("n_nodes and dim must be positive")
+        if self.n_nodes < 1:
+            raise ConfigError("n_nodes must be positive")
         if self.k_samples < 4:
             raise ConfigError("k_samples must be >= 4 (the degree-4 fit needs K+1 >= 5)")
         if not self.t_start < self.t_end:
@@ -162,8 +162,6 @@ class SimConfig:
             raise ConfigError("n_trials must be positive")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.dim != 2 and self.accel_rotation_angle != 0.0:
-            raise ConfigError("accel_rotation_angle is only defined for dim = 2")
 
 
 @dataclass
@@ -249,18 +247,6 @@ class MeasurementSet:
     def n_nodes(self) -> int:
         return (1 + isqrt(1 + 8 * self.pairs.shape[-1])) // 2
 
-    def as_batch(self) -> MeasurementSet:
-        """This set with a leading record axis: itself if stacked, else a batch of one.
-
-        The batch of one shares this set's (already validated) arrays.
-        """
-        if self.pairs.ndim == 3:
-            return self
-        one = copy.copy(self)
-        one.pairs = self.pairs[None]
-        one.accels = None if self.accels is None else self.accels[None]
-        return one
-
 
 class _Record(NamedTuple):
     """The noise-free part of a simulation, everything a noise draw reads; all read-only.
@@ -280,13 +266,13 @@ class _Record(NamedTuple):
 
 def _noiseless_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record:
     """The noise-free :class:`_Record` of ``config`` and ``traj``, evaluated afresh."""
-    if traj.dim != config.dim or traj.n_nodes != config.n_nodes:
+    if traj.coeffs[0].shape != (2, config.n_nodes):
         raise ConfigError(
-            f"trajectory shape ({traj.dim}, {traj.n_nodes}) does not match the "
-            f"configured ({config.dim}, {config.n_nodes})"
+            f"trajectory shape {traj.coeffs[0].shape} does not match the "
+            f"configured planar (2, {config.n_nodes})"
         )
     ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
-    q = rotation2d(config.accel_rotation_angle) if config.dim == 2 else np.eye(config.dim)
+    q = rotation2d(config.accel_rotation_angle)
     pairs = pairs_from_points(eval_kinematics(traj, ts, 0))
     if config.sigma_d != 0.0:
         np.sqrt(pairs, out=pairs)
@@ -305,7 +291,7 @@ def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record
     """:func:`_noiseless_record`, kept from one simulation to the next.
 
     The record does not depend on the seed, so the last one is kept,
-    keyed by value: ``dim``, ``n_nodes``, ``k_samples``, whether
+    keyed by value: ``n_nodes``, ``k_samples``, whether
     ``sigma_d`` is nonzero, the bits of ``t_start``, ``t_end`` and
     ``accel_rotation_angle`` (so -0.0 and 0.0 stay apart), the
     coefficients' shared shape and each one's bytes.  A trajectory's
@@ -315,7 +301,6 @@ def _simulation_record(config: SimConfig, traj: PolynomialTrajectory) -> _Record
     """
     global _last_record
     key = (
-        config.dim,
         config.n_nodes,
         config.k_samples,
         config.sigma_d != 0.0,

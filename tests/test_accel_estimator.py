@@ -33,7 +33,6 @@ from conftest import gram_poly_blocks, rel_err
 def noiseless_measurements(traj, k_samples=20, angle=0.0):
     cfg = SimConfig(
         n_nodes=traj.n_nodes,
-        dim=traj.dim,
         k_samples=k_samples,
         sigma_d=0.0,
         sigma_a=0.0,

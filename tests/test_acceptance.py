@@ -49,7 +49,6 @@ def criterion(num, name):
 def benchmark_run():
     cfg = SimConfig(
         n_nodes=10,
-        dim=2,
         sigma_d=0.01,
         sigma_a=0.001,
         seed=42,

@@ -408,8 +408,16 @@ class TestConfigHandling:
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_a_dimension_key_is_unknown(self, tmp_path, capsys):
+        # every scene is planar, so no scenario names its dimension
+        cfg = tmp_path / "spatial.cfg"
+        cfg.write_text("dim = 3\n")
+        code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'dim'\n"
+
     @pytest.mark.parametrize("command", ["simulate", "benchmark"])
-    @pytest.mark.parametrize("override", ["bogus=1", "n_nodes=5"])
+    @pytest.mark.parametrize("override", ["bogus=1", "n_nodes=5", "dim=2"])
     def test_unknown_override_key_is_one_clean_error(self, tmp_path, capsys, command, override):
         code = run_cli([command, "--output", str(tmp_path / "out"), "--set", override])
         assert code == 1

@@ -47,7 +47,6 @@ def noiseless_gram_vecs(traj, timestamps):
     meas = simulate_measurements(
         SimConfig(
             n_nodes=traj.n_nodes,
-            dim=traj.dim,
             k_samples=len(timestamps) - 1,
             t_start=timestamps[0],
             t_end=timestamps[-1],

@@ -116,9 +116,12 @@ def test_keys_keep_apart_what_differs(calls, first, second):
 def test_a_config_of_another_shape_is_rejected_after_a_hit(calls):
     traj = benchmark_trajectory()
     simulate_measurements(SimConfig(), traj)
-    for fields in ({"n_nodes": 12}, {"dim": 3}):
-        with pytest.raises(ConfigError, match="does not match"):
-            simulate_measurements(SimConfig(**fields), traj)
+    with pytest.raises(ConfigError, match="does not match"):
+        simulate_measurements(SimConfig(n_nodes=12), traj)
+    # a (3, n) trajectory of the configured node count is no planar scene
+    spatial = PolynomialTrajectory(tuple(np.vstack([c, c[:1]]) for c in traj.coeffs))
+    with pytest.raises(ConfigError, match="does not match"):
+        simulate_measurements(SimConfig(), spatial)
 
 
 def test_a_record_without_distance_noise_holds_the_squared_distances(calls):

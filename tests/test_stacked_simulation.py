@@ -35,26 +35,26 @@ from conftest import poison_record, random_constant_accel_trajectory
 
 def reference_simulate(config, traj):
     """The whole-record simulator as it was before the noise-free step was split off."""
-    n, d = config.n_nodes, config.dim
+    n = config.n_nodes
     ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
     rng_dist, rng_accel = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     )
-    q = rotation2d(config.accel_rotation_angle) if d == 2 else np.eye(d)
+    q = rotation2d(config.accel_rotation_angle)
     edms = edm_from_points(eval_kinematics(traj, ts, 0))
     if config.sigma_d != 0.0:
         iu, ju = triu_indices(n, 1)
         noisy = np.sqrt(edms[:, iu, ju]) + rng_dist.normal(0.0, config.sigma_d, (ts.size, iu.size))
         edms[:, iu, ju] = edms[:, ju, iu] = noisy**2
     acc = eval_kinematics(traj, ts, 2) @ centering_matrix(n)
-    accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, d, n))
+    accels = q @ acc + rng_accel.normal(0.0, config.sigma_a, (ts.size, 2, n))
     return MeasurementSet.from_edms(timestamps=ts, edms=edms, accels=accels, q_true=q)
 
 
 def reference_stack(config, truth, k):
     """The per-trial loop the stacked simulation replaced: one simulation per trial."""
     pairs = np.empty((config.n_trials, k + 1, config.n_nodes * (config.n_nodes - 1) // 2))
-    accels = np.empty((config.n_trials, k + 1, config.dim, config.n_nodes))
+    accels = np.empty((config.n_trials, k + 1, 2, config.n_nodes))
     for trial in range(config.n_trials):
         cfg = replace(config, k_samples=k, seed=harness._trial_seed(config.seed, k, trial))
         meas = reference_simulate(cfg, truth)
@@ -77,10 +77,10 @@ def assert_same_records(got, want):
 
 
 def truth_for(config):
-    if (config.n_nodes, config.dim) == (10, 2):
+    if config.n_nodes == 10:
         return benchmark_trajectory()
     rng = np.random.default_rng(config.seed)
-    return random_constant_accel_trajectory(rng, n=config.n_nodes, d=config.dim)
+    return random_constant_accel_trajectory(rng, n=config.n_nodes)
 
 
 CASES = {
@@ -90,7 +90,6 @@ CASES = {
     "no-distance-noise": (SimConfig(n_trials=4, seed=6, sigma_d=0.0), 12),
     "no-accel-noise": (SimConfig(n_trials=4, seed=7, sigma_a=0.0), 12),
     "rotated-sensor": (SimConfig(n_trials=4, seed=8, accel_rotation_angle=0.9), 20),
-    "dim3": (SimConfig(n_nodes=7, dim=3, n_trials=4, seed=9), 15),
 }
 
 

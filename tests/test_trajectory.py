@@ -143,9 +143,11 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(k_samples=3)
 
-    def test_rotation_angle_needs_planar(self):
-        with pytest.raises(ConfigError):
-            SimConfig(dim=3, accel_rotation_angle=0.3)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_trajectory_that_is_not_planar_is_rejected(self, rows):
+        coeffs = tuple(np.resize(c, (rows, 10)) for c in benchmark_trajectory().coeffs)
+        with pytest.raises(ConfigError, match=r"does not match the configured planar \(2, 10\)"):
+            simulate_measurements(SimConfig(), PolynomialTrajectory(coeffs))
 
     @pytest.mark.parametrize(
         "field", ["t_start", "t_end", "sigma_d", "sigma_a", "accel_rotation_angle"]
@@ -159,7 +161,7 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             SimConfig(seed=-1)
 
-    @pytest.mark.parametrize("field", ["n_nodes", "dim", "k_samples", "n_trials", "seed"])
+    @pytest.mark.parametrize("field", ["n_nodes", "k_samples", "n_trials", "seed"])
     @pytest.mark.parametrize("bad", [10.5, 10.0, True, "10"])
     def test_non_integral_count_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -173,7 +175,7 @@ class TestSimConfig:
 
 def _per_instant_simulation(config, traj):
     """The simulator one instant at a time: K+1 sequential draws per stream."""
-    n, d = config.n_nodes, config.dim
+    n, d = config.n_nodes, 2
     ts = np.linspace(config.t_start, config.t_end, config.k_samples + 1)
     rng_dist, rng_accel = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
