@@ -34,9 +34,9 @@ LA = "src/relkin/linalg.py"
 MUTANTS = [
     Mutant(
         "M1", DE,
+        "(bases.residual[0] > bases.residual[1])",
         "(bases.residual[0] > 10.0 * bases.residual[1])",
-        "(bases.residual[0] > 1.0 * bases.residual[1])",
-        "the reflection rule loses its 10x bias toward the unreflected factor",
+        "the reflection rule keeps the unreflected factor unless its residual is 10x worse",
     ),
     Mutant(
         "M2", DE, "_NEGLIGIBLE_ACCEL = 1e-10", "_NEGLIGIBLE_ACCEL = 1e-6",

@@ -709,14 +709,15 @@ def _solve(
     sensor coefficients) come from.  MDS and an uncalibrated sensor frame
     fix F only up to an orthogonal transform, while the basis
     parameterization covers rotations only: F and its first-row-negated
-    reflection are both tried, and the original is kept unless its
-    residual exceeds ten times the reflected one's.  Both candidates share
-    one split of F: _FLIP @ F has the SVD (_FLIP @ u) diag(lam) vt, so the
-    reflection is a sign on the split's ``u``, and F alone decides the
-    fallback flags.  So the finish makes one stacked split, of B1 on the
-    position factor and 2 B3 on F, and one stacked basis solve, with the
-    two candidates on a leading axis of ``u``; each record then takes
-    the rotation, free entries, residual and condition of its candidate.
+    reflection are both tried, and each record keeps the one with the
+    lower basis residual (an exact tie keeps the original).  Both
+    candidates share one split of F: _FLIP @ F has the SVD
+    (_FLIP @ u) diag(lam) vt, so the reflection is a sign on the split's
+    ``u``, and F alone decides the fallback flags.  So the finish makes
+    one stacked split, of B1 on the position factor and 2 B3 on F, and
+    one stacked basis solve, with the two candidates on a leading axis of
+    ``u``; each record then takes the rotation, free entries, residual
+    and condition of its candidate.
 
     One fallback rule: if F is negligible next to the positions over the
     record (s_min(F)^2 t_max^4 <= _NEGLIGIBLE_ACCEL lambda_max(B0), e.g. a
@@ -757,7 +758,7 @@ def _solve(
     negligible = ~f2.degenerate & (f2.lam[..., -1] * np.frexp(fitted.t_max)[0] ** 2 <= floor)
     ok = ~f2.degenerate & ~negligible & bases.solvable
     fallback = ~(ok[0] | ok[1])
-    reflected = ok[1] & (~ok[0] | (bases.residual[0] > 10.0 * bases.residual[1]))
+    reflected = ok[1] & (~ok[0] | (bases.residual[0] > bases.residual[1]))
     for i in fallback.nonzero()[0]:
         # the reflected candidate, tried last, names the reason
         notes[i].append(

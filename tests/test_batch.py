@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import relkin.distance_estimator as distance_estimator
 import relkin.harness as harness
 from relkin import (
     EstimationError,
@@ -193,6 +194,30 @@ def test_one_mds_call_factors_both_blocks_of_each_record():
             assert mine.warnings == ref.warnings
     # the collinear record's position factor, and only it, is flagged degenerate
     assert got[0].warnings and not got[1].warnings
+
+
+@pytest.mark.parametrize("method", ["distance", "accel"])
+def test_each_record_keeps_the_reflection_candidate_with_the_lower_basis_residual(
+    monkeypatch, method
+):
+    solved, solve = [], distance_estimator.build_and_solve_basis
+
+    def spy(f0, f2):
+        solved.append(solve(f0, f2))
+        return solved[-1]
+
+    monkeypatch.setattr(distance_estimator, "build_and_solve_basis", spy)
+    batch = BATCH[method](stack(benchmark_records(40)))
+    (bases,) = solved
+    # both candidates of every record solve, so no record falls back
+    assert bases.solvable.all() and np.isfinite(batch.residuals["basis"]).all()
+    old, flipped = bases.residual
+    # R @ _FLIP for the reflected candidate: a reflection
+    reflected = np.linalg.det(batch.rotation) < 0.0
+    assert np.array_equal(reflected, flipped < old)
+    if method == "distance":
+        # either candidate wins somewhere, the reflected one by less than 10 times
+        assert (reflected & (old <= 10.0 * flipped)).any() and not reflected.all()
 
 
 def short_grid_stack():
