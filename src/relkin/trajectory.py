@@ -203,7 +203,8 @@ class MeasurementSet:
         largest = max(float(self.pairs.max()), -lowest)
         if not np.isfinite(largest):
             raise InvalidDimensionError("squared distances must be finite")
-        if lowest < -1e-8 * max(1.0, largest):
+        # relative to the largest magnitude, so a change of units changes no verdict
+        if lowest < -1e-8 * largest:
             raise InvalidDimensionError(f"squared distances must be nonnegative, got {lowest}")
         if self.accels is not None:
             self.accels = np.asarray(self.accels, dtype=float)
@@ -229,7 +230,7 @@ class MeasurementSet:
         largest = max(float(edms.max(initial=0.0)), -float(edms.min(initial=0.0)))
         if not np.isfinite(largest):
             raise InvalidDimensionError("EDM entries must be finite")
-        n, tolerance = edms.shape[-1], 1e-8 * max(1.0, largest)
+        n, tolerance = edms.shape[-1], 1e-8 * largest
         iu, ju = triu_indices(n, 1)
         pairs = edms[..., iu, ju]
         if float(np.abs(pairs - edms[..., ju, iu]).max(initial=0.0)) > tolerance:

@@ -33,6 +33,15 @@ def simulated(k=10, seed=0):
     return simulate_measurements(cfg, benchmark_trajectory())
 
 
+def tiny_pairs():
+    """The simulated record times 2^-800, exactly: the same record in a unit 2^400 times smaller.
+
+    Each validation tolerance is relative to the largest magnitude, so it
+    judges this record as it judges the record in metres.
+    """
+    return np.ldexp(simulated().pairs, -800)
+
+
 class TestPairValidation:
     def test_negative_squared_distance_rejected(self):
         pairs = simulated().pairs.copy()
@@ -45,6 +54,29 @@ class TestPairValidation:
         pairs = simulated().pairs.copy()
         pairs[4, 7] = -1e-9 * pairs.max()
         MeasurementSet(np.arange(11.0), pairs)
+
+    def test_a_record_in_tiny_units_is_accepted(self):
+        pairs = tiny_pairs()
+        assert np.array_equal(MeasurementSet(np.arange(11.0), pairs).pairs, pairs)
+        meas = MeasurementSet.from_edms(np.arange(11.0), edm_from_pairs(pairs, 10))
+        assert np.array_equal(meas.pairs, pairs)
+
+    def test_a_negated_record_in_tiny_units_is_rejected(self):
+        pairs = tiny_pairs()
+        pairs[:, :20] *= -1.0
+        with pytest.raises(InvalidDimensionError, match="squared distances must be nonnegative"):
+            MeasurementSet(np.arange(11.0), pairs)
+
+    @pytest.mark.parametrize(
+        "cell,message",
+        [((3, 1, 2), "be symmetric"), ((3, 4, 4), "have a zero diagonal")],
+        ids=["asymmetric", "diagonal"],
+    )
+    def test_a_defective_edm_in_tiny_units_is_rejected(self, cell, message):
+        edms = edm_from_pairs(tiny_pairs(), 10)
+        edms[cell] += 1e-3 * edms.max()
+        with pytest.raises(InvalidDimensionError, match=f"each EDM must {message}"):
+            MeasurementSet.from_edms(np.arange(11.0), edms)
 
     def test_accels_must_match_the_node_count_the_pairs_imply(self):
         meas = simulated()
