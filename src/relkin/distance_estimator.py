@@ -900,7 +900,7 @@ def _fit_input(meas: MeasurementSet, d: int) -> tuple[MeasurementSet, np.ndarray
         raise InvalidDimensionError("the closed-form pipeline is implemented for dim = 2")
     with _stage("basis-solve"):
         _require_four_nodes(meas.n_nodes)
-    # a shallow copy, whose grid can be replaced; a single record's shares its arrays, stacked
+    # a shallow copy whose grid can be replaced; a single record gets a record axis, on views
     unit = copy.copy(meas)
     if meas.pairs.ndim == 2:
         unit.pairs = meas.pairs[None]
