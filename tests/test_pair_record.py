@@ -34,9 +34,10 @@ def simulated(k=10, seed=0):
 
 
 def tiny_pairs():
-    """The simulated record times 2^-800, exactly: the same record in a unit 2^400 times smaller.
+    """The simulated record times 2^-800, exactly.
 
-    Each validation tolerance is relative to the largest magnitude, so it
+    That is the same record in a length unit 2^400 times longer.  Each
+    validation tolerance is relative to the largest magnitude, so it
     judges this record as it judges the record in metres.
     """
     return np.ldexp(simulated().pairs, -800)
