@@ -66,28 +66,22 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[list[Path], int]:
     scenario = load_scenario(args.config, _collect_overrides(args))
     meas = simulate_measurements(scenario.sim, scenario.trajectory)
-    written = bundle_io.write_measurement_bundle(meas, _resolve_output(args.output))
-    for path in written:
-        print(path)
-    return 0
+    return bundle_io.write_measurement_bundle(meas, _resolve_output(args.output)), 0
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> tuple[list[Path], int]:
     meas = bundle_io.read_measurement_bundle(args.bundle)
     if args.method == "accel":
         est = estimate_with_accel(meas)
     else:
         est = estimate_from_distances(meas)
-    written = bundle_io.write_estimate(est, _resolve_output(args.output))
-    for path in written:
-        print(path)
-    return 0
+    return bundle_io.write_estimate(est, _resolve_output(args.output)), 0
 
 
-def _cmd_benchmark(args: argparse.Namespace) -> int:
+def _cmd_benchmark(args: argparse.Namespace) -> tuple[list[Path], int]:
     scenario = load_scenario(args.config, _collect_overrides(args))
     methods = (args.method,) if args.method else ("distance", "accel")
     result = run_monte_carlo(
@@ -105,8 +99,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
             result.failure_counts, result.n_trials, outdir / bundle_io.FAILURES_FILE
         )
     )
-    for path in written:
-        print(path)
     limit = _MAX_FAILURE_RATE * result.n_trials
     over = {k: f for k, f in result.failure_counts.items() if f > limit}
     for k, failures in over.items():
@@ -115,7 +107,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
             f"(threshold {_MAX_FAILURE_RATE:.0%}); results would not be trustworthy",
             file=sys.stderr,
         )
-    return 1 if over else 0
+    return written, 1 if over else 0
 
 
 @functools.cache
@@ -174,7 +166,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        written, status = args.func(args)
+        for path in written:
+            print(path)
+        return status
     except (OSError, RelkinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 A scenario file is diffable, hand-editable UTF-8 text: one ``key = value``
 per line, ``#`` comments, and matrix entries spelled ``Y0.row.col = v``
-(likewise ``Y1``/``Y2``).  Values from a file override built-in defaults;
-explicit overrides (e.g. from CLI flags) override the file.
+(likewise ``Y1``/``Y2``; no higher order).  Values from a file override
+built-in defaults; explicit overrides (e.g. from CLI flags) override the
+file.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import numpy as np
 from .errors import ConfigError
 from .trajectory import PolynomialTrajectory, SimConfig
 
-__all__ = ["ScenarioSettings", "default_config_text", "load_scenario", "parse_config_text"]
+__all__ = ["ScenarioSettings", "load_scenario", "parse_config_text"]
 
 # every SimConfig field is a scenario key except n_nodes, which the
 # trajectory's Y0 entries fix
 _SIM_FIELDS = [f for f in fields(SimConfig) if f.name != "n_nodes"]
 _SCALAR_TYPES = {f.name: get_type_hints(SimConfig)[f.name] for f in _SIM_FIELDS}
-_MATRIX_KEY = re.compile(r"^Y([0-9])\.(\d+)\.(\d+)$")
+# the orders of the constant-acceleration model, the only one the estimators fit
+_MATRIX_KEY = re.compile(r"^Y([0-2])\.(\d+)\.(\d+)$")
 
 DEFAULTS: dict[str, object] = {f.name: f.default for f in _SIM_FIELDS}
 DEFAULTS["k_sweep"] = (10, 20, 30, 40, 50)
@@ -151,13 +153,10 @@ def load_scenario(
 
 
 @cache
-def default_config_text() -> str:
-    """Text of the bundled default scenario file, read once per process."""
-    return resources.files("relkin").joinpath("default_scenario.cfg").read_text("utf-8")
-
-
-@cache
 def _bundled_values() -> Mapping[str, str]:
-    """The raw key = value map of the bundled scenario; callers copy it before changing it."""
-    text = default_config_text()
+    """The raw key = value map of the bundled scenario, read once per process.
+
+    Callers copy it before changing it.
+    """
+    text = resources.files("relkin").joinpath("default_scenario.cfg").read_text("utf-8")
     return MappingProxyType(parse_config_text(text, "<bundled default_scenario.cfg>"))

@@ -326,8 +326,6 @@ def join_fitted(parts: Sequence[FittedStack]) -> FittedStack:
     The parts must come from one method's fit of one node count.
     """
     first = parts[0]
-    if len(parts) == 1:
-        return first
     kinds = {
         (p.coeffs.degree, p.coeffs.blocks[0].shape[1:], p.factor is None, tuple(p.residuals))
         for p in parts
@@ -380,7 +378,7 @@ def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _poly_lstsq(timestamps, values, degree: int, quartic=None, scale=None):
+def _poly_lstsq(timestamps, values, degree: int, quartic=None, scale=1.0):
     """Least-squares polynomial fit shared by all columns of ``values``.
 
     ``values`` is (K+1, m), or a stack (..., K+1, m) of such series; the
@@ -395,27 +393,25 @@ def _poly_lstsq(timestamps, values, degree: int, quartic=None, scale=None):
     the augmented design [a | t^4] with the stacked [c; w], minus v.  No
     deflated (..., K+1, m) series is formed.
 
-    ``scale``, one power of two (or 0) per member of a (B, K+1, m) stack,
-    fits the scaled series scale v instead, bit for bit, without forming
-    it: the coefficients come from the scaled projector, (scale P) v, and
-    the residual subtracts scale v a few thousand entries at a time.
+    ``scale``, one power of two (or 0), or one per member of a
+    (B, K+1, m) stack, fits the scaled series scale v instead, bit for
+    bit, without forming it: the coefficients come from the scaled
+    projector, (scale P) v, and the residual subtracts scale v a few
+    thousand entries at a time.
     """
     t = np.asarray(timestamps, dtype=float).ravel()
     vals = np.asarray(values, dtype=float)
     if vals.ndim < 2 or vals.shape[-2] != t.size:
         raise InvalidDimensionError("values must be (K+1, m) matching timestamps")
     a, projector, design, p4 = _vandermonde(t.tobytes(), degree)
-    scale = None if scale is None else scale[:, None, None]
-    coeffs = (projector if scale is None else projector * scale) @ vals
+    scale = np.asarray(scale, dtype=float)[..., None, None]
+    coeffs = (projector * scale) @ vals
     if quartic is None:
         residual = a @ coeffs
     else:
         w = quartic[..., None, :]
         coeffs -= p4[:, None] * w
         residual = design @ np.concatenate([coeffs, w], axis=-2)
-    if scale is None:
-        residual -= vals
-        return coeffs, residual
     step = max(1, 4096 // vals.shape[-1])
     for rows in (slice(k, k + step) for k in range(0, t.size, step)):
         np.subtract(residual[..., rows, :], vals[..., rows, :] * scale, out=residual[..., rows, :])
@@ -466,7 +462,7 @@ def _double_center(pairs, n: int) -> np.ndarray:
     return d
 
 
-def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None, scale=None):
+def _fit_edm_coeffs(meas: MeasurementSet, degree: int, accel=None, scale=1.0):
     """Grammian coefficient blocks from one polynomial fit of the pair record.
 
     Double centering is linear and acts on each sample alone, so it

@@ -273,10 +273,14 @@ def run_monte_carlo(
     ends; then each method joins its fitted chunks and finishes them in
     one ``finish_batch`` call (MDS and the velocity/rotation solve), and
     one alignment scores them.  That bounds the memory whatever
-    ``n_trials`` is.  Each estimate is aligned to the truth, and its
-    trial's column of the (method, K) score matrix gets the squared
-    errors of ``BLOCKS`` and of the positions at the ``_TIME_GRID``
-    instants of the time sweep, aligned with the same transform.
+    ``n_trials`` is.  Each method keeps one score matrix with a column
+    per (K, trial), ``i * n_trials + trial`` for ``k_values[i]``, and
+    one mask of the kept columns is shared by all methods; a held chunk
+    carries its columns, so each finish writes its scores and its mask in
+    one assignment.  Each estimate is aligned to the truth, and its
+    column gets the squared errors of ``BLOCKS`` and of the positions at
+    the ``_TIME_GRID`` instants of the time sweep, aligned with the same
+    transform.
 
     Trials where any method fails are excluded from all methods to keep
     the comparison paired and counted in ``failure_counts`` per K; so is
@@ -287,60 +291,51 @@ def run_monte_carlo(
     fit raises a RelkinError only for a cause that all its records share,
     and the trials of its (K, chunk) fail and no other.  A finish that raises
     fails every trial it holds.  Judging the failure rate is left to the
-    caller.  Both tables come from one mean per (method, K) over the kept
-    trials in index order; trial indices and sub-seeds are global over
-    the K's chunks and records never interact, so neither table depends
-    on the chunk size or on which chunks finish together.
+    caller.  Both tables come from one mean per (method, K), over the
+    kept columns of the K's slice in trial order; trial indices and
+    sub-seeds are global over the K's chunks and records never interact,
+    so neither table depends on the chunk size or on which chunks finish
+    together.
 
     ``methods`` and ``k_values`` must be non-empty and free of repeats.
     """
     _check_sweep(methods, k_values)
     time_grid = np.linspace(config.t_start, config.t_end, _TIME_GRID)
     truth_blocks, truth_vecs = _centered_blocks(truth), _truth_coeff_vecs(truth)
-    n, d = truth.n_nodes, truth.dim
-    scores = {
-        (m, k): np.empty((len(BLOCKS) + _TIME_GRID, config.n_trials))
-        for m in methods
-        for k in k_values
-    }
-    kept = {k: np.zeros(config.n_trials, dtype=bool) for k in k_values}
-    # fitted chunks awaiting their finish: (K, kept trials, FittedStack per method)
-    held: list[tuple[int, np.ndarray, dict[str, FittedStack]]] = []
+    n, d, n_trials = truth.n_nodes, truth.dim, config.n_trials
+    # column i * n_trials + trial holds that trial of k_values[i]
+    scores = {m: np.empty((len(BLOCKS) + _TIME_GRID, len(k_values) * n_trials)) for m in methods}
+    kept = np.zeros(len(k_values) * n_trials, dtype=bool)
+    # fitted chunks awaiting their finish: (their columns, FittedStack per method)
+    held: list[tuple[np.ndarray, dict[str, FittedStack]]] = []
 
     def finish_held() -> None:
-        size = sum(len(trials) for _, trials, _ in held)
+        columns = np.concatenate([cols for cols, _ in held])
         batches = {}
         # paired: a trial counts only if every method estimated it
-        ok = np.ones(size, dtype=bool)
+        ok = np.ones(columns.size, dtype=bool)
         for method in methods:
             try:
-                batches[method] = finish_batch(join_fitted([fits[method] for *_, fits in held]))
+                batches[method] = finish_batch(join_fitted([fits[method] for _, fits in held]))
             except RelkinError:
                 ok[:] = False
                 continue
             ok &= [error is None for error in batches[method].errors]
         index = ok.nonzero()[0]
-        columns = {m: np.empty((len(BLOCKS) + _TIME_GRID, size)) for m in batches}
         if index.size:
             for method, batch in batches.items():
                 scored = _score(batch.select(index), truth, truth_blocks, truth_vecs, time_grid)
-                columns[method][:, index] = scored
+                scores[method][:, columns[index]] = scored
                 # a trial whose score overflows for one method fails for every method
                 ok[index] &= np.isfinite(scored).all(axis=0)
-        start = 0
-        for k, trials, _ in held:
-            stop = start + len(trials)
-            kept[k][trials] = ok[start:stop]
-            for method, cols in columns.items():
-                scores[(method, k)][:, trials] = cols[:, start:stop]
-            start = stop
+        kept[columns] = ok
         held.clear()
 
-    for k in k_values:
+    for i, k in enumerate(k_values):
         config_k = replace(config, k_samples=k)
         record = _noiseless_record(config_k, truth)
-        for start in range(0, config.n_trials, _CHUNK_TRIALS):
-            chunk = range(start, min(start + _CHUNK_TRIALS, config.n_trials))
+        for start in range(0, n_trials, _CHUNK_TRIALS):
+            chunk = range(start, min(start + _CHUNK_TRIALS, n_trials))
             trials, stack = _simulate_chunk(config_k, record, chunk)
             if stack is None:
                 # every record of the chunk overflowed: its trials stay failed
@@ -354,20 +349,22 @@ def run_monte_carlo(
                     continue
             # a chunk that a fit failed is lost to every method, and never finished
             if len(fits) == len(methods):
-                held.append((k, trials, fits))
-            if sum(len(c) for _, c, _ in held) >= _CHUNK_TRIALS:
+                held.append((i * n_trials + trials, fits))
+            if sum(len(cols) for cols, _ in held) >= _CHUNK_TRIALS:
                 finish_held()
     if held:
         finish_held()
 
     mean_sq: dict[tuple[str, int], np.ndarray] = {}
-    failure_counts = {k: config.n_trials - int(kept[k].sum()) for k in k_values}
-    for k in k_values:
-        if kept[k].any():
+    failure_counts = {}
+    for i, k in enumerate(k_values):
+        cols = slice(i * n_trials, (i + 1) * n_trials)
+        failure_counts[k] = n_trials - int(kept[cols].sum())
+        if kept[cols].any():
             for m in methods:
                 # unlike a boolean gather, compress keeps each row contiguous, so each mean is
                 # summed pairwise, as np.mean of the per-trial list was
-                mean_sq[(m, k)] = np.compress(kept[k], scores[(m, k)], axis=1).mean(axis=1)
+                mean_sq[(m, k)] = np.compress(kept[cols], scores[m][:, cols], axis=1).mean(axis=1)
 
     # one sqrt and division per (method, K): the same IEEE operations as per entry
     times = time_grid.tolist()
@@ -382,5 +379,5 @@ def run_monte_carlo(
         rmse_table=rmse({key: ms[: len(BLOCKS)] for key, ms in mean_sq.items()}, n, d),
         time_sweep=sweep,
         failure_counts=failure_counts,
-        n_trials=config.n_trials,
+        n_trials=n_trials,
     )

@@ -86,13 +86,13 @@ def triu_indices(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
 def vech(m) -> np.ndarray:
     """Half-vectorize a symmetric matrix: lower triangle, column-major.
 
-    The input may be asymmetric up to roundoff; it is symmetrized by
-    averaging before extraction.  Gross asymmetry raises ValueError.
+    The input may be asymmetric up to roundoff, relative to its largest
+    entry; it is symmetrized by averaging before extraction.  Gross
+    asymmetry raises InvalidDimensionError.
     """
     m = _as_square(m, "vech")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
-        raise ValueError("vech expects a (numerically) symmetric matrix")
+    if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * float(np.abs(m).max()):
+        raise InvalidDimensionError("vech expects a (numerically) symmetric matrix")
     sym = 0.5 * (m + m.T)
     iu, ju = triu_indices(m.shape[0])
     # (ju, iu) walks the lower triangle column by column
@@ -123,6 +123,8 @@ def pairs_from_points(x) -> np.ndarray:
     also be slower.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        raise InvalidDimensionError("pairs_from_points needs a (..., dim, n) array")
     iu, ju = triu_indices(x.shape[-1], 1)
     pairs = np.zeros(x.shape[:-2] + iu.shape)
     for axis in range(x.shape[-2]):
@@ -172,8 +174,6 @@ def edm_from_points(x) -> np.ndarray:
     (..., dim, n) stack equals the unstacked call bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        raise InvalidDimensionError("edm_from_points needs a (..., dim, n) array")
     return edm_from_pairs(pairs_from_points(x), x.shape[-1])
 
 

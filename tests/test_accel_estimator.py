@@ -269,3 +269,18 @@ class TestEstimateWithAccel:
         est = estimate_with_accel(meas)
         assert est.warnings
         assert np.linalg.norm(est.y2) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: fit_accel_coeffs(np.zeros((5, 4)), np.arange(5.0)),
+         r"accels must be \(K\+1, dim, n\)"),
+        (lambda: deflate_grams(np.zeros((5, 3)), np.arange(4.0), AccelCoefficients(np.eye(2))),
+         r"gram_vecs must be \(K\+1, m\) matching timestamps"),
+    ],
+    ids=["accels-shape", "gram-vecs-shape"],
+)
+def test_each_shape_guard_names_its_rule(call, message):
+    with pytest.raises(InvalidDimensionError, match=message):
+        call()

@@ -112,6 +112,23 @@ class TestMalformedBundle:
         with pytest.raises(ConfigError, match="0 <= k < 7"):
             read_measurement_bundle(bundle)
 
+    @pytest.mark.parametrize(
+        "name,edit,message",
+        [
+            (EDM_FILE, lambda rows: rows[:3] + rows[4:5] + rows[4:],
+             r"every \(k, i, j\) must occur exactly once \(found a repeat\)"),
+            (TIMESTAMPS_FILE, lambda rows: rows[:1] + ["0" + rows[1][1:]] + rows[2:],
+             "k must take each value 0..K exactly once"),
+            (ACCEL_FILE, lambda rows: ["0,99,0,1.0"] + rows[1:],
+             "readings need 0 <= k < 7 .* 0 <= node < 10 .* and axis >= 0"),
+        ],
+        ids=["repeated-cell", "k-not-0-to-K", "reading-out-of-range"],
+    )
+    def test_each_index_guard_names_its_rule(self, bundle, name, edit, message):
+        _edit_rows(bundle / name, edit)
+        with pytest.raises(ConfigError, match=message):
+            read_measurement_bundle(bundle)
+
     def test_short_row_rejected(self, bundle):
         _edit_rows(bundle / EDM_FILE, lambda rows: [rows[0].rsplit(",", 1)[0]] + rows[1:])
         with pytest.raises(ConfigError, match="4 comma-separated fields"):

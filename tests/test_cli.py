@@ -9,6 +9,7 @@ import relkin.cli as cli
 import relkin.config as config
 import relkin.harness as harness
 from relkin import (
+    ConfigError,
     EstimationError,
     MeasurementSet,
     SimConfig,
@@ -445,6 +446,37 @@ class TestConfigHandling:
         code = run_cli(["simulate", "--config", str(cfg), "--output", str(tmp_path)])
         assert code == 1
         assert "incomplete" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("seed 3\n", "bad.cfg:1: expected 'key = value', got 'seed 3'"),
+            ("seed = 1\nseed = 2\n", "bad.cfg:2: duplicate key 'seed'"),
+            ("seed = x\n", "invalid value for 'seed': x"),
+            ("seed = 1\n", r"scenario defines no trajectory \(Y0.<row>.<col> entries missing\)"),
+            ("Y0.0.0 = 1\nY0.2.0 = 1\n", r"Y0.2.0 is outside the \(2, 1\) shape"),
+            ("Y3.0.0 = 1\n", "bad.cfg:1: unknown key 'Y3.0.0'"),
+            (None, "config file not found: .*bad.cfg"),
+        ],
+        ids=["no-equals", "duplicate", "invalid", "no-y0", "outside", "order-3", "missing"],
+    )
+    def test_each_scenario_file_guard_names_its_rule(self, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_scenario(str(cfg))
+
+    def test_an_override_beyond_constant_acceleration_is_unknown(self, tmp_path, capsys):
+        # the estimators fit the constant-acceleration model, so no Y3 block is read
+        code = run_cli(["simulate", "--output", str(tmp_path / "out"), "--set", "Y3.0.0=1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown override key 'Y3.0.0'\n"
+
+    def test_a_set_without_equals_is_one_clean_error(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--output", str(tmp_path / "out"), "--set", "seed"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --set expects key=value, got 'seed'\n"
 
 
 class TestHelp:

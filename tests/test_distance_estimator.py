@@ -8,7 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from relkin import (
+    DegenerateGeometryError,
     EstimationError,
+    InvalidDimensionError,
     MeasurementSet,
     PolynomialTrajectory,
     SimConfig,
@@ -32,7 +34,15 @@ from relkin import (
     simulate_measurements,
     vech,
 )
-from relkin.distance_estimator import _FLIP, _NEGLIGIBLE_ACCEL, _REPEATED
+from relkin.accel_estimator import fit_with_accel
+from relkin.distance_estimator import (
+    _FLIP,
+    _NEGLIGIBLE_ACCEL,
+    _REPEATED,
+    GrammianCoefficients,
+    _poly_lstsq,
+    fit_from_distances,
+)
 
 from conftest import (
     gram_poly_blocks,
@@ -789,3 +799,44 @@ def test_solved_free_entries_lie_on_the_velocity_split_line(estimate, seed):
     lead = f0.u.T @ est.y1 @ f0.vt.T
     terms = [f0.lam[0] * lead[0, 1], f0.lam[1] * lead[1, 0], -f0.c]
     assert abs(sum(terms)) <= 1e-12 * max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: _poly_lstsq(np.arange(6.0), np.ones((5, 3)), 4), InvalidDimensionError,
+         r"values must be \(K\+1, m\) matching timestamps"),
+        (lambda: recover_position_acceleration(
+            GrammianCoefficients(3, [np.eye(4)] * 4), 2), InvalidDimensionError,
+         "position/acceleration recovery needs a degree-4 fit"),
+        (lambda: chu_decompose(np.eye(4), np.ones((3, 4))), InvalidDimensionError,
+         r"chu_decompose needs yhat \(2, n\) and bhat \(n, n\)"),
+        (lambda: chu_decompose(np.zeros((1, 1)), np.ones((2, 1))), DegenerateGeometryError,
+         "factor is rank deficient"),
+        (lambda: build_and_solve_basis(
+            chu_decompose(np.eye(6), np.ones((2, 6))), chu_decompose(np.eye(5), np.ones((2, 5)))),
+         InvalidDimensionError, "both splits must describe the same node count"),
+    ],
+    ids=["fit-shape", "degree-3", "split-shape", "one-node-split", "node-counts"],
+)
+def test_each_stage_guard_names_its_rule(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        estimate_from_distances,
+        estimate_from_distances_batch,
+        fit_from_distances,
+        estimate_with_accel,
+        estimate_with_accel_batch,
+        fit_with_accel,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_every_entry_point_rejects_a_dimension_other_than_two(entry_point):
+    meas = simulate_measurements(SimConfig(k_samples=6), benchmark_trajectory())
+    with pytest.raises(InvalidDimensionError, match="implemented for dim = 2"):
+        entry_point(meas, 3)

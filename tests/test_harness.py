@@ -189,6 +189,27 @@ class TestRunMonteCarlo:
         assert {row.k for row in result.rmse_table.rows} == {8}
         assert {entry.k for entry in result.time_sweep} == {8}
 
+    def test_a_finish_that_raises_fails_every_trial_it_holds_for_both_methods(self, monkeypatch):
+        finish_batch, calls = harness.finish_batch, []
+
+        def accel_fails_first(fitted):
+            # the accelerometer path's fit carries its acceleration factor
+            calls.append(fitted.factor is None)
+            if calls.count(False) == 1 and fitted.factor is not None:
+                raise EstimationError("stage 'synthetic': injected failure")
+            return finish_batch(fitted)
+
+        cfg, traj = SimConfig(n_trials=2, seed=2), benchmark_trajectory()
+        want = run_monte_carlo(cfg, traj, k_values=(8,))
+        monkeypatch.setattr(harness, "_CHUNK_TRIALS", 2)
+        monkeypatch.setattr(harness, "finish_batch", accel_fails_first)
+        result = run_monte_carlo(cfg, traj, k_values=(6, 8))
+        # one finish per K, each of both methods; the first accel finish fails K = 6 alone
+        assert calls == [True, False, True, False]
+        assert result.failure_counts == {6: 2, 8: 0}
+        assert result.rmse_table.rows == want.rmse_table.rows
+        assert result.time_sweep == want.time_sweep
+
     def test_unknown_method_rejected(self):
         traj = benchmark_trajectory()
         with pytest.raises(InvalidDimensionError):
@@ -223,3 +244,19 @@ def test_run_monte_carlo_rejects_degenerate_sweeps(kwargs, name):
 def test_run_monte_carlo_rejects_non_integral_k():
     with pytest.raises(ConfigError, match="k_samples must be an integer"):
         run_monte_carlo(SimConfig(n_trials=1), benchmark_trajectory(), k_values=(10.5,))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: harness.RmseTable([]).value("distance", 10, "Y0"), KeyError,
+         r"no RMSE entry for \(distance, 10, Y0\)"),
+        (lambda: align_to_truth(
+            estimate_from_blocks(*(np.zeros((2, 4)),) * 3), benchmark_trajectory()),
+         InvalidDimensionError, "estimate and truth shapes do not match"),
+    ],
+    ids=["missing-entry", "node-count"],
+)
+def test_each_lookup_guard_names_its_rule(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

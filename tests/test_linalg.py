@@ -17,7 +17,7 @@ from relkin import (
     vech,
 )
 
-from relkin.linalg import _norm, _norm_discarding
+from relkin.linalg import _norm, _norm_discarding, pairs_from_points
 
 from conftest import random_orthogonal, rel_err
 
@@ -67,6 +67,15 @@ class TestVech:
         with pytest.raises(ValueError):
             vech(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40], ids=["unit", "tiny"])
+    def test_asymmetry_is_judged_relative_to_the_largest_entry(self, scale):
+        # off-diagonals that differ threefold are not round-off in any unit
+        with pytest.raises(InvalidDimensionError, match="symmetric"):
+            vech(scale * np.array([[2.0, 1.0], [3.0, 2.0]]))
+
+    def test_zero_matrix_accepted(self):
+        assert np.array_equal(vech(np.zeros((3, 3))), np.zeros(6))
+
     def test_roundtrip_exact(self, rng):
         a = rng.standard_normal((10, 10))
         m = a + a.T
@@ -97,6 +106,11 @@ class TestUnvech:
 
 
 class TestEdmFromPoints:
+    @pytest.mark.parametrize("function", [edm_from_points, pairs_from_points])
+    def test_a_vector_is_rejected(self, function):
+        with pytest.raises(InvalidDimensionError, match=r"needs a \(\.\.\., dim, n\) array"):
+            function(np.arange(4.0))
+
     def test_three_four_five_triangle(self):
         x = np.array([[0.0, 3.0], [0.0, 4.0]])
         assert_allclose(edm_from_points(x), [[0.0, 25.0], [25.0, 0.0]])

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from relkin import (
     ConfigError,
+    InvalidDimensionError,
+    MeasurementSet,
     PolynomialTrajectory,
     SimConfig,
     UnsupportedOrderError,
@@ -359,3 +361,29 @@ class TestMeasurementSetInvariants:
 
         with pytest.raises(InvalidDimensionError, match="needs records, samples and nodes"):
             MeasurementSet(timestamps=timestamps, pairs=pairs)
+
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: PolynomialTrajectory(()), InvalidDimensionError, "at least one coefficient"),
+        (lambda: PolynomialTrajectory((np.zeros(4),)), InvalidDimensionError,
+         r"must be \(dim, n_nodes\) matrices"),
+        (lambda: PolynomialTrajectory((np.zeros((2, 4)), np.zeros((2, 5)))),
+         InvalidDimensionError, "share one shape"),
+        (lambda: PolynomialTrajectory((np.full((2, 4), np.nan),)), InvalidDimensionError,
+         "coefficients must be finite"),
+        (lambda: SimConfig(n_nodes=0), ConfigError, "n_nodes must be positive"),
+        (lambda: SimConfig(n_trials=0), ConfigError, "n_trials must be positive"),
+        (lambda: MeasurementSet([0.0, 1.0], np.zeros(6)), InvalidDimensionError,
+         r"pairs must be \(K\+1, m\)"),
+        (lambda: MeasurementSet.from_edms([0.0, 1.0], np.zeros((2, 4, 3))),
+         InvalidDimensionError, r"edms must be \(K\+1, n, n\)"),
+    ],
+    ids=["no-coefficients", "vector-coefficient", "mixed-shapes", "nan-coefficient",
+         "no-nodes", "no-trials", "pairs-shape", "edms-shape"],
+)
+def test_each_input_guard_names_its_rule(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
