@@ -10,7 +10,7 @@ skipped, never deleted.
 M1-M14 are the mutants planted by hand when the suite was last reviewed;
 U1-U10 plant faults in the scaling to unit scale at the fit (of the
 estimators and of ``fit_gram_coeffs``) and in the ``position_mds``
-warning.
+warning; L1 drops the finiteness guard of ``vech``.
 """
 
 from __future__ import annotations
@@ -137,5 +137,9 @@ MUTANTS = [
     Mutant(
         "U10", DE, "f = np.frexp(np.abs(t).max(initial=0.0))[1]", "f = 0",
         "fit_gram_coeffs fits the caller's grid as it is: a 4000 s grid reads as rank deficient",
+    ),
+    Mutant(
+        "L1", LA, "if not math.isfinite(big):", "if False:",
+        "vech passes a NaN entry through and takes inf to a raw numpy warning",
     ),
 ]

@@ -16,6 +16,7 @@ from .accel_estimator import (
     fit_accel_coeffs,
     fit_deflated_coeffs,
 )
+from .config import benchmark_trajectory
 from .distance_estimator import (
     BatchEstimate,
     KinematicEstimate,
@@ -58,7 +59,6 @@ from .trajectory import (
     MeasurementSet,
     PolynomialTrajectory,
     SimConfig,
-    benchmark_trajectory,
     center_coefficients,
     eval_kinematics,
     rotation2d,

@@ -43,7 +43,6 @@ from .distance_estimator import (
     finish_batch,
     fit_gram_coeffs,
 )
-from .distance_estimator import chu_decompose  # noqa: F401  (perfbench's tracer rebinds this copy)
 from .errors import ConfigError, InvalidDimensionError
 from .linalg import _norm_discarding, centering_matrix, vech
 from .trajectory import MeasurementSet

@@ -57,12 +57,10 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = str(args.seed)
-    if getattr(args, "trials", None) is not None:
-        overrides["n_trials"] = str(args.trials)
-    if getattr(args, "k_sweep", None) is not None:
-        overrides["k_sweep"] = args.k_sweep
+    # a flag beats a --set of the key it sets
+    for flag, key in (("seed", "seed"), ("trials", "n_trials"), ("k_sweep", "k_sweep")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = str(getattr(args, flag))
     return overrides
 
 
@@ -74,10 +72,8 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[list[Path], int]:
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[list[Path], int]:
     meas = bundle_io.read_measurement_bundle(args.bundle)
-    if args.method == "accel":
-        est = estimate_with_accel(meas)
-    else:
-        est = estimate_from_distances(meas)
+    # the module globals are read per call, so a rebound estimator takes effect
+    est = (estimate_with_accel if args.method == "accel" else estimate_from_distances)(meas)
     return bundle_io.write_estimate(est, _resolve_output(args.output)), 0
 
 

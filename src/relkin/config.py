@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .trajectory import PolynomialTrajectory, SimConfig
 
-__all__ = ["ScenarioSettings", "load_scenario", "parse_config_text"]
+__all__ = ["ScenarioSettings", "benchmark_trajectory", "load_scenario", "parse_config_text"]
 
 # every SimConfig field is a scenario key except n_nodes, which the
 # trajectory's Y0 entries fix
@@ -84,30 +84,30 @@ def _convert(key: str, value: str) -> object:
         raise ConfigError(f"invalid value for '{key}': {value}") from exc
 
 
-def _build_trajectory(entries: Mapping[str, float]) -> PolynomialTrajectory:
-    """The planar trajectory of the ``Y<order>.<row>.<col>`` entries: two rows per order."""
-    per_order: dict[int, dict[tuple[int, int], float]] = {}
-    for key, value in entries.items():
-        match = _MATRIX_KEY.match(key)
-        order, row, col = (int(g) for g in match.groups())
-        per_order.setdefault(order, {})[(row, col)] = value
-    if 0 not in per_order:
+def _build_trajectory(typed: Mapping[str, object]) -> PolynomialTrajectory:
+    """The planar trajectory of the ``Y<order>.<row>.<col>`` entries: two rows per order.
+
+    An order missing below the highest one given is all zero; an order
+    given at all must set every one of its ``2 * n_nodes`` entries.
+    """
+    cells = {}
+    for key, value in typed.items():
+        if match := _MATRIX_KEY.match(key):
+            cells[tuple(int(g) for g in match.groups())] = value
+    counts = np.bincount([order for order, _, _ in cells], minlength=1)
+    if not counts[0]:
         raise ConfigError("scenario defines no trajectory (Y0.<row>.<col> entries missing)")
-    n_nodes = 1 + max(col for cells in per_order.values() for (_, col) in cells)
-    max_order = max(per_order)
-    coeffs = []
-    for order in range(max_order + 1):
-        mat = np.zeros((2, n_nodes))
-        for (row, col), value in per_order.get(order, {}).items():
-            if row >= 2 or col >= n_nodes:
-                raise ConfigError(f"Y{order}.{row}.{col} is outside the (2, {n_nodes}) shape")
-            mat[row, col] = value
-        if order in per_order and len(per_order[order]) != 2 * n_nodes:
+    n_nodes = 1 + max(col for _, _, col in cells)
+    coeffs = np.zeros((len(counts), 2, n_nodes))
+    for (order, row, col), value in cells.items():
+        if row >= 2:
+            raise ConfigError(f"Y{order}.{row}.{col} is outside the (2, {n_nodes}) shape")
+        coeffs[order, row, col] = value
+    for order, count in enumerate(counts):
+        if count not in (0, 2 * n_nodes):
             raise ConfigError(
-                f"Y{order} is incomplete: expected {2 * n_nodes} entries, "
-                f"got {len(per_order[order])}"
+                f"Y{order} is incomplete: expected {2 * n_nodes} entries, got {count}"
             )
-        coeffs.append(mat)
     return PolynomialTrajectory(tuple(coeffs))
 
 
@@ -138,16 +138,8 @@ def load_scenario(
             raise ConfigError(f"unknown override key '{key}'")
         raw[key] = value
 
-    typed: dict[str, object] = dict(DEFAULTS)
-    matrix_entries: dict[str, float] = {}
-    for key, value in raw.items():
-        converted = _convert(key, value)
-        if _MATRIX_KEY.match(key):
-            matrix_entries[key] = converted  # type: ignore[assignment]
-        else:
-            typed[key] = converted
-
-    trajectory = _build_trajectory(matrix_entries)
+    typed = {**DEFAULTS, **{key: _convert(key, value) for key, value in raw.items()}}
+    trajectory = _build_trajectory(typed)
     sim = SimConfig(n_nodes=trajectory.n_nodes, **{key: typed[key] for key in _SCALAR_TYPES})
     return ScenarioSettings(sim=sim, trajectory=trajectory, k_sweep=tuple(typed["k_sweep"]))
 
@@ -160,3 +152,12 @@ def _bundled_values() -> Mapping[str, str]:
     """
     text = resources.files("relkin").joinpath("default_scenario.cfg").read_text("utf-8")
     return MappingProxyType(parse_config_text(text, "<bundled default_scenario.cfg>"))
+
+
+def benchmark_trajectory() -> PolynomialTrajectory:
+    """The bundled scenario's ten-node planar constant-acceleration trajectory.
+
+    Used throughout the test suite as a realistic desk-scale instance;
+    each call returns its own arrays.
+    """
+    return load_scenario().trajectory

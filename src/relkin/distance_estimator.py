@@ -52,7 +52,7 @@ from .errors import (
 )
 from .linalg import MdsResult, classical_mds, edm_from_pairs, pairs_from_points
 from .linalg import _TINY, _norm, _norm_discarding, _sum_squares
-from .linalg import unvech, vech  # noqa: F401  (perfbench's tracer test rebinds this vech)
+from .linalg import unvech
 from .trajectory import MeasurementSet
 
 __all__ = [

@@ -87,11 +87,15 @@ def vech(m) -> np.ndarray:
     """Half-vectorize a symmetric matrix: lower triangle, column-major.
 
     The input may be asymmetric up to roundoff, relative to its largest
-    entry; it is symmetrized by averaging before extraction.  Gross
-    asymmetry raises InvalidDimensionError.
+    entry; it is symmetrized by averaging before extraction.  A NaN or
+    inf entry, or gross asymmetry, raises InvalidDimensionError.
     """
     m = _as_square(m, "vech")
-    if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * float(np.abs(m).max()):
+    # max propagates NaN and inf, so the largest |entry| checks finiteness too
+    big = float(np.abs(m).max())
+    if not math.isfinite(big):
+        raise InvalidDimensionError("vech expects a finite matrix")
+    if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * big:
         raise InvalidDimensionError("vech expects a (numerically) symmetric matrix")
     sym = 0.5 * (m + m.T)
     iu, ju = triu_indices(m.shape[0])

@@ -21,7 +21,6 @@ __all__ = [
     "MeasurementSet",
     "PolynomialTrajectory",
     "SimConfig",
-    "benchmark_trajectory",
     "center_coefficients",
     "eval_kinematics",
     "rotation2d",
@@ -368,30 +367,3 @@ def simulate_measurements(config: SimConfig, traj: PolynomialTrajectory) -> Meas
     pairs, accels = np.empty(record.pairs.shape), np.empty(record.accels.shape)
     _add_noise(config, config.seed, record, pairs, accels)
     return MeasurementSet(record.timestamps.copy(), pairs, accels, record.q.copy())
-
-
-def benchmark_trajectory() -> PolynomialTrajectory:
-    """Ten-node planar constant-acceleration scenario.
-
-    Matches the bundled ``default_scenario.cfg`` and is used throughout
-    the test suite as a realistic desk-scale instance.
-    """
-    y0 = np.array(
-        [
-            [-244.0, 385.0, 81.0, -19.0, -792.0, -554.0, -965.0, -985.0, -49.0, -503.0],
-            [-588.0, -456.0, -992.0, -730.0, 879.0, 970.0, 155.0, 318.0, -858.0, 419.0],
-        ]
-    )
-    y1 = np.array(
-        [
-            [-5.0, -8.0, -6.0, 6.0, -1.0, 2.0, 1.0, -5.0, 9.0, -5.0],
-            [-8.0, -5.0, -7.0, -9.0, -3.0, -2.0, -2.0, -10.0, 2.0, -1.0],
-        ]
-    )
-    y2 = np.array(
-        [
-            [-0.17, -0.42, 0.22, -0.07, 0.21, -0.15, 0.55, -0.72, -0.49, -0.34],
-            [0.42, 0.17, 0.98, 0.73, 0.48, 0.08, -0.43, -0.14, 0.56, 0.91],
-        ]
-    )
-    return PolynomialTrajectory((y0, y1, y2))

@@ -41,6 +41,14 @@ class TestSimulate:
         for name in ("timestamps.csv", "edms.csv", "accels.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_seed_flag_beats_a_set_of_the_seed(self, tmp_path):
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        args = ["simulate", "--set", "k_samples=6", "--seed", "7"]
+        assert run_cli(args + ["--set", "seed=3", "--output", str(dir_a)]) == 0
+        assert run_cli(args + ["--output", str(dir_b)]) == 0
+        for name in ("timestamps.csv", "edms.csv", "accels.csv"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RELKIN_OUTPUT_DIR", str(tmp_path / "from_env"))
         assert run_cli(["simulate", "--set", "k_samples=6"]) == 0
@@ -278,6 +286,14 @@ class TestBenchmark:
         assert (out / "time_sweep.csv").exists()
         assert (out / "failures.csv").read_text() == "k,failures,n_trials\n6,0,2\n8,0,2\n"
 
+    def test_trials_and_k_sweep_flags_beat_a_set_of_their_keys(self, tmp_path):
+        out = tmp_path / "bench"
+        args = ["benchmark", "--output", str(out), "--set", "n_trials=9", "--trials", "3"]
+        assert run_cli(args + ["--set", "k_sweep=10,20", "--k-sweep", "10"]) == 0
+        assert (out / "failures.csv").read_text() == "k,failures,n_trials\n10,0,3\n"
+        rows = (out / "rmse.csv").read_text().strip().splitlines()[1:]
+        assert {line.split(",")[1] for line in rows} == {"10"}
+
     def test_failure_threshold_enforced(self, tmp_path, monkeypatch, capsys):
         def always_fails(meas, d=2):
             raise EstimationError("stage 'synthetic': injected failure")
@@ -367,11 +383,27 @@ class TestBenchmark:
 class TestConfigHandling:
     def test_bundled_default_matches_builtin_trajectory(self):
         scenario = load_scenario(None)
-        expected = benchmark_trajectory()
-        for got, want in zip(scenario.trajectory.coeffs, expected.coeffs):
-            assert np.array_equal(got, want)
+        traj = benchmark_trajectory()
+        assert traj == scenario.trajectory
+        assert (traj.coeffs[0].shape, traj.order) == ((2, 10), 2)
+        # each call owns its arrays: an edit of one result leaves the next untouched
+        for c in traj.coeffs:
+            c[:] = 0.0
+        assert benchmark_trajectory() == scenario.trajectory
         assert scenario.sim.seed == 42
         assert scenario.k_sweep == (10, 20, 30, 40, 50)
+
+    def test_a_missing_order_below_the_highest_is_zero(self, tmp_path):
+        y0 = "Y0.0.0 = 1\nY0.0.1 = 2\nY0.1.0 = 3\nY0.1.1 = 4\n"
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text(y0 + y0.replace("Y0", "Y2"))
+        coeffs = load_scenario(str(cfg)).trajectory.coeffs
+        assert len(coeffs) == 3 and not coeffs[1].any()
+        assert np.array_equal(coeffs[0], [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(coeffs[2], coeffs[0])
+        cfg.write_text(y0)
+        static = load_scenario(str(cfg)).trajectory
+        assert static.order == 0 and np.array_equal(static.coeffs[0], coeffs[0])
 
     def test_a_call_never_reaches_the_next_bundled_scenario(self, monkeypatch):
         parsed = []

@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: the count of ``src/relkin`` when the ceiling was last set
-CEILING = 1673
+CEILING = 1639
 
 
 def load_counter():

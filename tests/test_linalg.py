@@ -73,6 +73,12 @@ class TestVech:
         with pytest.raises(InvalidDimensionError, match="symmetric"):
             vech(scale * np.array([[2.0, 1.0], [3.0, 2.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        # the suite turns a numpy RuntimeWarning into an error, so inf must not reach m - m.T
+        with pytest.raises(InvalidDimensionError, match="finite"):
+            vech(np.array([[bad, 1.0], [5.0, 0.0]]))
+
     def test_zero_matrix_accepted(self):
         assert np.array_equal(vech(np.zeros((3, 3))), np.zeros(6))
 
